@@ -11,7 +11,7 @@ both stay in their home modules: ``thermal.is_purifiable(model)`` and
 ``pairs.is_purifiable(bell_diagonal)``.
 """
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, InvariantError, ParameterError
 from .graphs import (
     Graph,
     complete_graph,
@@ -79,6 +79,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "CapacityError",
+    "InvariantError",
     "ParameterError",
     "Graph",
     "complete_graph",

@@ -6,7 +6,7 @@ a canonical machine format (sorted keys, compact separators) that is
 byte-identical for a fixed seed regardless of worker count.
 
 Exit codes: 0 success (negative scientific results included), 1 oracle-sweep
-mismatch, 2 usage error, 3 capacity error.
+mismatch, 2 usage error, 3 capacity error, 4 internal invariant violated.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, InvariantError, ParameterError
 from .graphs import Graph, load_graph, parse_family
 from .optimality import proof_applies
 from .protocol import (
@@ -66,14 +66,21 @@ def _load(source: str) -> tuple[Graph, str | None]:
     return g, source
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+def _resolve_seed(args) -> int:
+    """--seed, else $GRAPHPURIFY_SEED, else 0; negative seeds are rejected."""
+    if args.seed is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        raw = os.environ.get(SEED_ENV_VAR)
+        if raw is None:
+            return 0
+        try:
+            seed, source = int(raw), SEED_ENV_VAR
+        except ValueError:
+            raise ParameterError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ParameterError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _resolve_noise(args) -> tuple[float, float | None, float | None]:
@@ -152,7 +159,7 @@ def cmd_threshold(args) -> int:
 def cmd_simulate(args) -> int:
     g, family = _load(args.graph)
     p, b_val, t_val = _resolve_noise(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _resolve_seed(args)
     res = run_drpp(
         g,
         p,
@@ -222,7 +229,7 @@ def cmd_scan(args) -> int:
             by_p[ThermalModel(B=args.B, T=t).error_prob()] = t
         grid = sorted(by_p)
         temperature_of = by_p.get
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _resolve_seed(args)
     rows = threshold_scan(
         g,
         grid,
@@ -462,8 +469,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+        graph = getattr(args, "graph", None)
+        where = f"{graph}: " if graph else ""
+        print(f"capacity error: {where}{exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"internal error, invariant violated: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,3 +9,10 @@ class ParameterError(ValueError):
 
 class CapacityError(RuntimeError):
     """The request exceeds a hard size cap (dense simulation, vertex count)."""
+
+
+class InvariantError(RuntimeError):
+    """A structural invariant of the protocol failed: the program is wrong.
+
+    Raised in place of ``assert`` so the check survives ``python -O``.
+    """

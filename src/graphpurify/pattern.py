@@ -13,12 +13,20 @@ inside ``merge_local`` rewires the measured qubit's neighborhood through a
 pivot neighbor and applies a compensating single-qubit Hadamard there as part
 of the channel, which keeps every intermediate state in graph form with
 Z-type residuals only.
+
+The Z-error update of every rule is GF(2)-linear in the error bits and does
+not depend on the outcomes, so ``merge_local`` and ``apply_cz_via_pair``
+results expose it as ``z_map``: bit j of ``z_map[i]`` is set when input
+qubit j's Z error lands on output qubit i.  The correction frame follows the
+same map plus an outcome-dependent byproduct.  The map is built only when
+read, from rewiring data the rule computes anyway.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ParameterError
 from .graphs import Graph, _bits, _make
@@ -78,6 +86,24 @@ class MergeResult:
     outcomes: tuple[int, ...]  # +-1 per measured qubit, in order
     vertex_map: tuple[int, ...]  # input-state index of each output vertex
     steps: tuple[MergeStep, ...]
+    # per X measurement, in the indices current at that step:
+    # (measured, pivot or None, b_set, c_set, surviving-vertex map)
+    _rewires: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def z_map(self) -> tuple[int, ...]:
+        """Bit j of ``z_map[i]``: input qubit j's Z error lands on output qubit i."""
+        rows = [1 << q for q in range(self.state.graph.n + len(self.steps))]
+        for m, pivot, b_set, c_set, keep in self._rewires:
+            if pivot is not None:
+                from_m, from_pivot = rows[m], rows[pivot]
+                for x in _bits(b_set):
+                    rows[x] ^= from_pivot
+                for x in _bits(c_set):
+                    rows[x] ^= from_m
+                rows[pivot] = from_m
+            rows = [rows[old] for old in keep]
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -85,6 +111,16 @@ class PairSpliceResult:
     state: PatternState
     outcomes: tuple[int, int]  # +-1 for the two consumed halves, in order
     vertex_map: tuple[int, ...]
+    _ends: tuple[int, int, int, int] = field(repr=False, compare=False)  # u, v, pair_u, pair_v
+
+    @cached_property
+    def z_map(self) -> tuple[int, ...]:
+        """Bit j of ``z_map[i]``: input qubit j's Z error lands on output qubit i."""
+        u, v, pair_u, pair_v = self._ends
+        rows = [1 << q for q in range(self.state.graph.n + 2)]
+        rows[u] |= 1 << pair_v
+        rows[v] |= 1 << pair_u
+        return tuple(rows[old] for old in self.vertex_map)
 
 
 def ideal_state(g: Graph) -> PatternState:
@@ -168,10 +204,11 @@ def _measure_x(
     kappa: int | None,
     rng: random.Random | None,
     forced_outcome: int | None,
-) -> tuple[int, PatternState, tuple[int, ...], int | None]:
+) -> tuple[int, PatternState, tuple[int, ...], int | None, int, int]:
     """X-measure qubit m, preferring a pivot other than ``kappa``.
 
-    Returns (outcome bit, post-state, vertex map, pivot index pre-deletion).
+    Returns (outcome bit, post-state, vertex map, pivot index pre-deletion,
+    b_set, c_set); the two sets are 0 when m has no neighbor.
     The channel includes the Hadamard correction on the pivot, so the
     post-state is in graph form again.
     """
@@ -187,7 +224,7 @@ def _measure_x(
                 raise ParameterError("forced outcome has probability zero")
         new_g, keep = g.delete_vertex(m)
         post = PatternState(new_g, _restrict(e, keep), _restrict(f, keep))
-        return det, post, tuple(keep), None
+        return det, post, tuple(keep), None, 0, 0
 
     sigma = _outcome_bit(forced_outcome, lambda: _need_rng(rng).getrandbits(1))
 
@@ -233,7 +270,7 @@ def _measure_x(
     interim = _make(g.n, adj)
     new_g, keep = interim.delete_vertex(m)
     post = PatternState(new_g, _restrict(new_e, keep), _restrict(new_f, keep))
-    return sigma, post, tuple(keep), pivot
+    return sigma, post, tuple(keep), pivot, b_set, c_set
 
 
 def _lowest_bit(mask: int) -> int:
@@ -273,12 +310,14 @@ def merge_local(
     where: list[int | None] = list(range(n))
     outcomes: list[int] = []
     steps: list[MergeStep] = []
+    rewires = []
     for i, m in enumerate(measured):
         m_cur = where[m]
         assert m_cur is not None
         k_cur = where[kappa]
         forced = forced_outcomes[i] if forced_outcomes is not None else None
-        sigma, cur, keep, pivot_cur = _measure_x(cur, m_cur, k_cur, rng, forced)
+        sigma, cur, keep, pivot_cur, b_set, c_set = _measure_x(cur, m_cur, k_cur, rng, forced)
+        rewires.append((m_cur, pivot_cur, b_set, c_set, keep))
         inv = {old: new for new, old in enumerate(keep)}
         pivot_in = None
         if pivot_cur is not None:
@@ -301,6 +340,7 @@ def merge_local(
         outcomes=tuple(outcomes),
         vertex_map=vertex_map,
         steps=tuple(steps),
+        _rewires=tuple(rewires),
     )
 
 
@@ -367,6 +407,7 @@ def apply_cz_via_pair(
         state=post,
         outcomes=(1 - 2 * s1, 1 - 2 * s2),
         vertex_map=tuple(keep),
+        _ends=(u, v, pair_u, pair_v),
     )
 
 

@@ -1,14 +1,23 @@
 """The end-to-end divide-and-rebuild protocol.
 
-Stages per trajectory: (1) extraction — on fresh thermal copies, Z-measure
-the neighborhoods of the scheduled pairs so each pair becomes an isolated
-noisy Bell-type edge; (2) purification — the ensemble of extracted pairs is
-pushed through the validated Bell-diagonal recurrence channel to a target
-fidelity, so each rebuilt edge draws its residual error class from the
-channel's output distribution; (3) rebuild — one qubit per target vertex is
-fused from pair halves (spanning-forest edges via local merges, remaining
-edges via pair-mediated CZ splices).  A trajectory counts as success when no
-unknown Z error remains anywhere.
+Stages: (1) extraction — on fresh thermal copies, Z-measure the
+neighborhoods of the scheduled pairs so each pair becomes an isolated noisy
+Bell-type edge; (2) purification — the ensemble of extracted pairs is pushed
+through the validated Bell-diagonal recurrence channel to a target fidelity,
+so each rebuilt edge draws its residual error class from the channel's
+output distribution; (3) rebuild — one qubit per target vertex is fused from
+pair halves (spanning-forest edges via local merges, remaining edges via
+pair-mediated CZ splices).  A trajectory counts as success when no unknown Z
+error remains anywhere.
+
+Compile once, then sample: the rewiring of extraction and rebuild depends
+only on the graph, and the rebuild's Z-error update is GF(2)-linear and
+outcome-independent.  So each ``run_drpp`` call runs extraction's isolation
+check and the rebuild through the pattern engine once, on the error-free
+state, with every structural invariant checked, and composes the
+operations' Z-error maps into a check matrix M from pair-half error bits to
+target vertices.  Each shot then only draws one error class per edge and
+counts as ideal iff M·x = 0 for the drawn half-error bits x.
 
 Scheduling constraint: two pairs can be extracted from the same copy exactly
 when neither pair touches the other's vertices or their neighbors — that
@@ -23,19 +32,20 @@ count.
 from __future__ import annotations
 
 import math
+import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import ParameterError
-from .graphs import Graph
+from .errors import CapacityError, InvariantError, ParameterError
+from .graphs import MAX_VERTICES, Graph, _bits
 from .pairs import composite_r2, distill_trace, from_z_noise
 from .pattern import (
     PatternState,
     apply_cz_via_pair,
+    ideal_state,
     is_ideal,
     measure_z,
     merge_local,
-    sample_thermal,
 )
 from .rng import derive_rng, derive_seed
 from .thermal import purifiable_at
@@ -120,11 +130,10 @@ def plan_extraction(g: Graph) -> ExtractionPlan:
         built.append(tuple(items))
         for a in items:
             for b in items:
-                if a is not b:
-                    au, av = a.edge
-                    assert _closed_mask(g, au, av) & (
-                        (1 << b.edge[0]) | (1 << b.edge[1])
-                    ) == 0, "round contains interfering pairs"
+                if a is not b and _closed_mask(g, *a.edge) & (
+                    (1 << b.edge[0]) | (1 << b.edge[1])
+                ):
+                    raise InvariantError("round contains interfering pairs")
     return ExtractionPlan(rounds=tuple(built), coverage=coverage)
 
 
@@ -227,18 +236,24 @@ def _wilson_ci95(successes: int, trials: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _extract_round(g: Graph, p: float, items, rng) -> None:
-    """One thermal copy: measure out the round's boundaries, check isolation."""
-    st = sample_thermal(g, p, rng)
-    union = sorted({q for pe in items for q in pe.z_measure_set}, reverse=True)
-    for q in union:
-        # deleting strictly higher indices first keeps q's label valid
-        st = measure_z(st, q, rng).state
-    for pe in items:
-        u, v = pe.edge
-        du = u - sum(1 for q in union if q < u)
-        dv = v - sum(1 for q in union if q < v)
-        assert st.graph.adj[du] == 1 << dv, "extracted pair is not isolated"
+def _check_extraction(g: Graph, plan: ExtractionPlan) -> None:
+    """Measure out each round's boundaries on one copy; check isolation.
+
+    The rewiring does not depend on error patterns or outcomes, so one pass
+    on the error-free state with forced outcomes covers every shot.
+    """
+    for items in plan.rounds:
+        st = ideal_state(g)
+        union = sorted({q for pe in items for q in pe.z_measure_set}, reverse=True)
+        for q in union:
+            # deleting strictly higher indices first keeps q's label valid
+            st = measure_z(st, q, forced_outcome=+1).state
+        for pe in items:
+            u, v = pe.edge
+            du = u - sum(1 for q in union if q < u)
+            dv = v - sum(1 for q in union if q < v)
+            if st.graph.adj[du] != 1 << dv or st.graph.adj[dv] != 1 << du:
+                raise InvariantError(f"extracted pair {pe.edge} is not isolated")
 
 
 def _draw_class(probs: tuple[float, ...], rng) -> int:
@@ -251,13 +266,31 @@ def _draw_class(probs: tuple[float, ...], rng) -> int:
     return len(probs) - 1
 
 
-def _rebuild(g: Graph, classes: dict, rng) -> bool:
-    """Fuse purified pairs into the target graph; True iff no residual error.
+@dataclass(frozen=True)
+class _Rebuild:
+    """One engine rebuild, plus the linear map it applies to pair errors.
 
-    One pair per edge; spanning-forest edges are realized by merging each
-    vertex's pair halves (BFS order, parents first, so every measured half's
-    twin is still pristine and the fused edge lands cleanly), remaining edges
-    by pair-mediated CZ between the finished vertex qubits.
+    Pair halves are numbered by allocation; ``class_masks[k][c]`` holds the
+    half bits that class c flips on the k-th edge (sorted edge order), and
+    ``checks[v]`` (one row of M) holds the half bits whose errors land on
+    target vertex v.  The residual error is M·x for half-error bits x.
+    """
+
+    ideal: bool
+    class_masks: tuple[tuple[int, int, int, int], ...]
+    checks: tuple[int, ...]
+
+
+def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
+    """Fuse purified pairs into the target graph through the pattern engine.
+
+    One pair per edge, carrying the error of its class in ``classes``;
+    spanning-forest edges are realized by merging each vertex's pair halves
+    (BFS order, parents first, so every measured half's twin is still
+    pristine and the fused edge lands cleanly), remaining edges by
+    pair-mediated CZ between the finished vertex qubits.  Every structural
+    invariant is checked, and the operations' Z-error maps are composed
+    into M along the way.
     """
     n = g.n
     forest: list[list[tuple[int, int]]] = []
@@ -268,50 +301,54 @@ def _rebuild(g: Graph, classes: dict, rng) -> bool:
         if te:
             forest.append(te)
             tree_set.update(frozenset(e) for e in te)
-    nontree = [e for e in sorted(g.edges()) if frozenset(e) not in tree_set]
+    edges = sorted(g.edges())
+    nontree = [e for e in edges if frozenset(e) not in tree_set]
+    isolated = [v for v in range(n) if g.degree(v) == 0]
+    _check_capacity(len(edges), len(isolated))
 
     edges_built: list[tuple[int, int]] = []
-    errors = 0
     nq = 0
     near: dict[tuple[int, int], int] = {}  # oriented edge -> half at its first vertex
     far: dict[tuple[int, int], int] = {}
+    class_mask: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
     def alloc_pair(oriented: tuple[int, int]) -> None:
-        nonlocal nq, errors
+        nonlocal nq
         hx, hy = nq, nq + 1
         nq += 2
         edges_built.append((hx, hy))
         lo_first = oriented[0] < oriented[1]
-        cls = classes[tuple(sorted(oriented))]
-        a_half = hx if lo_first else hy  # class labels attach to the low vertex's half
-        b_half = hy if lo_first else hx
-        if cls in (1, 3):
-            errors |= 1 << a_half
-        if cls in (2, 3):
-            errors |= 1 << b_half
+        a_bit = 1 << (hx if lo_first else hy)  # class labels attach to the low vertex's half
+        b_bit = 1 << (hy if lo_first else hx)
+        class_mask[tuple(sorted(oriented))] = (0, a_bit, b_bit, a_bit | b_bit)
         near[oriented] = hx
         far[oriented] = hy
 
     for te in forest:
         for e in te:
             alloc_pair(e)
-    iso_alloc = {v: None for v in range(n) if g.degree(v) == 0}
-    for v in iso_alloc:
-        iso_alloc[v] = nq
+    kept: dict[int, int] = {}
+    for v in isolated:
+        kept[v] = nq
         nq += 1
     for e in nontree:
         alloc_pair(e)
 
-    state = PatternState(Graph.from_edges(nq, edges_built), errors, 0)
+    x = 0
+    for e in edges:
+        x |= class_mask[e][classes[e]]
+    state = PatternState(Graph.from_edges(nq, edges_built), x, 0)
     cur = list(range(nq))  # alloc id -> current index (-1 once measured away)
+    rows = [1 << a for a in range(nq)]  # current qubit -> alloc ids whose error it holds
 
-    def track(vertex_map) -> None:
-        inv = {old: new for new, old in enumerate(vertex_map)}
+    def track(res) -> None:
+        nonlocal rows
+        rows = [_xor_rows(rows, sel) for sel in res.z_map]
+        inv = {old: new for new, old in enumerate(res.vertex_map)}
         for a in range(nq):
             if cur[a] >= 0:
                 cur[a] = inv.get(cur[a], -1)
 
-    kept: dict[int, int] = dict(iso_alloc)
     for te in forest:
         child_halves: dict[int, list[int]] = {}
         parent_half: dict[int, int] = {}
@@ -328,36 +365,82 @@ def _rebuild(g: Graph, classes: dict, rng) -> bool:
             if len(party) > 1:
                 res = merge_local(state, [cur[a] for a in party], rng)
                 state = res.state
-                track(res.vertex_map)
+                track(res)
 
     for u, v in nontree:
         res = apply_cz_via_pair(
             state, cur[kept[u]], cur[kept[v]], cur[near[(u, v)]], cur[far[(u, v)]], rng
         )
         state = res.state
-        track(res.vertex_map)
+        track(res)
 
-    assert state.graph.n == n, "rebuild consumed the wrong number of qubits"
+    if state.graph.n != n:
+        raise InvariantError("rebuild consumed the wrong number of qubits")
     perm = [cur[kept[v]] for v in range(n)]
-    assert sorted(perm) == list(range(n)), "rebuild lost a vertex qubit"
+    if sorted(perm) != list(range(n)):
+        raise InvariantError("rebuild lost a vertex qubit")
     for u in range(n):
         for v in range(u + 1, n):
-            assert state.graph.has_edge(perm[u], perm[v]) == g.has_edge(u, v), (
-                "rebuilt graph differs from the target"
-            )
-    return is_ideal(state)
+            if state.graph.has_edge(perm[u], perm[v]) != g.has_edge(u, v):
+                raise InvariantError("rebuilt graph differs from the target")
+    checks = tuple(rows[perm[v]] for v in range(n))
+    for v in range(n):
+        if state.z_errors >> perm[v] & 1 != (checks[v] & x).bit_count() & 1:
+            raise InvariantError("composed Z-error map disagrees with the engine")
+    return _Rebuild(
+        ideal=is_ideal(state),
+        class_masks=tuple(class_mask[e] for e in edges),
+        checks=checks,
+    )
+
+
+def _xor_rows(rows: list[int], selector: int) -> int:
+    acc = 0
+    for j in _bits(selector):
+        acc ^= rows[j]
+    return acc
+
+
+def _check_capacity(edges: int, isolated: int) -> None:
+    if 2 * edges + isolated <= MAX_VERTICES:
+        return
+    if isolated:
+        raise CapacityError(
+            f"graph has {edges} edges and {isolated} isolated vertices; simulate "
+            "rebuilds each edge from 2 qubits and each isolated vertex from 1, "
+            f"and supports at most {MAX_VERTICES} such qubits"
+        )
+    raise CapacityError(
+        f"graph has {edges} edges; simulate rebuilds each edge from 2 qubits "
+        f"and supports at most {MAX_VERTICES // 2} edges"
+    )
+
+
+def _compile(g: Graph, plan: ExtractionPlan) -> _Rebuild:
+    """Run extraction and rebuild through the engine once, error-free.
+
+    Outcomes do not change the rewiring or the Z-error map, so a fixed
+    generator serves; its draws never reach the shots.
+    """
+    _check_extraction(g, plan)
+    compiled = _rebuild(g, {e: 0 for e in g.edges()}, random.Random(0))
+    if not compiled.ideal:
+        raise InvariantError("error-free rebuild left a residual error")
+    return compiled
 
 
 def _simulate_chunk(args) -> int:
-    g, p, plan, probs, seed, chunk_index, count = args
+    compiled, probs, seed, chunk_index, count = args
     rng = derive_rng(seed, "drpp", chunk_index)
-    edges = sorted(g.edges())
+    class_masks = compiled.class_masks
+    checks = compiled.checks
     hits = 0
     for _ in range(count):
-        for items in plan.rounds:
-            _extract_round(g, p, items, rng)
-        classes = {e: _draw_class(probs, rng) for e in edges}
-        if _rebuild(g, classes, rng):
+        x = 0
+        for masks in class_masks:
+            x |= masks[_draw_class(probs, rng)]
+        # ideal iff every row of M has even parity with x
+        if not x or not any((row & x).bit_count() & 1 for row in checks):
             hits += 1
     return hits
 
@@ -406,12 +489,13 @@ def run_drpp(
             **common,
         )
 
+    compiled = _compile(g, plan)
     specs = []
     done = 0
     chunk_index = 0
     while done < shots:
         count = min(CHUNK_SHOTS, shots - done)
-        specs.append((g, p, plan, trace.final.probs, seed, chunk_index, count))
+        specs.append((compiled, trace.final.probs, seed, chunk_index, count))
         done += count
         chunk_index += 1
     if workers == 1 or len(specs) == 1:

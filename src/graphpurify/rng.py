@@ -4,13 +4,18 @@ Every stochastic routine in the package draws from a stream derived here.
 Streams are keyed by (seed, *key) so that independent pieces of work —
 chunks of a Monte Carlo run, rounds of a protocol — get independent,
 reproducible generators regardless of execution order or worker count.
+
+A stream is ``random.Random`` seeded with a canonical byte encoding of
+(purpose, seed, *key); ``random.Random`` hashes a bytes seed with SHA-512, so
+distinct encodings give independent streams.  Only the standard library is
+involved, which keeps ``numpy.random`` (and OpenSSL through ``hashlib``) out
+of every process that merely simulates.
 """
 
 from __future__ import annotations
 
+import operator
 import random
-
-import numpy as np
 
 
 def derive_rng(seed: int, *key: int | str) -> random.Random:
@@ -19,11 +24,7 @@ def derive_rng(seed: int, *key: int | str) -> random.Random:
     The same (seed, key) always yields an identical generator; distinct keys
     yield statistically independent ones.
     """
-    spawn_key = tuple(_as_word(k) for k in key)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
-    # 128 bits of state material is plenty for random.Random.
-    material = int.from_bytes(ss.generate_state(4, dtype=np.uint32).tobytes(), "little")
-    return random.Random(material)
+    return random.Random(_encode(b"rng", seed, key))
 
 
 def derive_seed(seed: int, *key: int | str) -> int:
@@ -32,18 +33,28 @@ def derive_seed(seed: int, *key: int | str) -> int:
     Used where a routine needs an integer seed of its own (so it can derive
     further sub-streams) rather than a generator.
     """
-    spawn_key = tuple(_as_word(k) for k in key)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
-    return int.from_bytes(ss.generate_state(2, dtype=np.uint32).tobytes(), "little")
+    return random.Random(_encode(b"seed", seed, key)).getrandbits(64)
 
 
-def _as_word(k: int | str) -> int:
-    if isinstance(k, int):
-        if k < 0:
-            raise ValueError("spawn key parts must be non-negative")
-        return k
-    # Stable string -> int folding; SeedSequence spawn keys must be ints.
-    acc = 0
-    for ch in k.encode("utf-8"):
-        acc = (acc * 257 + ch) % (2**63)
-    return acc
+def _encode(purpose: bytes, seed: int, key: tuple) -> bytes:
+    """Injective encoding: each part is a type tag plus a netstring.
+
+    Netstrings carry their length in decimal, so seeds of any size encode
+    without a fixed-width field to overflow.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    parts = [_netstring(b"p", purpose), _netstring(b"i", b"%d" % seed)]
+    for k in key:
+        if isinstance(k, int):
+            if k < 0:
+                raise ValueError("spawn key parts must be non-negative")
+            parts.append(_netstring(b"i", b"%d" % k))
+        else:
+            parts.append(_netstring(b"s", k.encode("utf-8")))
+    return b"".join(parts)
+
+
+def _netstring(tag: bytes, data: bytes) -> bytes:
+    return b"%s%d:%s," % (tag, len(data), data)

@@ -134,6 +134,39 @@ class TestSimulate:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--graph", "path:3", "--p", "0.1"],
+        ["scan", "--graph", "path:3", "--p-grid", "0.1"],
+    ], ids=["simulate", "scan"])
+    def test_negative_seed_rejected(self, capsys, monkeypatch, command):
+        rc, out, err = run_cli(capsys, *command, "--shots", "20", "--seed", "-1")
+        assert rc == 2
+        assert "--seed" in err and "Traceback" not in err
+        assert out == ""
+        monkeypatch.setenv(SEED_ENV_VAR, "-3")
+        rc, out, err = run_cli(capsys, *command, "--shots", "20")
+        assert rc == 2
+        assert SEED_ENV_VAR in err and "Traceback" not in err
+
+    def test_large_seed_accepted(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "simulate", "--graph", "path:3", "--p", "0.1",
+            "--shots", "20", "--seed", str(2**130), "--json",
+        )
+        assert rc == 0
+        assert envelope(out)["config"]["seed"] == 2**130
+
+    def test_capacity_message_names_the_edge_count(self, capsys):
+        for graph, edges in (("grid:5x5", 40), ("complete:12", 66)):
+            rc, _, err = run_cli(
+                capsys, "simulate", "--graph", graph, "--p", "0.1", "--shots", "1"
+            )
+            assert rc == 3
+            assert f"{graph}: graph has {edges} edges" in err
+            assert "at most 32 edges" in err
+            assert "vertex count" not in err
+
+
 class TestScan:
     def test_verdict_flips_across_threshold(self, capsys):
         rc, out, _ = run_cli(

@@ -289,3 +289,89 @@ class TestApplyCzViaPair:
         a = apply_cz_via_pair(ideal_state(g), 0, 1, 2, 3, rng=derive_rng(9, "sp"))
         b = apply_cz_via_pair(ideal_state(g), 0, 1, 2, 3, rng=derive_rng(9, "sp"))
         assert a == b
+
+
+def _apply_map(z_map, mask: int) -> int:
+    """Image of an input Z pattern under a z_map, computed row by row."""
+    out = 0
+    for i, row in enumerate(z_map):
+        if bin(row & mask).count("1") % 2:
+            out |= 1 << i
+    return out
+
+
+def _all_graphs(n: int):
+    slots = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(slots)):
+        yield Graph.from_edges(n, [slots[i] for i in range(len(slots)) if mask >> i & 1])
+
+
+def _check_z_map(g: Graph, op, n_outcomes: int, columns) -> None:
+    """The map of one error-free run reproduces the engine on every column
+    and forced-outcome branch: the Z errors exactly, the frame up to a
+    byproduct that depends on the outcomes only.  That one map serving every
+    pattern and branch is what the protocol relies on.
+    """
+    z_map = op(PatternState(g), None).z_map
+    for outcomes in itertools.product((+1, -1), repeat=n_outcomes):
+        byproducts = set()
+        for e, f in columns:
+            try:
+                res = op(PatternState(g, e, f), outcomes)
+            except ParameterError:
+                continue
+            assert _apply_map(z_map, e) == res.state.z_errors, (g, e, f, outcomes)
+            byproducts.add(res.state.correction_frame ^ _apply_map(z_map, f))
+        assert len(byproducts) <= 1, (g, outcomes)
+
+
+class TestZMap:
+    """The GF(2) error maps against the engine's own error update, over the
+    merges and splices the oracle sweep runs on graphs of <= 4 vertices."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_merge_z_map_matches_engine(self, n):
+        # columns as in the sweep with all variants: error only, frame only,
+        # error equal to frame
+        cols = [(e, 0) for e in range(1 << n)]
+        cols += [(0, f) for f in range(1, 1 << n)]
+        cols += [(e, e) for e in range(1, 1 << n)]
+        rng = derive_rng(0, "z-map")
+        for g in _all_graphs(n):
+            for size in range(2, n + 1):
+                for party in itertools.permutations(range(n), size):
+                    _check_z_map(
+                        g,
+                        lambda st, outs: merge_local(st, list(party), rng, outs),
+                        size - 1,
+                        cols,
+                    )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_splice_z_map_matches_engine(self, n):
+        cols = [(e, 0) for e in range(1 << (n + 2))]
+        cols += [(0, f) for f in range(1, 1 << (n + 2))]
+        rng = derive_rng(0, "z-map")
+        for base in _all_graphs(n):
+            joint = Graph.from_edges(n + 2, list(base.edges()) + [(n, n + 1)])
+            for u, v in itertools.permutations(range(n), 2):
+                _check_z_map(
+                    joint,
+                    lambda st, outs: apply_cz_via_pair(st, u, v, n, n + 1, rng, outs),
+                    2,
+                    cols,
+                )
+
+    def test_worked_example_merge(self):
+        # fusing one half of each of two pairs: the measured half's error
+        # reaches the pivot's old neighbors, the pivot's reaches the kept half
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        res = merge_local(ideal_state(g), [1, 2], forced_outcomes=[+1])
+        assert res.vertex_map == (0, 1, 3)
+        assert res.z_map == (0b0001, 0b1010, 0b0100)
+
+    def test_worked_example_splice(self):
+        g = Graph.from_edges(4, [(2, 3)])
+        res = apply_cz_via_pair(ideal_state(g), 0, 1, 2, 3, forced_outcomes=(+1, +1))
+        # the far half's error lands on each endpoint
+        assert res.z_map == (0b1001, 0b0110)

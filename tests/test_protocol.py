@@ -10,10 +10,15 @@ around those sums.
 """
 
 import itertools
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
-from graphpurify.errors import ParameterError
+import graphpurify
+from graphpurify.errors import CapacityError, ParameterError
 from graphpurify.graphs import Graph, cycle_graph, grid_graph, parse_family, path_graph, star_graph
 from graphpurify.pairs import distill_trace, from_z_noise
 from graphpurify.pattern import PatternState, measure_z
@@ -26,7 +31,7 @@ from graphpurify.protocol import (
     run_drpp,
     threshold_scan,
 )
-from graphpurify.protocol import _rebuild  # white-box: rebuild indicator
+from graphpurify.protocol import _compile, _rebuild  # white-box: rebuild and its map
 from graphpurify.rng import derive_rng
 from graphpurify.thermal import P_STAR
 
@@ -198,7 +203,7 @@ class TestExtractionStatistics:
 
 
 def _indicator(g: Graph, classes: dict) -> bool:
-    return _rebuild(g, classes, derive_rng(99, "indicator"))
+    return _rebuild(g, classes, derive_rng(99, "indicator")).ideal
 
 
 def _analytic_fidelity(g: Graph, probs) -> float:
@@ -224,7 +229,7 @@ class TestRebuildIndicator:
         combos = list(itertools.product(range(4), repeat=len(edges)))[:40]
         for combo in combos:
             classes = dict(zip(edges, combo))
-            votes = {_rebuild(g, classes, derive_rng(s, "vote")) for s in range(5)}
+            votes = {_rebuild(g, classes, derive_rng(s, "vote")).ideal for s in range(5)}
             assert len(votes) == 1
 
     @pytest.mark.parametrize(
@@ -245,6 +250,96 @@ class TestRebuildIndicator:
         g = Graph.from_edges(4, [(1, 2)])
         assert _indicator(g, {(1, 2): 0})
         assert not _indicator(g, {(1, 2): 3})
+
+
+def _residual_is_zero(compiled, classes_in_edge_order) -> bool:
+    """M·x = 0, written out: x collects the erroneous halves of each class."""
+    x = 0
+    for masks, cls in zip(compiled.class_masks, classes_in_edge_order):
+        x |= masks[cls]
+    return all(bin(row & x).count("1") % 2 == 0 for row in compiled.checks)
+
+
+class TestCompiledParityChecks:
+    """The fast path's check matrix against an engine rebuild that carries
+    the errors of each class assignment."""
+
+    @pytest.mark.parametrize(
+        "g", [path_graph(3), cycle_graph(3), star_graph(4), cycle_graph(4),
+              Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])],
+        ids=["path3", "cycle3", "star4", "cycle4", "two-comps"],
+    )
+    def test_every_assignment(self, g):
+        compiled = _compile(g, plan_extraction(g))
+        edges = sorted(g.edges())
+        assert len(compiled.class_masks) == len(edges)
+        rng = derive_rng(5, "engine")
+        for combo in itertools.product(range(4), repeat=len(edges)):
+            engine = _rebuild(g, dict(zip(edges, combo)), rng)
+            assert engine.ideal == _residual_is_zero(compiled, combo), combo
+
+    @pytest.mark.parametrize("family", ["icosahedron", "grid:4x4", "complete:6"])
+    def test_random_low_weight_assignments(self, family):
+        g = parse_family(family)
+        compiled = _compile(g, plan_extraction(g))
+        edges = sorted(g.edges())
+        pick = random.Random(f"low-weight/{family}")
+        rng = derive_rng(6, "engine")
+        for _ in range(300):
+            combo = [0] * len(edges)
+            for k in pick.sample(range(len(edges)), pick.randint(1, 3)):
+                combo[k] = pick.randint(1, 3)
+            engine = _rebuild(g, dict(zip(edges, combo)), rng)
+            assert engine.ideal == _residual_is_zero(compiled, combo), combo
+
+    def test_too_many_edges_names_the_edge_count(self):
+        with pytest.raises(CapacityError, match="40 edges.*at most 32 edges"):
+            run_drpp(grid_graph([5, 5]), 0.1, shots=1)
+        with pytest.raises(CapacityError, match="32 edges and 1 isolated"):
+            run_drpp(Graph.from_edges(34, [(v, v + 1) for v in range(32)]), 0.1, shots=1)
+
+
+_CORRUPT_REBUILD = """
+import dataclasses, sys
+import graphpurify.protocol as protocol
+from graphpurify.errors import InvariantError
+from graphpurify.graphs import path_graph
+from graphpurify.pattern import PatternState
+
+if __debug__:
+    sys.exit("asserts are live; run this under python -O")
+real = protocol.merge_local
+
+def dropping_an_edge(state, party, rng=None, forced_outcomes=None):
+    res = real(state, party, rng, forced_outcomes)
+    g = res.state.graph
+    u, v = g.edges()[0]
+    broken = PatternState(g.toggle_edge(u, v), res.state.z_errors, res.state.correction_frame)
+    return dataclasses.replace(res, state=broken)
+
+protocol.merge_local = dropping_an_edge
+try:
+    protocol.run_drpp(path_graph(3), 0.1, shots=10, seed=0)
+except InvariantError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("run_drpp accepted a corrupted rebuild")
+"""
+
+
+def test_rebuild_invariants_survive_optimized_mode():
+    # -O strips asserts from test modules too, so running the suite under -O
+    # would prove nothing; a child interpreter runs under -O instead, where
+    # only the package's own checks can catch the corrupted rebuild
+    src = os.path.dirname(os.path.dirname(graphpurify.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_REBUILD],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "rebuilt graph differs from the target" in proc.stdout
 
 
 class TestRunDrpp:
@@ -275,6 +370,43 @@ class TestRunDrpp:
         assert res.copies_consumed == pytest.approx(
             res.n_geo_plan * trace.expected_pairs
         )
+
+    @pytest.mark.parametrize(
+        "g", [cycle_graph(4), Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])],
+        ids=["cycle4", "two-comps-isolated"],
+    )
+    def test_every_shot_matches_an_engine_rebuild(self, g):
+        # replay the documented stream layout (one class per edge in sorted
+        # order, by inversion, from derive_rng(seed, "drpp", chunk)) through
+        # the engine; a loose target keeps errors common
+        p, target, seed = 0.2, 0.9, 4
+        shots = CHUNK_SHOTS + 100
+        probs = distill_trace(from_z_noise(p), target).final.probs
+        res = run_drpp(g, p, shots=shots, pair_target_fidelity=target, seed=seed)
+        edges = sorted(g.edges())
+        engine_rng = derive_rng(0, "replay")
+        hits = 0
+        for chunk, count in enumerate((CHUNK_SHOTS, shots - CHUNK_SHOTS)):
+            draw = derive_rng(seed, "drpp", chunk)
+            for _ in range(count):
+                classes = {}
+                for e in edges:
+                    r, acc, cls = draw.random(), 0.0, 3
+                    for c in range(3):
+                        acc += probs[c]
+                        if r < acc:
+                            cls = c
+                            break
+                    classes[e] = cls
+                hits += _rebuild(g, classes, engine_rng).ideal
+        assert 0 < hits < shots
+        assert res.ideal_shots == hits
+
+    def test_noise_free_run_is_ideal_across_chunks(self):
+        shots = CHUNK_SHOTS + 3
+        res = run_drpp(cycle_graph(5), 0.0, shots=shots, seed=1)
+        assert res.ideal_shots == shots
+        assert res.fidelity == 1.0
 
     def test_not_purifiable_reports_failure_without_sampling(self):
         # a huge shot budget returns instantly because no trajectory runs

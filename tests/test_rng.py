@@ -1,5 +1,8 @@
 """Stream-derivation checks: reproducibility and key separation."""
 
+import subprocess
+import sys
+
 import pytest
 
 from graphpurify.rng import derive_rng, derive_seed
@@ -33,6 +36,35 @@ class TestDeriveRng:
     def test_negative_int_key_rejected(self):
         with pytest.raises(ValueError):
             derive_rng(0, -1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            derive_rng(-1, "drpp", 0)
+        with pytest.raises(ValueError):
+            derive_seed(-5, "scan", 0)
+
+    def test_seeds_beyond_128_bits(self):
+        a = derive_rng(2**200, "drpp", 0)
+        b = derive_rng(2**200 + 1, "drpp", 0)
+        assert [a.random() for _ in range(8)] != [b.random() for _ in range(8)]
+        assert 0 <= derive_seed(2**300, "scan", 1) < 2**64
+
+    def test_key_parts_do_not_run_together(self):
+        # an int and its decimal string, and split vs joined strings, are
+        # different keys
+        pairs = [((1,), ("1",)), (("ab", "c"), ("a", "bc")), ((12,), (1, 2))]
+        for k1, k2 in pairs:
+            assert derive_rng(0, *k1).random() != derive_rng(0, *k2).random()
+
+    def test_no_numpy_random_import(self):
+        code = (
+            "import sys; from graphpurify.rng import derive_rng, derive_seed; "
+            "derive_rng(derive_seed(1, 'scan', 0), 'drpp', 0).random(); "
+            "print('numpy.random' in sys.modules, '_hashlib' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.stdout.split() == ["False", "False"], proc.stderr
 
 
 class TestDeriveSeed:
