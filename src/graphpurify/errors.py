@@ -12,7 +12,7 @@ class CapacityError(RuntimeError):
 
 
 class InvariantError(RuntimeError):
-    """A structural invariant of the protocol failed: the program is wrong.
+    """An internal invariant or cross-check failed: the program is wrong.
 
     Raised in place of ``assert`` so the check survives ``python -O``.
     """

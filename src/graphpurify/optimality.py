@@ -32,7 +32,7 @@ from functools import reduce
 import numpy as np
 
 from . import dense
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, InvariantError, ParameterError
 from .graphs import Graph
 from .pattern import PatternState, merge_local
 
@@ -192,11 +192,14 @@ def build_reconstruction(g: Graph, side_a, p: float) -> np.ndarray:
             merge_local(PatternState(probe_graph), [k_idx, m_idx], forced_outcomes=[1 - 2 * b])
             for b in (0, 1)
         ]
-        assert probes[0].state.graph == probes[1].state.graph
+        if probes[0].state.graph != probes[1].state.graph:
+            raise InvariantError("fold rewiring depends on the outcome")
         steps = [(s.measured, s.pivot) for s in probes[0].steps]
-        assert steps == [(st.measured, st.pivot) for st in probes[1].steps]
+        if steps != [(st.measured, st.pivot) for st in probes[1].steps]:
+            raise InvariantError("fold pivot depends on the outcome")
         (_, pivot) = steps[0]
-        assert pivot is not None, "a pair half always has its twin as neighbor"
+        if pivot is None:
+            raise InvariantError("folded pair half has no twin to pivot on")
 
         rho = dense.apply_unitary_rho(rho, dense.CZ, (k_idx, m_idx))
         acc = None
@@ -213,8 +216,8 @@ def build_reconstruction(g: Graph, side_a, p: float) -> np.ndarray:
         cur = [c - 1 if c > m_idx else (-1 if c == m_idx else c) for c in cur]
         n_cur -= 1
 
-    assert n_cur == g.n
-    assert all(cur[v] == v for v in range(g.n))
+    if n_cur != g.n or any(cur[v] != v for v in range(g.n)):
+        raise InvariantError("folds renumbered a vertex qubit")
     for u, v in plan.internal_edges:
         rho = dense.apply_unitary_rho(rho, dense.CZ, (u, v))
     return rho
@@ -263,9 +266,8 @@ def verify_reconstruction(
         cand = build_reconstruction(g, side_a, p)
         target = dense.thermal_state_from_p(g, p)
         dist = dense.trace_distance(cand, target)
-        assert abs(dist - analytic) <= 1e-9, (
-            "dense circuit disagrees with the analytic flip model"
-        )
+        if abs(dist - analytic) > 1e-9:
+            raise InvariantError("dense circuit disagrees with the analytic flip model")
         return VerifyResult(ok=dist <= tol, trace_distance=dist, method="dense")
     return VerifyResult(ok=analytic <= tol, trace_distance=analytic, method="analytic")
 
@@ -293,7 +295,8 @@ def proof_applies(g: Graph, p: float = 0.1, tol: float = 1e-9) -> dict:
             side = [u] + [w for i, w in enumerate(others) if pick >> i & 1]
             if verify_reconstruction(g, side, p, tol, method="analytic").ok:
                 checked = verify_reconstruction(g, side, p, tol, method="auto")
-                assert checked.ok, "analytic success must survive the dense check"
+                if not checked.ok:
+                    raise InvariantError("analytic success must survive the dense check")
                 found = True
                 break
         verdicts[(u, v)] = found

@@ -9,17 +9,26 @@ about and will undo.  The state is ideal for the protocol exactly when e = 0.
 Every rule here has a single correctness contract: exact agreement with dense
 simulation on every (graph, pattern, outcome) triple at small size, enforced
 by the exhaustive sweep in the verification module.  The X-measurement update
-inside ``merge_local`` rewires the measured qubit's neighborhood through a
-pivot neighbor and applies a compensating single-qubit Hadamard there as part
-of the channel, which keeps every intermediate state in graph form with
-Z-type residuals only.
+inside a merge rewires the measured qubit's neighborhood through a pivot
+neighbor and applies a compensating single-qubit Hadamard there as part of
+the channel, which keeps every intermediate state in graph form with Z-type
+residuals only.
 
-The Z-error update of every rule is GF(2)-linear in the error bits and does
-not depend on the outcomes, so ``merge_local`` and ``apply_cz_via_pair``
-results expose it as ``z_map``: bit j of ``z_map[i]`` is set when input
-qubit j's Z error lands on output qubit i.  The correction frame follows the
-same map plus an outcome-dependent byproduct.  The map is built only when
-read, from rewiring data the rule computes anyway.
+Bit-sliced batches.  The graph rewiring of every rule depends only on the
+graph, and the error and frame updates are GF(2)-linear row operations, so
+each rule is written once over a ``FrameBatch``: many (error, frame) columns
+on one graph, stored as one int per qubit whose bit c is column c's bit (the
+layout of Pauli-frame samplers such as Stim).  A rule rewires the graph once
+and XORs whole rows.  An outcome is a row too (bit c set when column c reads
+-1); a forced outcome that has probability zero for some columns clears them
+from the batch's ``alive`` mask instead of raising.
+
+The single-pattern API (``measure_z``, ``merge_local``, ``apply_cz_via_pair``
+on a ``PatternState``) runs the same rules on a width-1 batch and raises
+``ParameterError`` when its one column dies.  Their results expose the
+Z-error update as ``z_map`` (bit j of ``z_map[i]``: input qubit j's Z error
+lands on output qubit i), which is the same rule run on the identity batch,
+one column per input qubit.
 """
 
 from __future__ import annotations
@@ -27,12 +36,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from .errors import ParameterError
 from .graphs import Graph, _bits, _make
 
 __all__ = [
     "PatternState",
+    "FrameBatch",
+    "BatchResult",
     "ZMeasurement",
     "MergeResult",
     "MergeStep",
@@ -44,6 +56,10 @@ __all__ = [
     "merge_local",
     "apply_cz_via_pair",
     "is_ideal",
+    "batch_cz",
+    "batch_measure_z",
+    "batch_merge",
+    "batch_splice",
 ]
 
 
@@ -63,6 +79,57 @@ class PatternState:
     def physical_pattern(self) -> int:
         """Combined Z pattern actually applied to the ideal graph state."""
         return self.z_errors ^ self.correction_frame
+
+
+@dataclass(frozen=True)
+class FrameBatch:
+    """Many (z_errors, correction_frame) columns on one graph, bit-sliced.
+
+    Bit c of ``z_rows[q]`` is column c's error bit on qubit q, bit c of
+    ``frame_rows[q]`` its frame bit.  Bit c of ``alive`` is set while column
+    c's forced outcomes so far have nonzero probability; the rows of a dead
+    column carry no meaning.
+    """
+
+    graph: Graph
+    z_rows: tuple[int, ...]
+    frame_rows: tuple[int, ...]
+    alive: int
+
+    @staticmethod
+    def of_columns(graph: Graph, columns) -> "FrameBatch":
+        """Batch whose column c is the (z_errors, correction_frame) pair columns[c]."""
+        z = [0] * graph.n
+        f = [0] * graph.n
+        for c, (e, fr) in enumerate(columns):
+            for q in _bits(e):
+                z[q] |= 1 << c
+            for q in _bits(fr):
+                f[q] |= 1 << c
+        return FrameBatch(graph, tuple(z), tuple(f), (1 << len(columns)) - 1)
+
+    @staticmethod
+    def identity(graph: Graph) -> "FrameBatch":
+        """Column j is a lone Z error on qubit j, with an empty frame."""
+        return FrameBatch(
+            graph, tuple(1 << q for q in range(graph.n)), (0,) * graph.n, (1 << graph.n) - 1
+        )
+
+    def column(self, c: int) -> PatternState:
+        e = 0
+        f = 0
+        for q, (zr, fr) in enumerate(zip(self.z_rows, self.frame_rows)):
+            e |= (zr >> c & 1) << q
+            f |= (fr >> c & 1) << q
+        return PatternState(self.graph, e, f)
+
+
+@dataclass(frozen=True)
+class BatchResult:
+    batch: FrameBatch
+    outcomes: tuple[int, ...]  # outcome row per measured qubit, in order
+    vertex_map: tuple[int, ...]  # input index of each surviving vertex
+    pivots: tuple[int | None, ...] = ()  # merges: input index of each step's pivot
 
 
 @dataclass(frozen=True)
@@ -86,24 +153,12 @@ class MergeResult:
     outcomes: tuple[int, ...]  # +-1 per measured qubit, in order
     vertex_map: tuple[int, ...]  # input-state index of each output vertex
     steps: tuple[MergeStep, ...]
-    # per X measurement, in the indices current at that step:
-    # (measured, pivot or None, b_set, c_set, surviving-vertex map)
-    _rewires: tuple = field(repr=False, compare=False)
+    _on_identity: Callable[[], BatchResult] = field(repr=False, compare=False)
 
     @cached_property
     def z_map(self) -> tuple[int, ...]:
         """Bit j of ``z_map[i]``: input qubit j's Z error lands on output qubit i."""
-        rows = [1 << q for q in range(self.state.graph.n + len(self.steps))]
-        for m, pivot, b_set, c_set, keep in self._rewires:
-            if pivot is not None:
-                from_m, from_pivot = rows[m], rows[pivot]
-                for x in _bits(b_set):
-                    rows[x] ^= from_pivot
-                for x in _bits(c_set):
-                    rows[x] ^= from_m
-                rows[pivot] = from_m
-            rows = [rows[old] for old in keep]
-        return tuple(rows)
+        return self._on_identity().batch.z_rows
 
 
 @dataclass(frozen=True)
@@ -111,16 +166,12 @@ class PairSpliceResult:
     state: PatternState
     outcomes: tuple[int, int]  # +-1 for the two consumed halves, in order
     vertex_map: tuple[int, ...]
-    _ends: tuple[int, int, int, int] = field(repr=False, compare=False)  # u, v, pair_u, pair_v
+    _on_identity: Callable[[], BatchResult] = field(repr=False, compare=False)
 
     @cached_property
     def z_map(self) -> tuple[int, ...]:
         """Bit j of ``z_map[i]``: input qubit j's Z error lands on output qubit i."""
-        u, v, pair_u, pair_v = self._ends
-        rows = [1 << q for q in range(self.state.graph.n + 2)]
-        rows[u] |= 1 << pair_v
-        rows[v] |= 1 << pair_u
-        return tuple(rows[old] for old in self.vertex_map)
+        return self._on_identity().batch.z_rows
 
 
 def ideal_state(g: Graph) -> PatternState:
@@ -149,12 +200,67 @@ def apply_cz(state: PatternState, u: int, v: int) -> PatternState:
     return PatternState(g, state.z_errors, state.correction_frame)
 
 
-def _outcome_bit(forced: int | None, sampler) -> int:
+def batch_cz(batch: FrameBatch, u: int, v: int) -> FrameBatch:
+    """``apply_cz`` on every column: only the graph changes."""
+    return FrameBatch(batch.graph.toggle_edge(u, v), batch.z_rows, batch.frame_rows, batch.alive)
+
+
+def _width1(state: PatternState) -> FrameBatch:
+    return FrameBatch.of_columns(state.graph, [(state.z_errors, state.correction_frame)])
+
+
+def _survivor(run: BatchResult) -> PatternState:
+    if not run.batch.alive:
+        raise ParameterError("forced outcome has probability zero")
+    return run.batch.column(0)
+
+
+def _outcome_row(forced: int | None, rng: random.Random | None, alive: int) -> int:
+    """One outcome bit per column: forced for all, or drawn per column."""
     if forced is None:
-        return sampler()
+        if rng is None:
+            raise ParameterError("an rng is required when no outcome is forced")
+        return rng.getrandbits(alive.bit_length())
     if forced not in (+1, -1):
         raise ParameterError("forced outcome must be +1 or -1")
-    return (1 - forced) // 2
+    return alive if forced == -1 else 0
+
+
+def _without(n: int, *gone: int) -> tuple[int, ...]:
+    # from a list, not a generator: a tuple grown from a generator is
+    # resized after allocation, which bypasses CPython's tuple free lists,
+    # and over a long run those lists fill up (about 2 MB of peak RSS)
+    return tuple([q for q in range(n) if q not in gone])
+
+
+def batch_measure_z(
+    batch: FrameBatch,
+    v: int,
+    rng: random.Random | None = None,
+    forced_outcome: int | None = None,
+) -> BatchResult:
+    """Measure Z on qubit v: sever its bonds and drop it from the state.
+
+    The outcome is uniform, reported with the qubit's error bit folded in;
+    the outcome-conditioned Z byproduct on the neighborhood goes into the
+    correction frame.  Both outcomes are possible for every column.
+    """
+    g = batch.graph
+    if not 0 <= v < g.n:
+        raise ParameterError(f"vertex {v} out of range")
+    o = _outcome_row(forced_outcome, rng, batch.alive)
+    if forced_outcome is None:
+        o ^= batch.z_rows[v]
+    f = list(batch.frame_rows)
+    for x in _bits(g.adj[v]):
+        f[x] ^= o
+    del f[v]
+    z = list(batch.z_rows)
+    del z[v]
+    new_g, _ = g.delete_vertex(v)
+    return BatchResult(
+        FrameBatch(new_g, tuple(z), tuple(f), batch.alive), (o,), _without(g.n, v)
+    )
 
 
 def measure_z(
@@ -163,72 +269,46 @@ def measure_z(
     rng: random.Random | None = None,
     forced_outcome: int | None = None,
 ) -> ZMeasurement:
-    """Measure Z on qubit v: sever its bonds and drop it from the state.
-
-    The outcome is uniform, reported with the qubit's error bit folded in;
-    the outcome-conditioned Z byproduct on the neighborhood goes into the
-    correction frame.
-    """
-    g = state.graph
-    if not 0 <= v < g.n:
-        raise ParameterError(f"vertex {v} out of range")
-    e_v = state.z_errors >> v & 1
-    o = _outcome_bit(forced_outcome, lambda: _need_rng(rng).getrandbits(1) ^ e_v)
-    frame = state.correction_frame
-    if o:
-        frame ^= g.adj[v]
-    new_g, keep = g.delete_vertex(v)
+    """``batch_measure_z`` on the one pattern of ``state``."""
+    run = batch_measure_z(_width1(state), v, rng, forced_outcome)
     return ZMeasurement(
-        outcome=1 - 2 * o,
-        state=PatternState(new_g, _restrict(state.z_errors, keep), _restrict(frame, keep)),
-        vertex_map=tuple(keep),
+        outcome=1 - 2 * run.outcomes[0], state=_survivor(run), vertex_map=run.vertex_map
     )
 
 
-def _need_rng(rng: random.Random | None) -> random.Random:
-    if rng is None:
-        raise ParameterError("an rng is required when no outcome is forced")
-    return rng
-
-
-def _restrict(mask: int, keep: list[int]) -> int:
-    out = 0
-    for new, old in enumerate(keep):
-        out |= (mask >> old & 1) << new
-    return out
-
-
 def _measure_x(
-    state: PatternState,
+    g: Graph,
+    z: list[int],
+    f: list[int],
+    alive: int,
     m: int,
-    kappa: int | None,
+    kappa: int,
     rng: random.Random | None,
     forced_outcome: int | None,
-) -> tuple[int, PatternState, tuple[int, ...], int | None, int, int]:
+) -> tuple[Graph, int, int, int | None]:
     """X-measure qubit m, preferring a pivot other than ``kappa``.
 
-    Returns (outcome bit, post-state, vertex map, pivot index pre-deletion,
-    b_set, c_set); the two sets are 0 when m has no neighbor.
-    The channel includes the Hadamard correction on the pivot, so the
-    post-state is in graph form again.
+    Updates the rows in place (row m is deleted) and returns (post-graph,
+    alive mask, outcome row, pivot index before the deletion or None when m
+    has no neighbor).  The channel includes the Hadamard correction on the
+    pivot, so the post-state is in graph form again.
     """
-    g = state.graph
-    e, f = state.z_errors, state.correction_frame
     nb = g.adj[m]
 
     if nb == 0:
-        # Bare |+> up to a Z: the X outcome is deterministic.
-        det = (e >> m & 1) ^ (f >> m & 1)
-        if forced_outcome is not None:
-            if _outcome_bit(forced_outcome, None) != det:
-                raise ParameterError("forced outcome has probability zero")
-        new_g, keep = g.delete_vertex(m)
-        post = PatternState(new_g, _restrict(e, keep), _restrict(f, keep))
-        return det, post, tuple(keep), None, 0, 0
+        # Bare |+> up to a Z: the X outcome is deterministic per column.
+        det = z[m] ^ f[m]
+        if forced_outcome is None:
+            sigma = det
+        else:
+            sigma = _outcome_row(forced_outcome, None, alive)
+            alive &= ~(det ^ sigma)
+        del z[m], f[m]
+        return g.delete_vertex(m)[0], alive, sigma, None
 
-    sigma = _outcome_bit(forced_outcome, lambda: _need_rng(rng).getrandbits(1))
+    sigma = _outcome_row(forced_outcome, rng, alive)
 
-    cand = nb & ~(1 << kappa) if kappa is not None else nb
+    cand = nb & ~(1 << kappa)
     pivot = _lowest_bit(cand) if cand else _lowest_bit(nb)
 
     b_set = nb & ~(1 << pivot)
@@ -252,29 +332,80 @@ def _measure_x(
     for b in _bits(b_set):
         adj[b] |= 1 << pivot
 
-    drop = (1 << m) | (1 << pivot)
-    sigma_f = sigma ^ (f >> m & 1)
-    new_f = f & ~drop
-    if f >> pivot & 1:
-        new_f ^= b_set
-    new_f ^= b_set & c_set
-    if sigma_f:
-        new_f ^= c_set | (1 << pivot)
+    # the pivot's errors spread over b_set, the measured qubit's over c_set
+    # and onto the pivot; the frame also picks up the outcome byproduct
+    e_m, e_p, f_p = z[m], z[pivot], f[pivot]
+    sigma_f = sigma ^ f[m]
+    for x in _bits(b_set):
+        z[x] ^= e_p
+        f[x] ^= f_p
+    for x in _bits(b_set & c_set):
+        f[x] ^= alive
+    for x in _bits(c_set):
+        z[x] ^= e_m
+        f[x] ^= sigma_f
+    z[pivot] = e_m
+    f[pivot] = sigma_f
+    del z[m], f[m]
 
-    new_e = e & ~drop
-    if e >> pivot & 1:
-        new_e ^= b_set
-    if e >> m & 1:
-        new_e ^= c_set | (1 << pivot)
-
-    interim = _make(g.n, adj)
-    new_g, keep = interim.delete_vertex(m)
-    post = PatternState(new_g, _restrict(new_e, keep), _restrict(new_f, keep))
-    return sigma, post, tuple(keep), pivot, b_set, c_set
+    new_g, _ = _make(g.n, adj).delete_vertex(m)
+    return new_g, alive, sigma, pivot
 
 
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
+
+
+def batch_merge(
+    batch: FrameBatch,
+    party_qubits,
+    rng: random.Random | None = None,
+    forced_outcomes=None,
+) -> BatchResult:
+    """Fuse one party's qubits: CZ the first qubit to each of the others,
+    then X-measure the others in order, keeping only the first.
+
+    Forced outcomes (+-1 per measured qubit, the same for every column)
+    replace random draws; columns for which a forced branch is impossible
+    drop out of ``alive``.  All indices refer to the input state.
+    """
+    party = list(party_qubits)
+    if not party:
+        raise ParameterError("party must contain at least one qubit")
+    if len(set(party)) != len(party):
+        raise ParameterError("party qubits must be distinct")
+    n = batch.graph.n
+    if any(not 0 <= q < n for q in party):
+        raise ParameterError("party qubit out of range")
+    measured = party[1:]
+    if forced_outcomes is not None and len(forced_outcomes) != len(measured):
+        raise ParameterError("need one forced outcome per measured qubit")
+
+    kappa = party[0]
+    adj = list(batch.graph.adj)
+    for m in measured:
+        adj[kappa] ^= 1 << m
+        adj[m] ^= 1 << kappa
+    g = _make(n, adj)
+
+    z = list(batch.z_rows)
+    f = list(batch.frame_rows)
+    alive = batch.alive
+    labels = list(range(n))  # input index of each current qubit
+    outcomes: list[int] = []
+    pivots: list[int | None] = []
+    for i, m in enumerate(measured):
+        m_cur = labels.index(m)
+        forced = forced_outcomes[i] if forced_outcomes is not None else None
+        g, alive, sigma, pivot = _measure_x(
+            g, z, f, alive, m_cur, labels.index(kappa), rng, forced
+        )
+        outcomes.append(sigma)
+        pivots.append(None if pivot is None else labels[pivot])
+        del labels[m_cur]
+    return BatchResult(
+        FrameBatch(g, tuple(z), tuple(f), alive), tuple(outcomes), tuple(labels), tuple(pivots)
+    )
 
 
 def merge_local(
@@ -283,64 +414,77 @@ def merge_local(
     rng: random.Random | None = None,
     forced_outcomes: list[int] | None = None,
 ) -> MergeResult:
-    """Fuse one party's qubits: CZ the first qubit to each of the others,
-    then X-measure the others in order, keeping only the first.
+    """``batch_merge`` on the one pattern of ``state``; forcing a
+    zero-probability branch raises ``ParameterError``.
 
-    Forced outcomes (+-1 per measured qubit) replace random draws; forcing a
-    zero-probability branch raises.  All indices refer to the input state;
-    the result carries the surviving-vertex map.
+    The result carries the surviving-vertex map and, per measured qubit,
+    its outcome and pivot.
     """
-    if not party_qubits:
-        raise ParameterError("party must contain at least one qubit")
-    if len(set(party_qubits)) != len(party_qubits):
-        raise ParameterError("party qubits must be distinct")
-    n = state.graph.n
-    if any(not 0 <= q < n for q in party_qubits):
-        raise ParameterError("party qubit out of range")
-    measured = party_qubits[1:]
-    if forced_outcomes is not None and len(forced_outcomes) != len(measured):
-        raise ParameterError("need one forced outcome per measured qubit")
-
-    kappa = party_qubits[0]
-    cur = state
-    for m in measured:
-        cur = apply_cz(cur, kappa, m)
-
-    # current index of each input vertex; None once deleted
-    where: list[int | None] = list(range(n))
-    outcomes: list[int] = []
-    steps: list[MergeStep] = []
-    rewires = []
-    for i, m in enumerate(measured):
-        m_cur = where[m]
-        assert m_cur is not None
-        k_cur = where[kappa]
-        forced = forced_outcomes[i] if forced_outcomes is not None else None
-        sigma, cur, keep, pivot_cur, b_set, c_set = _measure_x(cur, m_cur, k_cur, rng, forced)
-        rewires.append((m_cur, pivot_cur, b_set, c_set, keep))
-        inv = {old: new for new, old in enumerate(keep)}
-        pivot_in = None
-        if pivot_cur is not None:
-            for q in range(n):
-                if where[q] == pivot_cur:
-                    pivot_in = q
-                    break
-        for q in range(n):
-            w = where[q]
-            where[q] = inv.get(w) if w is not None else None
-        outcomes.append(1 - 2 * sigma)
-        steps.append(MergeStep(measured=m, outcome=1 - 2 * sigma, pivot=pivot_in))
-
-    vertex_map = tuple(q for q in range(n) if where[q] is not None)
-    kept_final = where[kappa]
-    assert kept_final is not None
+    run = batch_merge(_width1(state), party_qubits, rng, forced_outcomes)
+    post = _survivor(run)
+    outcomes = tuple(1 - 2 * o for o in run.outcomes)
+    g, party = state.graph, tuple(party_qubits)
     return MergeResult(
-        kept_qubit=kept_final,
-        state=cur,
-        outcomes=tuple(outcomes),
-        vertex_map=vertex_map,
-        steps=tuple(steps),
-        _rewires=tuple(rewires),
+        kept_qubit=run.vertex_map.index(party[0]),
+        state=post,
+        outcomes=outcomes,
+        vertex_map=run.vertex_map,
+        steps=tuple(MergeStep(*s) for s in zip(party[1:], outcomes, run.pivots)),
+        _on_identity=lambda: batch_merge(
+            FrameBatch.identity(g), party, forced_outcomes=(1,) * (len(party) - 1)
+        ),
+    )
+
+
+def batch_splice(
+    batch: FrameBatch,
+    u: int,
+    v: int,
+    pair_u: int,
+    pair_v: int,
+    rng: random.Random | None = None,
+    forced_outcomes: tuple[int, int] | None = None,
+) -> BatchResult:
+    """Toggle edge {u,v} by consuming a fresh two-qubit graph pair.
+
+    pair_u/pair_v must form an isolated edge.  Each half is CZ-joined to its
+    endpoint and X-measured; the four outcome branches are uniform, and the
+    net effect is the edge toggle plus outcome-conditioned Z corrections on u
+    and v (recorded in the frame) and the far half's error bit landing on
+    each endpoint.
+    """
+    g = batch.graph
+    ids = (u, v, pair_u, pair_v)
+    if len(set(ids)) != 4:
+        raise ParameterError("splice endpoints and pair halves must be distinct")
+    if any(not 0 <= q < g.n for q in ids):
+        raise ParameterError("splice qubit out of range")
+    if g.adj[pair_u] != 1 << pair_v or g.adj[pair_v] != 1 << pair_u:
+        raise ParameterError("pair halves must form an isolated edge")
+
+    forced = forced_outcomes if forced_outcomes is not None else (None, None)
+    s1 = _outcome_row(forced[0], rng, batch.alive)
+    s2 = _outcome_row(forced[1], rng, batch.alive)
+
+    z = list(batch.z_rows)
+    f = list(batch.frame_rows)
+    z[u] ^= z[pair_v]
+    z[v] ^= z[pair_u]
+    f[u] ^= f[pair_v] ^ s2
+    f[v] ^= f[pair_u] ^ s1
+    lo, hi = sorted((pair_u, pair_v))
+    del z[hi], z[lo], f[hi], f[lo]
+
+    adj = list(g.adj)
+    adj[pair_u] = 0
+    adj[pair_v] = 0
+    adj[u] ^= 1 << v
+    adj[v] ^= 1 << u
+    # deleting the higher half first keeps the lower one's index valid
+    g1, _ = _make(g.n, adj).delete_vertex(hi)
+    g2, _ = g1.delete_vertex(lo)
+    return BatchResult(
+        FrameBatch(g2, tuple(z), tuple(f), batch.alive), (s1, s2), _without(g.n, lo, hi)
     )
 
 
@@ -353,66 +497,14 @@ def apply_cz_via_pair(
     rng: random.Random | None = None,
     forced_outcomes: tuple[int, int] | None = None,
 ) -> PairSpliceResult:
-    """Toggle edge {u,v} by consuming a fresh two-qubit graph pair.
-
-    pair_u/pair_v must form an isolated edge.  Each half is CZ-joined to its
-    endpoint and X-measured; the four outcome branches are uniform, and the
-    net effect is the edge toggle plus outcome-conditioned Z corrections on u
-    and v (recorded in the frame) and the far half's error bit landing on
-    each endpoint.
-    """
+    """``batch_splice`` on the one pattern of ``state``."""
+    run = batch_splice(_width1(state), u, v, pair_u, pair_v, rng, forced_outcomes)
     g = state.graph
-    ids = (u, v, pair_u, pair_v)
-    if len(set(ids)) != 4:
-        raise ParameterError("splice endpoints and pair halves must be distinct")
-    if any(not 0 <= q < g.n for q in ids):
-        raise ParameterError("splice qubit out of range")
-    if g.adj[pair_u] != 1 << pair_v or g.adj[pair_v] != 1 << pair_u:
-        raise ParameterError("pair halves must form an isolated edge")
-
-    if forced_outcomes is None:
-        r = _need_rng(rng)
-        s1, s2 = r.getrandbits(1), r.getrandbits(1)
-    else:
-        s1 = _outcome_bit(forced_outcomes[0], None)
-        s2 = _outcome_bit(forced_outcomes[1], None)
-
-    e, f = state.z_errors, state.correction_frame
-    new_e = e
-    if e >> pair_v & 1:
-        new_e ^= 1 << u
-    if e >> pair_u & 1:
-        new_e ^= 1 << v
-    new_f = f
-    if (f >> pair_v & 1) ^ s2:
-        new_f ^= 1 << u
-    if (f >> pair_u & 1) ^ s1:
-        new_f ^= 1 << v
-
-    drop = (1 << pair_u) | (1 << pair_v)
-    new_e &= ~drop
-    new_f &= ~drop
-
-    adj = list(g.adj)
-    adj[pair_u] = 0
-    adj[pair_v] = 0
-    adj[u] ^= 1 << v
-    adj[v] ^= 1 << u
-    interim = _make(g.n, adj)
-    g1, keep1 = interim.delete_vertex(max(pair_u, pair_v))
-    g2, keep2 = g1.delete_vertex(_position(keep1, min(pair_u, pair_v)))
-    keep = [keep1[i] for i in keep2]
-    post = PatternState(g2, _restrict(new_e, keep), _restrict(new_f, keep))
     return PairSpliceResult(
-        state=post,
-        outcomes=(1 - 2 * s1, 1 - 2 * s2),
-        vertex_map=tuple(keep),
-        _ends=(u, v, pair_u, pair_v),
+        state=_survivor(run),
+        outcomes=tuple(1 - 2 * o for o in run.outcomes),
+        vertex_map=run.vertex_map,
+        _on_identity=lambda: batch_splice(
+            FrameBatch.identity(g), u, v, pair_u, pair_v, forced_outcomes=(1, 1)
+        ),
     )
-
-
-def _position(keep: list[int], old: int) -> int:
-    for new, idx in enumerate(keep):
-        if idx == old:
-            return new
-    raise AssertionError("vertex vanished from the keep map")

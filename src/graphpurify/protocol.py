@@ -13,10 +13,11 @@ error remains anywhere.
 Compile once, then sample: the rewiring of extraction and rebuild depends
 only on the graph, and the rebuild's Z-error update is GF(2)-linear and
 outcome-independent.  So each ``run_drpp`` call runs extraction's isolation
-check and the rebuild through the pattern engine once, on the error-free
-state, with every structural invariant checked, and composes the
-operations' Z-error maps into a check matrix M from pair-half error bits to
-target vertices.  Each shot then only draws one error class per edge and
+check and the rebuild through the pattern engine once, with every
+structural invariant checked.  The rebuild carries a bit-sliced batch with
+one column per pair half, each holding a lone error on that half, so the
+batch's final error rows are the check matrix M from pair-half error bits
+to target vertices.  Each shot then only draws one error class per edge and
 counts as ideal iff M·x = 0 for the drawn half-error bits x.
 
 Scheduling constraint: two pairs can be extracted from the same copy exactly
@@ -37,15 +38,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CapacityError, InvariantError, ParameterError
-from .graphs import MAX_VERTICES, Graph, _bits
+from .graphs import MAX_VERTICES, Graph
 from .pairs import composite_r2, distill_trace, from_z_noise
 from .pattern import (
-    PatternState,
-    apply_cz_via_pair,
+    FrameBatch,
+    batch_merge,
+    batch_splice,
     ideal_state,
     is_ideal,
     measure_z,
-    merge_local,
 )
 from .rng import derive_rng, derive_seed
 from .thermal import purifiable_at
@@ -187,9 +188,12 @@ def rate_report(
     the planner's round count (at least 1 to keep the bound meaningful for
     edgeless graphs).
     """
+    return _rates(plan_extraction(g), p, family_hint, r2_estimator)
+
+
+def _rates(plan: ExtractionPlan, p: float, family_hint, r2_estimator) -> RateReport:
     estimator = r2_estimator if r2_estimator is not None else composite_r2
     r2 = estimator(from_z_noise(p))
-    plan = plan_extraction(g)
     formula = n_geo_formula(family_hint) if family_hint is not None else None
     return RateReport(
         n_geo_plan=plan.n_geo,
@@ -289,8 +293,9 @@ def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
     (BFS order, parents first, so every measured half's twin is still
     pristine and the fused edge lands cleanly), remaining edges by
     pair-mediated CZ between the finished vertex qubits.  Every structural
-    invariant is checked, and the operations' Z-error maps are composed
-    into M along the way.
+    invariant is checked.  The engine runs on a batch of one column per pair
+    half (a lone error on that half, which yields M) plus one column
+    carrying the class errors, whose residual must equal M·x.
     """
     n = g.n
     forest: list[list[tuple[int, int]]] = []
@@ -337,13 +342,19 @@ def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
     x = 0
     for e in edges:
         x |= class_mask[e][classes[e]]
-    state = PatternState(Graph.from_edges(nq, edges_built), x, 0)
+    # column a < nq: a lone error on half a, so its final rows are M's
+    # columns; column nq: the drawn errors x
+    state = FrameBatch(
+        Graph.from_edges(nq, edges_built),
+        tuple(1 << a | (x >> a & 1) << nq for a in range(nq)),
+        (0,) * nq,
+        (2 << nq) - 1,
+    )
     cur = list(range(nq))  # alloc id -> current index (-1 once measured away)
-    rows = [1 << a for a in range(nq)]  # current qubit -> alloc ids whose error it holds
 
     def track(res) -> None:
-        nonlocal rows
-        rows = [_xor_rows(rows, sel) for sel in res.z_map]
+        nonlocal state
+        state = res.batch
         inv = {old: new for new, old in enumerate(res.vertex_map)}
         for a in range(nq):
             if cur[a] >= 0:
@@ -363,16 +374,12 @@ def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
                 party = [parent_half[v]] + child_halves.get(v, [])
             kept[v] = party[0]
             if len(party) > 1:
-                res = merge_local(state, [cur[a] for a in party], rng)
-                state = res.state
-                track(res)
+                track(batch_merge(state, [cur[a] for a in party], rng))
 
     for u, v in nontree:
-        res = apply_cz_via_pair(
+        track(batch_splice(
             state, cur[kept[u]], cur[kept[v]], cur[near[(u, v)]], cur[far[(u, v)]], rng
-        )
-        state = res.state
-        track(res)
+        ))
 
     if state.graph.n != n:
         raise InvariantError("rebuild consumed the wrong number of qubits")
@@ -383,22 +390,17 @@ def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
         for v in range(u + 1, n):
             if state.graph.has_edge(perm[u], perm[v]) != g.has_edge(u, v):
                 raise InvariantError("rebuilt graph differs from the target")
-    checks = tuple(rows[perm[v]] for v in range(n))
+    halves = (1 << nq) - 1
+    checks = tuple(state.z_rows[perm[v]] & halves for v in range(n))
+    residual = state.column(nq)
     for v in range(n):
-        if state.z_errors >> perm[v] & 1 != (checks[v] & x).bit_count() & 1:
+        if residual.z_errors >> perm[v] & 1 != (checks[v] & x).bit_count() & 1:
             raise InvariantError("composed Z-error map disagrees with the engine")
     return _Rebuild(
-        ideal=is_ideal(state),
+        ideal=is_ideal(residual),
         class_masks=tuple(class_mask[e] for e in edges),
         checks=checks,
     )
-
-
-def _xor_rows(rows: list[int], selector: int) -> int:
-    acc = 0
-    for j in _bits(selector):
-        acc ^= rows[j]
-    return acc
 
 
 def _check_capacity(edges: int, isolated: int) -> None:
@@ -465,8 +467,8 @@ def run_drpp(
     if workers < 1:
         raise ParameterError("workers must be >= 1")
     trace = distill_trace(from_z_noise(p), pair_target_fidelity, max_rounds)
-    rates = rate_report(g, p, family_hint)
     plan = plan_extraction(g)
+    rates = _rates(plan, p, family_hint, None)
     common = dict(
         graph=_graph_record(g),
         p=p,

@@ -4,12 +4,17 @@ Strategy: for a given graph, lay out one column per (z_errors, frame) pattern
 holding the unnormalized state vector of Z^(e XOR f)|graph state> — every
 entry is +-1, so the whole panel lives in exact int64 arithmetic.  Each
 engine operation is replayed on the panel with elementary row operations
-(CZ sign flips, X/Z projections, Hadamard pairs), all unnormalized.  The
-engine's claimed output state is itself expanded into a +-1 panel, and the
-two must agree column-by-column up to a scalar — checked by integer
-cross-multiplication, so the comparison is exact rather than to a float
-tolerance.  A claimed-impossible branch (the engine refuses a forced
-outcome) must correspond to an exactly zero column, and vice versa.
+(CZ sign flips, X/Z projections, Hadamard pairs), all unnormalized.
+
+The engine side runs on the same columns as one bit-sliced ``FrameBatch``
+(bit c of each qubit's row is column c), built once per graph: each CZ,
+Z measurement, merge and splice runs once per forced-outcome branch for all
+columns together.  The engine's claimed output state of every surviving
+column is expanded into a +-1 panel, and the two must agree column-by-column
+up to a scalar — checked by integer cross-multiplication, so the comparison
+is exact rather than to a float tolerance.  A claimed-impossible branch (the
+batch drops the column from ``alive``) must correspond to an exactly zero
+column, and vice versa.
 
 Entries stay bounded by 2^(number of projections), far inside int64.
 """
@@ -25,14 +30,7 @@ import numpy as np
 from .dense import cz_diagonal
 from .errors import ParameterError
 from .graphs import Graph
-from .pattern import (
-    PatternState,
-    apply_cz,
-    apply_cz_via_pair,
-    measure_z,
-    merge_local,
-)
-from .rng import derive_rng
+from .pattern import FrameBatch, batch_cz, batch_measure_z, batch_merge, batch_splice
 
 __all__ = ["SweepReport", "run_oracle_sweep", "check_graph"]
 
@@ -95,29 +93,34 @@ def _h_rows(panel: np.ndarray, n: int, v: int) -> np.ndarray:
     return out.reshape(1 << n, panel.shape[1])
 
 
-def _compare(
-    dense: np.ndarray,
-    survivors: list[int],
-    post_graph: Graph | None,
-    post_physical: list[int],
-    label: str,
-    failures: list[str],
-) -> int:
+def _columns(rows, width: int) -> np.ndarray:
+    """Un-slice: entry c has bit q set when bit c of rows[q] is set."""
+    nbytes = (width + 7) // 8
+    out = np.zeros(width, dtype=np.int64)
+    for q, row in enumerate(rows):
+        raw = np.frombuffer(row.to_bytes(nbytes, "little"), dtype=np.uint8)
+        bits = np.unpackbits(raw, count=width, bitorder="little")
+        out |= bits.astype(np.int64) << q
+    return out
+
+
+def _compare(dense: np.ndarray, out: FrameBatch, label: str, failures: list[str]) -> int:
     """Count mismatching columns; append one description per bad column."""
     bad = 0
-    colmax = np.abs(dense).max(axis=0) if dense.size else np.zeros(dense.shape[1])
-    alive = np.zeros(dense.shape[1], dtype=bool)
-    alive[survivors] = True
+    width = dense.shape[1]
+    colmax = np.abs(dense).max(axis=0) if dense.size else np.zeros(width)
+    alive = _columns((out.alive,), width).astype(bool)
 
     for c in np.nonzero(~alive & (colmax > 0))[0]:
         bad += 1
         if len(failures) < _MAX_FAILURES_KEPT:
             failures.append(f"{label} col={c}: engine refused a possible branch")
-    if not survivors:
+    survivors = np.nonzero(alive)[0]
+    if not survivors.size:
         return bad
 
-    assert post_graph is not None
-    claimed = _pattern_panel(post_graph, post_physical)
+    physical = _columns([z ^ f for z, f in zip(out.z_rows, out.frame_rows)], width)
+    claimed = _pattern_panel(out.graph, physical[survivors])
     sub = dense[:, survivors]
     lhs = sub * claimed[0][None, :]
     rhs = claimed * sub[0][None, :]
@@ -129,27 +132,6 @@ def _compare(
     return bad
 
 
-def _run_columns(states: list[PatternState], op):
-    """Apply op to every column; collect survivors and their claimed output."""
-    survivors: list[int] = []
-    outputs = []
-    for idx, st in enumerate(states):
-        try:
-            outputs.append(op(st))
-            survivors.append(idx)
-        except ParameterError:
-            pass
-    post_graph = None
-    post_physical: list[int] = []
-    for out in outputs:
-        if post_graph is None:
-            post_graph = out.graph
-        else:
-            assert out.graph == post_graph, "post-graph depends on the pattern"
-        post_physical.append(out.z_errors ^ out.correction_frame)
-    return survivors, post_graph, post_physical
-
-
 def _pattern_columns(n: int, full_variants: bool) -> list[tuple[int, int]]:
     all_masks = range(1 << n)
     cols = [(e, 0) for e in all_masks]
@@ -157,6 +139,12 @@ def _pattern_columns(n: int, full_variants: bool) -> list[tuple[int, int]]:
     if full_variants:
         cols += [(e, e) for e in all_masks if e]
     return cols
+
+
+def _column_batch(g: Graph, full_variants: bool) -> tuple[FrameBatch, np.ndarray]:
+    """The engine's batch and the dense panel, one column per pattern."""
+    cols = _pattern_columns(g.n, full_variants)
+    return FrameBatch.of_columns(g, cols), _pattern_panel(g, [e ^ f for e, f in cols])
 
 
 def _ordered_parties(n: int, max_size: int):
@@ -178,77 +166,43 @@ def check_graph(
     if failures is None:
         failures = []
     n = g.n
-    cols = _pattern_columns(n, full_variants)
-    states = [PatternState(g, e, f) for e, f in cols]
-    base = _pattern_panel(g, [e ^ f for e, f in cols])
+    batch, base = _column_batch(g, full_variants)
+    width = base.shape[1]
     checks = 0
     bad = 0
     gname = f"n={n} adj={g.adj}"
 
     for u in range(n):
         for v in range(u + 1, n):
-            surv, pg, pp = _run_columns(states, lambda s: apply_cz(s, u, v))
             dense = _cz_rows(base, n, u, v)
-            checks += len(cols)
-            bad += _compare(dense, surv, pg, pp, f"{gname} cz({u},{v})", failures)
+            checks += width
+            bad += _compare(dense, batch_cz(batch, u, v), f"{gname} cz({u},{v})", failures)
 
     for v in range(n):
         for outcome in (+1, -1):
-            surv, pg, pp = _run_columns(
-                states,
-                lambda s: measure_z(s, v, forced_outcome=outcome).state,
-            )
+            out = batch_measure_z(batch, v, forced_outcome=outcome).batch
             dense = _project_z_rows(base, n, v, (1 - outcome) // 2)
-            checks += len(cols)
-            bad += _compare(
-                dense, surv, pg, pp, f"{gname} mz({v},{outcome:+d})", failures
-            )
+            checks += width
+            bad += _compare(dense, out, f"{gname} mz({v},{outcome:+d})", failures)
 
     limit = max_party if max_party is not None else n
     for party in _ordered_parties(n, limit):
-        checks_p, bad_p = _check_merge_party(
-            states, base, n, list(party), gname, failures
-        )
+        checks_p, bad_p = _check_merge_party(batch, base, list(party), gname, failures)
         checks += checks_p
         bad += bad_p
     return checks, bad
 
 
-def _check_merge_party(states, base, n, party, gname, failures):
-    # The graph rewiring inside a merge does not depend on outcomes or
-    # patterns, so one probe run on the clean state fixes the measured/pivot
-    # structure for every outcome combination (asserted below for survivors).
-    probe = merge_local(
-        PatternState(states[0].graph), party, rng=derive_rng(0, "sweep-probe")
-    )
-    structure = [(s.measured, s.pivot) for s in probe.steps]
+def _check_merge_party(batch: FrameBatch, base: np.ndarray, party, gname, failures):
     checks = 0
     bad = 0
     for outcomes in itertools.product((+1, -1), repeat=len(party) - 1):
-        survivors: list[int] = []
-        post_graph = None
-        post_physical: list[int] = []
-        for idx, st in enumerate(states):
-            try:
-                res = merge_local(st, party, forced_outcomes=list(outcomes))
-            except ParameterError:
-                continue
-            survivors.append(idx)
-            assert [(s.measured, s.pivot) for s in res.steps] == structure
-            if post_graph is None:
-                post_graph = res.state.graph
-            else:
-                assert res.state.graph == post_graph
-            post_physical.append(res.state.z_errors ^ res.state.correction_frame)
-        dense = _replay_merge(base, n, party, structure, outcomes)
-        checks += len(states)
+        run = batch_merge(batch, party, forced_outcomes=outcomes)
+        structure = zip(party[1:], run.pivots)
+        dense = _replay_merge(base, batch.graph.n, party, structure, outcomes)
+        checks += base.shape[1]
         bad += _compare(
-            dense,
-            survivors,
-            post_graph,
-            post_physical,
-            f"{gname} merge{tuple(party)} outcomes={outcomes}",
-            failures,
+            dense, run.batch, f"{gname} merge{tuple(party)} outcomes={outcomes}", failures
         )
     return checks, bad
 
@@ -278,32 +232,20 @@ def _check_splice(base_graph: Graph, failures: list[str]) -> tuple[int, int]:
     """Pair-mediated CZ between every ordered endpoint pair of a base graph."""
     n = base_graph.n
     joint = Graph.from_edges(n + 2, list(base_graph.edges()) + [(n, n + 1)])
-    cols = _pattern_columns(n + 2, full_variants=False)
-    states = [PatternState(joint, e, f) for e, f in cols]
-    base = _pattern_panel(joint, [e ^ f for e, f in cols])
+    batch, base = _column_batch(joint, full_variants=False)
     gname = f"splice base n={n} adj={base_graph.adj}"
     checks = 0
     bad = 0
     for u, v in itertools.permutations(range(n), 2):
         for o1, o2 in itertools.product((+1, -1), repeat=2):
-            surv, pg, pp = _run_columns(
-                states,
-                lambda s: apply_cz_via_pair(
-                    s, u, v, n, n + 1, forced_outcomes=(o1, o2)
-                ).state,
-            )
+            out = batch_splice(batch, u, v, n, n + 1, forced_outcomes=(o1, o2)).batch
             dense = _cz_rows(base, n + 2, u, n)
             dense = _cz_rows(dense, n + 2, v, n + 1)
             dense = _project_x_rows(dense, n + 2, n + 1, (1 - o2) // 2)
             dense = _project_x_rows(dense, n + 1, n, (1 - o1) // 2)
-            checks += len(cols)
+            checks += base.shape[1]
             bad += _compare(
-                dense,
-                surv,
-                pg,
-                pp,
-                f"{gname} u={u} v={v} outcomes=({o1:+d},{o2:+d})",
-                failures,
+                dense, out, f"{gname} u={u} v={v} outcomes=({o1:+d},{o2:+d})", failures
             )
     return checks, bad
 
@@ -373,13 +315,9 @@ def run_oracle_sweep(
             progress(f"pair splices done ({time.perf_counter() - t0:.1f}s)")
     if include_six_qubit_merges and max_n >= 5:
         g, parties = _six_qubit_merge_configs()
-        cols = _pattern_columns(6, full_variants=False)
-        states = [PatternState(g, e, f) for e, f in cols]
-        base = _pattern_panel(g, [e ^ f for e, f in cols])
+        batch, base = _column_batch(g, full_variants=False)
         for party in parties:
-            c, b = _check_merge_party(
-                states, base, 6, list(party), "three-pair", failures
-            )
+            c, b = _check_merge_party(batch, base, list(party), "three-pair", failures)
             checks += c
             bad += b
         if progress is not None:

@@ -272,6 +272,16 @@ class TestVerifyOracle:
         assert res["failures"] == []
         assert "done" in err  # progress goes to stderr, not stdout
 
+    def test_json_is_byte_identical_across_runs(self, capsys):
+        # the sweep's wall time goes to stderr, never into the envelope
+        rc, first, err = run_cli(capsys, "verify-oracle", "--max-n", "2", "--json")
+        assert rc == 0
+        rc, second, _ = run_cli(capsys, "verify-oracle", "--max-n", "2", "--json")
+        assert rc == 0
+        assert first == second
+        assert "elapsed_seconds" not in envelope(first)["results"]
+        assert "sweep took" in err
+
 
 class TestCheckOptimality:
     def test_triangle_is_negative_everywhere(self, capsys):

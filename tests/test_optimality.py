@@ -8,8 +8,13 @@ documented exactness condition (every cross degree at most one).
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import graphpurify
 
 from graphpurify.dense import (
     check_density_matrix,
@@ -198,3 +203,37 @@ class TestProofApplies:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             proof_applies(path_graph(MAX_RECONSTRUCTION_QUBITS + 1))
+
+
+_CORRUPT_TRACE_DISTANCE = """
+import sys
+import graphpurify.dense as dense
+from graphpurify.errors import InvariantError
+from graphpurify.graphs import star_graph
+from graphpurify.optimality import verify_reconstruction
+
+if __debug__:
+    sys.exit("asserts are live; run this under python -O")
+real = dense.trace_distance
+dense.trace_distance = lambda a, b: real(a, b) + 1e-3
+try:
+    verify_reconstruction(star_graph(3), [0], 0.1)
+except InvariantError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("verify_reconstruction accepted a corrupted dense check")
+"""
+
+
+def test_dense_cross_check_survives_optimized_mode():
+    # -O strips asserts from test modules too, so a child interpreter runs
+    # under -O, where only the package's own checks can see the corruption
+    src = os.path.dirname(os.path.dirname(graphpurify.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_TRACE_DISTANCE],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "dense circuit disagrees with the analytic flip model" in proc.stdout

@@ -304,20 +304,19 @@ import dataclasses, sys
 import graphpurify.protocol as protocol
 from graphpurify.errors import InvariantError
 from graphpurify.graphs import path_graph
-from graphpurify.pattern import PatternState
 
 if __debug__:
     sys.exit("asserts are live; run this under python -O")
-real = protocol.merge_local
+real = protocol.batch_merge
 
-def dropping_an_edge(state, party, rng=None, forced_outcomes=None):
-    res = real(state, party, rng, forced_outcomes)
-    g = res.state.graph
+def dropping_an_edge(batch, party, rng=None, forced_outcomes=None):
+    res = real(batch, party, rng, forced_outcomes)
+    g = res.batch.graph
     u, v = g.edges()[0]
-    broken = PatternState(g.toggle_edge(u, v), res.state.z_errors, res.state.correction_frame)
-    return dataclasses.replace(res, state=broken)
+    broken = dataclasses.replace(res.batch, graph=g.toggle_edge(u, v))
+    return dataclasses.replace(res, batch=broken)
 
-protocol.merge_local = dropping_an_edge
+protocol.batch_merge = dropping_an_edge
 try:
     protocol.run_drpp(path_graph(3), 0.1, shots=10, seed=0)
 except InvariantError as exc:

@@ -1,12 +1,14 @@
 """Sweep harness checks: the exhaustive oracle must pass on small sizes and,
 just as importantly, must actually catch a broken update rule."""
 
+import dataclasses
+
 import pytest
 
 from graphpurify.errors import ParameterError
 from graphpurify.graphs import Graph, cycle_graph, path_graph
-from graphpurify.pattern import PatternState, ZMeasurement
 from graphpurify.verification import check_graph, run_oracle_sweep
+import graphpurify.pattern as pattern
 import graphpurify.verification as verification
 
 
@@ -57,20 +59,17 @@ class TestCheckGraph:
     def test_tampered_measurement_is_caught(self, monkeypatch):
         # flip one frame bit in every Z-measurement result: the sweep must
         # notice, otherwise it proves nothing
-        real = verification.measure_z
+        real = verification.batch_measure_z
 
-        def tampered(state, v, rng=None, forced_outcome=None):
-            res = real(state, v, rng=rng, forced_outcome=forced_outcome)
-            st = res.state
-            return ZMeasurement(
-                outcome=res.outcome,
-                state=PatternState(
-                    st.graph, st.z_errors, st.correction_frame ^ 1
-                ),
-                vertex_map=res.vertex_map,
-            )
+        def tampered(batch, v, rng=None, forced_outcome=None):
+            res = real(batch, v, rng=rng, forced_outcome=forced_outcome)
+            out = res.batch
+            if not out.frame_rows:
+                return res
+            frame = (out.frame_rows[0] ^ out.alive,) + out.frame_rows[1:]
+            return dataclasses.replace(res, batch=dataclasses.replace(out, frame_rows=frame))
 
-        monkeypatch.setattr(verification, "measure_z", tampered)
+        monkeypatch.setattr(verification, "batch_measure_z", tampered)
         failures = []
         _, bad = check_graph(path_graph(3), failures=failures)
         assert bad > 0
@@ -78,20 +77,59 @@ class TestCheckGraph:
 
     def test_tampered_graph_rewiring_is_caught(self, monkeypatch):
         # make every merge claim an extra edge in its output graph
-        real = verification.merge_local
+        real = verification.batch_merge
 
-        def tampered(state, party, rng=None, forced_outcomes=None):
-            res = real(state, party, rng=rng, forced_outcomes=forced_outcomes)
-            g = res.state.graph
-            if g.n >= 2:
-                wrong = PatternState(
-                    g.toggle_edge(0, 1),
-                    res.state.z_errors,
-                    res.state.correction_frame,
-                )
-                object.__setattr__(res, "state", wrong)
-            return res
+        def tampered(batch, party, rng=None, forced_outcomes=None):
+            res = real(batch, party, rng=rng, forced_outcomes=forced_outcomes)
+            g = res.batch.graph
+            if g.n < 2:
+                return res
+            wrong = dataclasses.replace(res.batch, graph=g.toggle_edge(0, 1))
+            return dataclasses.replace(res, batch=wrong)
 
-        monkeypatch.setattr(verification, "merge_local", tampered)
+        monkeypatch.setattr(verification, "batch_merge", tampered)
         _, bad = check_graph(Graph.from_edges(3, [(0, 1), (1, 2)]), failures=[])
         assert bad > 0
+
+
+def _drop_pivot_frame_spread(monkeypatch):
+    # X measurement inside a merge: the pivot's frame row is no longer XORed
+    # onto the measured qubit's other neighbours
+    real = pattern._measure_x
+
+    def mutant(g, z, f, alive, m, kappa, rng, forced_outcome):
+        f_before = list(f)
+        out = real(g, z, f, alive, m, kappa, rng, forced_outcome)
+        pivot = out[3]
+        if pivot is not None:
+            for x in range(g.n):
+                if x != pivot and g.adj[m] >> x & 1:
+                    f[x - (x > m)] ^= f_before[pivot]
+        return out
+
+    monkeypatch.setattr(pattern, "_measure_x", mutant)
+
+
+def _drop_far_half_frame(monkeypatch):
+    # splice: the far half's frame row is no longer XORed onto endpoint u
+    real = verification.batch_splice
+
+    def mutant(batch, u, v, pair_u, pair_v, rng=None, forced_outcomes=None):
+        res = real(batch, u, v, pair_u, pair_v, rng, forced_outcomes)
+        frame = list(res.batch.frame_rows)
+        frame[res.vertex_map.index(u)] ^= batch.frame_rows[pair_v]
+        wrong = dataclasses.replace(res.batch, frame_rows=tuple(frame))
+        return dataclasses.replace(res, batch=wrong)
+
+    monkeypatch.setattr(verification, "batch_splice", mutant)
+
+
+@pytest.mark.parametrize("mutate", [_drop_pivot_frame_spread, _drop_far_half_frame])
+def test_batched_sweep_catches_one_dropped_frame_xor(monkeypatch, mutate):
+    # every column of a batch shares one rule run, so a sweep that compared
+    # nothing per column would pass any mutant; this one must not
+    assert run_oracle_sweep(max_n=3).mismatches == 0
+    mutate(monkeypatch)
+    report = run_oracle_sweep(max_n=3)
+    assert report.mismatches > 0
+    assert any("state mismatch" in f for f in report.failures)
