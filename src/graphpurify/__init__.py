@@ -6,9 +6,8 @@ Bell-pair recurrence channel, the divide-and-rebuild protocol itself, and a
 desk-scale check of the two-party reconstruction argument behind the
 threshold's optimality.
 
-``is_purifiable`` exists in two flavors that would shadow each other, so
-both stay in their home modules: ``thermal.is_purifiable(model)`` and
-``pairs.is_purifiable(bell_diagonal)``.
+Purifiability has one predicate, ``purifiable_at(p)``; for a thermal model
+use ``purifiable_at(model.error_prob())``.
 """
 
 from .errors import CapacityError, InvariantError, ParameterError
@@ -36,7 +35,6 @@ from .optimality import (
 from .pairs import (
     BellDiagonal,
     composite_r2,
-    distill,
     distill_trace,
     from_z_noise,
     hashing_yield,
@@ -107,7 +105,6 @@ __all__ = [
     "sample_thermal",
     "BellDiagonal",
     "composite_r2",
-    "distill",
     "distill_trace",
     "from_z_noise",
     "hashing_yield",

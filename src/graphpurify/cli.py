@@ -28,7 +28,7 @@ from .protocol import (
     run_drpp,
     threshold_scan,
 )
-from .thermal import P_STAR, ThermalModel, critical_temperature, is_purifiable
+from .thermal import P_STAR, ThermalModel, critical_temperature, purifiable_at
 from .verification import run_oracle_sweep
 
 SEED_ENV_VAR = "GRAPHPURIFY_SEED"
@@ -137,7 +137,7 @@ def cmd_threshold(args) -> int:
             {
                 "T": model.T,
                 "p": model.error_prob(),
-                "purifiable": is_purifiable(model),
+                "purifiable": purifiable_at(model.error_prob()),
             }
         )
     cfg = RunConfig(command="threshold", B=args.B, json_output=args.json, out=args.out)

@@ -247,16 +247,6 @@ def thermal_state(g: Graph, model: ThermalModel) -> np.ndarray:
     return (V * weights) @ V.conj().T
 
 
-def thermal_state_via_errors(g: Graph, model: ThermalModel) -> np.ndarray:
-    """The same Gibbs state assembled as a mixture of phase-error patterns.
-
-    Each pattern e occurs with probability p^|e| (1-p)^(n-|e|) and contributes
-    Z^e |psi><psi| Z^e.  Kept deliberately literal (modulo vectorization) as an
-    independent route for equivalence checks against ``thermal_state``.
-    """
-    return thermal_state_from_p(g, model.error_prob())
-
-
 def thermal_state_from_p(g: Graph, p: float) -> np.ndarray:
     """Mixture of Z-error patterns with independent per-qubit flip rate p."""
     if g.n > MAX_THERMAL_QUBITS:

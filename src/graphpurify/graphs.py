@@ -1,8 +1,11 @@
 """Simple undirected graphs on vertices 0..n-1, stored as bitmask adjacency.
 
 All protocol code manipulates neighborhoods as Python ints used as bitsets
-(bit v set <=> vertex v present), which keeps the hot paths allocation-free.
-Vertex counts are capped at 64 so masks stay within one machine word.
+(bit v set <=> vertex v present).  Vertex labels are stable: the pattern
+engine leaves a measured vertex in place with no bonds instead of deleting
+it, so ``delete_vertex`` (which renumbers) serves only the dense oracle's
+comparison.  Python ints are unbounded, but a graph costs about n^2/2 bits,
+so vertex counts are capped at ``MAX_VERTICES``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, ParameterError
 
-MAX_VERTICES = 64
+MAX_VERTICES = 256
 
 
 @dataclass(frozen=True)
@@ -97,14 +100,6 @@ class Graph:
                 m |= 1 << pos[u]
             adj[pos[old]] = m
         return _make(self.n - 1, adj), keep
-
-    def local_complement(self, v: int) -> "Graph":
-        """Complement the subgraph induced on N(v)."""
-        nb = self.adj[v]
-        adj = list(self.adj)
-        for u in _bits(nb):
-            adj[u] ^= nb & ~(1 << u)
-        return _make(self.n, adj)
 
     # -- traversal -----------------------------------------------------------
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import dense
 from .errors import CapacityError, InvariantError, ParameterError
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .pattern import PatternState, merge_local
 
 __all__ = [
@@ -181,15 +181,12 @@ def build_reconstruction(g: Graph, side_a, p: float) -> np.ndarray:
     for a, b in plan.copy_slots:
         rho = dense.apply_unitary_rho(rho, dense.CZ, (a, b))
 
-    # extras all sit above the vertex slots, so folding them away never
-    # renumbers a vertex qubit
+    # extras are folded in slot order and the dense state drops each one, so
+    # at fold i slot q sits at row q below the extras and at row q - i above
     probe_graph = Graph.from_edges(n_tot, list(plan.copy_slots))
-    cur = list(range(n_tot))
-    n_cur = n_tot
-    for kappa, extra in plan.merges:
-        k_idx, m_idx = cur[kappa], cur[extra]
+    for i, (kappa, extra) in enumerate(plan.merges):
         probes = [
-            merge_local(PatternState(probe_graph), [k_idx, m_idx], forced_outcomes=[1 - 2 * b])
+            merge_local(PatternState(probe_graph), [kappa, extra], forced_outcomes=[1 - 2 * b])
             for b in (0, 1)
         ]
         if probes[0].state.graph != probes[1].state.graph:
@@ -201,23 +198,21 @@ def build_reconstruction(g: Graph, side_a, p: float) -> np.ndarray:
         if pivot is None:
             raise InvariantError("folded pair half has no twin to pivot on")
 
-        rho = dense.apply_unitary_rho(rho, dense.CZ, (k_idx, m_idx))
+        def row(q: int) -> int:
+            return q if q < g.n else q - i
+
+        m_row = row(extra)
+        rho = dense.apply_unitary_rho(rho, dense.CZ, (kappa, m_row))
         acc = None
         for b in (0, 1):
-            br = dense.project_rho(rho, "X", m_idx, b)
-            br = dense.apply_unitary_rho(br, dense.H, (pivot,))
-            frame = probes[b].state.correction_frame
-            for newq, oldq in enumerate(probes[b].vertex_map):
-                if frame >> newq & 1:
-                    br = dense.apply_unitary_rho(br, dense.Z, (oldq,))
+            br = dense.project_rho(rho, "X", m_row, b)
+            br = dense.apply_unitary_rho(br, dense.H, (row(pivot),))
+            for q in _bits(probes[b].state.correction_frame):
+                br = dense.apply_unitary_rho(br, dense.Z, (row(q),))
             acc = br if acc is None else acc + br
-        rho = dense.partial_trace(acc, [q for q in range(n_cur) if q != m_idx])
+        rho = dense.partial_trace(acc, [q for q in range(n_tot - i) if q != m_row])
         probe_graph = probes[0].state.graph
-        cur = [c - 1 if c > m_idx else (-1 if c == m_idx else c) for c in cur]
-        n_cur -= 1
 
-    if n_cur != g.n or any(cur[v] != v for v in range(g.n)):
-        raise InvariantError("folds renumbered a vertex qubit")
     for u, v in plan.internal_edges:
         rho = dense.apply_unitary_rho(rho, dense.CZ, (u, v))
     return rho

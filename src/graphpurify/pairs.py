@@ -24,15 +24,12 @@ __all__ = [
     "BellDiagonal",
     "DistillTrace",
     "from_z_noise",
-    "is_purifiable",
     "recurrence_pairing",
     "recurrence_step",
-    "distill",
     "distill_trace",
     "hashing_yield",
     "composite_r2",
     "PAIRING_GATES",
-    "MAX_COMPOSITE_ROUNDS",
 ]
 
 _SUM_TOL = 1e-12
@@ -52,9 +49,6 @@ _PAIRING_PERM: dict[int, tuple[int, int, int, int]] = {
     2: (0, 2, 1, 3),
     3: (0, 3, 2, 1),
 }
-
-MAX_COMPOSITE_ROUNDS = 8
-
 
 @dataclass(frozen=True)
 class BellDiagonal:
@@ -81,11 +75,6 @@ def from_z_noise(p: float) -> BellDiagonal:
         raise ParameterError("flip probability must lie in [0, 0.5]")
     q = 1.0 - p
     return BellDiagonal((q * q, p * q, p * q, p * p))
-
-
-def is_purifiable(bd: BellDiagonal) -> bool:
-    """Strictly above the 1/2 boundary in some class; at 1/2 exactly: no."""
-    return max(bd.probs) > 0.5
 
 
 def _core_map(slots: tuple[float, float, float, float]) -> tuple[tuple[float, float, float, float], float]:
@@ -173,18 +162,6 @@ def distill_trace(
     )
 
 
-def distill(
-    bd: BellDiagonal, target_fidelity: float, max_rounds: int = 64
-) -> tuple[int, float, float]:
-    """(rounds used, expected input pairs consumed, achieved fidelity).
-
-    Failure to converge is reported through the achieved fidelity staying
-    below the target, never as an exception.
-    """
-    tr = distill_trace(bd, target_fidelity, max_rounds)
-    return tr.rounds, tr.expected_pairs, tr.final.fidelity
-
-
 def hashing_yield(bd: BellDiagonal) -> float:
     """max(0, 1 - H2(probs)): asymptotic Bell pairs per input pair."""
     if max(bd.probs) <= 0.5:
@@ -198,17 +175,22 @@ def hashing_yield(bd: BellDiagonal) -> float:
     return max(0.0, 1.0 - h)
 
 
-def composite_r2(bd: BellDiagonal, max_rounds: int = MAX_COMPOSITE_ROUNDS) -> float:
-    """Bell-pair rate: best over k <= max_rounds recurrence rounds followed
-    by hashing, accounting each round's factor-2 copy cost and success odds.
+def composite_r2(bd: BellDiagonal) -> float:
+    """Bell-pair rate: best over k >= 0 recurrence rounds followed by
+    hashing, accounting each round's factor-2 copy cost and success odds.
 
-    A lower bound on the true distillable rate; exactly 0 whenever no class
-    ever exceeds 1/2 (the quadratic map cannot cross that boundary).
+    A lower bound on the true distillable rate.  Exactly 0 when no class
+    exceeds 1/2, since the quadratic map cannot cross that boundary.  Round
+    k's candidate is survival_k times a hashing yield of at most 1, and
+    survival never grows, so once survival is at most the best candidate no
+    later round can beat it; the chain also stops at a fixed point.
     """
+    if max(bd.probs) <= 0.5:
+        return 0.0
     best = hashing_yield(bd)
     survival = 1.0
     cur = bd
-    for _ in range(max_rounds):
+    while survival > best:
         nxt, n = recurrence_step(cur)
         survival *= n / 2.0
         stuck = all(abs(x - y) <= 1e-15 for x, y in zip(nxt.probs, cur.probs))

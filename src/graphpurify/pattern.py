@@ -14,6 +14,13 @@ neighbor and applies a compensating single-qubit Hadamard there as part of
 the channel, which keeps every intermediate state in graph form with Z-type
 residuals only.
 
+Stable labels.  A measured qubit keeps its index: the rule cuts its bonds
+and clears its error and frame bits, which leaves it an isolated, error-free
+|+> (the Pauli-measurement graph rules of Hein, Eisert & Briegel, PRA 69,
+062311, 2004, are stated this way).  So every index into and out of the
+engine is an input index, and ``z_map`` is square with zero rows on the
+measured qubits.
+
 Bit-sliced batches.  The graph rewiring of every rule depends only on the
 graph, and the error and frame updates are GF(2)-linear row operations, so
 each rule is written once over a ``FrameBatch``: many (error, frame) columns
@@ -128,30 +135,26 @@ class FrameBatch:
 class BatchResult:
     batch: FrameBatch
     outcomes: tuple[int, ...]  # outcome row per measured qubit, in order
-    vertex_map: tuple[int, ...]  # input index of each surviving vertex
-    pivots: tuple[int | None, ...] = ()  # merges: input index of each step's pivot
+    pivots: tuple[int | None, ...] = ()  # merges: each step's pivot
 
 
 @dataclass(frozen=True)
 class ZMeasurement:
     outcome: int  # +1 or -1
     state: PatternState
-    vertex_map: tuple[int, ...]  # old index of each surviving vertex
 
 
 @dataclass(frozen=True)
 class MergeStep:
-    measured: int  # input-state index of the measured qubit
+    measured: int
     outcome: int  # +1 or -1
-    pivot: int | None  # input-state index of the pivot, None if isolated
+    pivot: int | None  # None when the measured qubit had no neighbor
 
 
 @dataclass(frozen=True)
 class MergeResult:
-    kept_qubit: int  # index of the kept qubit in the output state
     state: PatternState
     outcomes: tuple[int, ...]  # +-1 per measured qubit, in order
-    vertex_map: tuple[int, ...]  # input-state index of each output vertex
     steps: tuple[MergeStep, ...]
     _on_identity: Callable[[], BatchResult] = field(repr=False, compare=False)
 
@@ -165,7 +168,6 @@ class MergeResult:
 class PairSpliceResult:
     state: PatternState
     outcomes: tuple[int, int]  # +-1 for the two consumed halves, in order
-    vertex_map: tuple[int, ...]
     _on_identity: Callable[[], BatchResult] = field(repr=False, compare=False)
 
     @cached_property
@@ -226,11 +228,11 @@ def _outcome_row(forced: int | None, rng: random.Random | None, alive: int) -> i
     return alive if forced == -1 else 0
 
 
-def _without(n: int, *gone: int) -> tuple[int, ...]:
-    # from a list, not a generator: a tuple grown from a generator is
-    # resized after allocation, which bypasses CPython's tuple free lists,
-    # and over a long run those lists fill up (about 2 MB of peak RSS)
-    return tuple([q for q in range(n) if q not in gone])
+def _cut(adj: list[int], v: int) -> None:
+    """Isolate v in place: clear its bonds on both sides."""
+    for x in _bits(adj[v]):
+        adj[x] &= ~(1 << v)
+    adj[v] = 0
 
 
 def batch_measure_z(
@@ -239,7 +241,7 @@ def batch_measure_z(
     rng: random.Random | None = None,
     forced_outcome: int | None = None,
 ) -> BatchResult:
-    """Measure Z on qubit v: sever its bonds and drop it from the state.
+    """Measure Z on qubit v: sever its bonds and leave it a clean |+>.
 
     The outcome is uniform, reported with the qubit's error bit folded in;
     the outcome-conditioned Z byproduct on the neighborhood goes into the
@@ -254,13 +256,11 @@ def batch_measure_z(
     f = list(batch.frame_rows)
     for x in _bits(g.adj[v]):
         f[x] ^= o
-    del f[v]
     z = list(batch.z_rows)
-    del z[v]
-    new_g, _ = g.delete_vertex(v)
-    return BatchResult(
-        FrameBatch(new_g, tuple(z), tuple(f), batch.alive), (o,), _without(g.n, v)
-    )
+    z[v] = f[v] = 0
+    adj = list(g.adj)
+    _cut(adj, v)
+    return BatchResult(FrameBatch(_make(g.n, adj), tuple(z), tuple(f), batch.alive), (o,))
 
 
 def measure_z(
@@ -271,9 +271,7 @@ def measure_z(
 ) -> ZMeasurement:
     """``batch_measure_z`` on the one pattern of ``state``."""
     run = batch_measure_z(_width1(state), v, rng, forced_outcome)
-    return ZMeasurement(
-        outcome=1 - 2 * run.outcomes[0], state=_survivor(run), vertex_map=run.vertex_map
-    )
+    return ZMeasurement(outcome=1 - 2 * run.outcomes[0], state=_survivor(run))
 
 
 def _measure_x(
@@ -288,10 +286,10 @@ def _measure_x(
 ) -> tuple[Graph, int, int, int | None]:
     """X-measure qubit m, preferring a pivot other than ``kappa``.
 
-    Updates the rows in place (row m is deleted) and returns (post-graph,
-    alive mask, outcome row, pivot index before the deletion or None when m
-    has no neighbor).  The channel includes the Hadamard correction on the
-    pivot, so the post-state is in graph form again.
+    Updates the rows in place (m's rows are cleared) and returns
+    (post-graph, alive mask, outcome row, pivot or None when m has no
+    neighbor).  The channel includes the Hadamard correction on the pivot,
+    so the post-state is in graph form again.
     """
     nb = g.adj[m]
 
@@ -303,8 +301,8 @@ def _measure_x(
         else:
             sigma = _outcome_row(forced_outcome, None, alive)
             alive &= ~(det ^ sigma)
-        del z[m], f[m]
-        return g.delete_vertex(m)[0], alive, sigma, None
+        z[m] = f[m] = 0
+        return g, alive, sigma, None
 
     sigma = _outcome_row(forced_outcome, rng, alive)
 
@@ -346,10 +344,9 @@ def _measure_x(
         f[x] ^= sigma_f
     z[pivot] = e_m
     f[pivot] = sigma_f
-    del z[m], f[m]
-
-    new_g, _ = _make(g.n, adj).delete_vertex(m)
-    return new_g, alive, sigma, pivot
+    z[m] = f[m] = 0
+    _cut(adj, m)
+    return _make(g.n, adj), alive, sigma, pivot
 
 
 def _lowest_bit(mask: int) -> int:
@@ -367,7 +364,7 @@ def batch_merge(
 
     Forced outcomes (+-1 per measured qubit, the same for every column)
     replace random draws; columns for which a forced branch is impossible
-    drop out of ``alive``.  All indices refer to the input state.
+    drop out of ``alive``.
     """
     party = list(party_qubits)
     if not party:
@@ -391,21 +388,14 @@ def batch_merge(
     z = list(batch.z_rows)
     f = list(batch.frame_rows)
     alive = batch.alive
-    labels = list(range(n))  # input index of each current qubit
     outcomes: list[int] = []
     pivots: list[int | None] = []
     for i, m in enumerate(measured):
-        m_cur = labels.index(m)
         forced = forced_outcomes[i] if forced_outcomes is not None else None
-        g, alive, sigma, pivot = _measure_x(
-            g, z, f, alive, m_cur, labels.index(kappa), rng, forced
-        )
+        g, alive, sigma, pivot = _measure_x(g, z, f, alive, m, kappa, rng, forced)
         outcomes.append(sigma)
-        pivots.append(None if pivot is None else labels[pivot])
-        del labels[m_cur]
-    return BatchResult(
-        FrameBatch(g, tuple(z), tuple(f), alive), tuple(outcomes), tuple(labels), tuple(pivots)
-    )
+        pivots.append(pivot)
+    return BatchResult(FrameBatch(g, tuple(z), tuple(f), alive), tuple(outcomes), tuple(pivots))
 
 
 def merge_local(
@@ -417,18 +407,15 @@ def merge_local(
     """``batch_merge`` on the one pattern of ``state``; forcing a
     zero-probability branch raises ``ParameterError``.
 
-    The result carries the surviving-vertex map and, per measured qubit,
-    its outcome and pivot.
+    The result carries, per measured qubit, its outcome and pivot.
     """
     run = batch_merge(_width1(state), party_qubits, rng, forced_outcomes)
     post = _survivor(run)
     outcomes = tuple(1 - 2 * o for o in run.outcomes)
     g, party = state.graph, tuple(party_qubits)
     return MergeResult(
-        kept_qubit=run.vertex_map.index(party[0]),
         state=post,
         outcomes=outcomes,
-        vertex_map=run.vertex_map,
         steps=tuple(MergeStep(*s) for s in zip(party[1:], outcomes, run.pivots)),
         _on_identity=lambda: batch_merge(
             FrameBatch.identity(g), party, forced_outcomes=(1,) * (len(party) - 1)
@@ -472,20 +459,14 @@ def batch_splice(
     z[v] ^= z[pair_u]
     f[u] ^= f[pair_v] ^ s2
     f[v] ^= f[pair_u] ^ s1
-    lo, hi = sorted((pair_u, pair_v))
-    del z[hi], z[lo], f[hi], f[lo]
+    z[pair_u] = z[pair_v] = f[pair_u] = f[pair_v] = 0
 
     adj = list(g.adj)
     adj[pair_u] = 0
     adj[pair_v] = 0
     adj[u] ^= 1 << v
     adj[v] ^= 1 << u
-    # deleting the higher half first keeps the lower one's index valid
-    g1, _ = _make(g.n, adj).delete_vertex(hi)
-    g2, _ = g1.delete_vertex(lo)
-    return BatchResult(
-        FrameBatch(g2, tuple(z), tuple(f), batch.alive), (s1, s2), _without(g.n, lo, hi)
-    )
+    return BatchResult(FrameBatch(_make(g.n, adj), tuple(z), tuple(f), batch.alive), (s1, s2))
 
 
 def apply_cz_via_pair(
@@ -503,7 +484,6 @@ def apply_cz_via_pair(
     return PairSpliceResult(
         state=_survivor(run),
         outcomes=tuple(1 - 2 * o for o in run.outcomes),
-        vertex_map=run.vertex_map,
         _on_identity=lambda: batch_splice(
             FrameBatch.identity(g), u, v, pair_u, pair_v, forced_outcomes=(1, 1)
         ),

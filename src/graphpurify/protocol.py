@@ -248,15 +248,11 @@ def _check_extraction(g: Graph, plan: ExtractionPlan) -> None:
     """
     for items in plan.rounds:
         st = ideal_state(g)
-        union = sorted({q for pe in items for q in pe.z_measure_set}, reverse=True)
-        for q in union:
-            # deleting strictly higher indices first keeps q's label valid
+        for q in sorted({q for pe in items for q in pe.z_measure_set}):
             st = measure_z(st, q, forced_outcome=+1).state
         for pe in items:
             u, v = pe.edge
-            du = u - sum(1 for q in union if q < u)
-            dv = v - sum(1 for q in union if q < v)
-            if st.graph.adj[du] != 1 << dv or st.graph.adj[dv] != 1 << du:
+            if st.graph.adj[u] != 1 << v or st.graph.adj[v] != 1 << u:
                 raise InvariantError(f"extracted pair {pe.edge} is not isolated")
 
 
@@ -350,15 +346,6 @@ def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
         (0,) * nq,
         (2 << nq) - 1,
     )
-    cur = list(range(nq))  # alloc id -> current index (-1 once measured away)
-
-    def track(res) -> None:
-        nonlocal state
-        state = res.batch
-        inv = {old: new for new, old in enumerate(res.vertex_map)}
-        for a in range(nq):
-            if cur[a] >= 0:
-                cur[a] = inv.get(cur[a], -1)
 
     for te in forest:
         child_halves: dict[int, list[int]] = {}
@@ -374,27 +361,23 @@ def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
                 party = [parent_half[v]] + child_halves.get(v, [])
             kept[v] = party[0]
             if len(party) > 1:
-                track(batch_merge(state, [cur[a] for a in party], rng))
+                state = batch_merge(state, party, rng).batch
 
     for u, v in nontree:
-        track(batch_splice(
-            state, cur[kept[u]], cur[kept[v]], cur[near[(u, v)]], cur[far[(u, v)]], rng
-        ))
+        state = batch_splice(state, kept[u], kept[v], near[(u, v)], far[(u, v)], rng).batch
 
-    if state.graph.n != n:
-        raise InvariantError("rebuild consumed the wrong number of qubits")
-    perm = [cur[kept[v]] for v in range(n)]
-    if sorted(perm) != list(range(n)):
-        raise InvariantError("rebuild lost a vertex qubit")
+    measured = set(range(nq)) - set(kept.values())
+    if any(state.graph.adj[a] or state.z_rows[a] or state.frame_rows[a] for a in measured):
+        raise InvariantError("rebuild left a measured qubit bonded or with nonzero rows")
     for u in range(n):
         for v in range(u + 1, n):
-            if state.graph.has_edge(perm[u], perm[v]) != g.has_edge(u, v):
+            if state.graph.has_edge(kept[u], kept[v]) != g.has_edge(u, v):
                 raise InvariantError("rebuilt graph differs from the target")
     halves = (1 << nq) - 1
-    checks = tuple(state.z_rows[perm[v]] & halves for v in range(n))
+    checks = tuple(state.z_rows[kept[v]] & halves for v in range(n))
     residual = state.column(nq)
     for v in range(n):
-        if residual.z_errors >> perm[v] & 1 != (checks[v] & x).bit_count() & 1:
+        if residual.z_errors >> kept[v] & 1 != (checks[v] & x).bit_count() & 1:
             raise InvariantError("composed Z-error map disagrees with the engine")
     return _Rebuild(
         ideal=is_ideal(residual),

@@ -50,11 +50,6 @@ def critical_temperature(B: float) -> float:
     return B / _LN_1_PLUS_SQRT2
 
 
-def is_purifiable(model: ThermalModel) -> bool:
-    """True iff the model sits strictly below the critical temperature."""
-    return model.T < critical_temperature(model.B)
-
-
 def purifiable_at(p: float) -> bool:
     """True iff flip probability p admits purification: (1-p)^2 > 1/2 strictly."""
     if not (0.0 <= p <= 1.0):

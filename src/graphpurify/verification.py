@@ -9,7 +9,12 @@ engine operation is replayed on the panel with elementary row operations
 The engine side runs on the same columns as one bit-sliced ``FrameBatch``
 (bit c of each qubit's row is column c), built once per graph: each CZ,
 Z measurement, merge and splice runs once per forced-outcome branch for all
-columns together.  The engine's claimed output state of every surviving
+columns together.  The engine keeps a measured qubit at its index as an
+isolated, error-free |+>, while the panel drops it, so a panel row is found
+from a qubit label by skipping the measured labels below it.  Before the
+comparison the batch is restricted to its unmeasured qubits, and a column
+whose measured qubits are not isolated or carry a nonzero error or frame bit
+counts as a mismatch.  The engine's claimed output state of every surviving
 column is expanded into a +-1 panel, and the two must agree column-by-column
 up to a scalar — checked by integer cross-multiplication, so the comparison
 is exact rather than to a float tolerance.  A claimed-impossible branch (the
@@ -29,7 +34,7 @@ import numpy as np
 
 from .dense import cz_diagonal
 from .errors import ParameterError
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .pattern import FrameBatch, batch_cz, batch_measure_z, batch_merge, batch_splice
 
 __all__ = ["SweepReport", "run_oracle_sweep", "check_graph"]
@@ -104,12 +109,29 @@ def _columns(rows, width: int) -> np.ndarray:
     return out
 
 
-def _compare(dense: np.ndarray, out: FrameBatch, label: str, failures: list[str]) -> int:
-    """Count mismatching columns; append one description per bad column."""
+def _row(q: int, measured: int) -> int:
+    """Panel row of qubit q once the qubits in the mask ``measured`` are gone."""
+    return q - (measured & ((1 << q) - 1)).bit_count()
+
+
+def _compare(
+    dense: np.ndarray, out: FrameBatch, measured: int, label: str, failures: list[str]
+) -> int:
+    """Count mismatching columns; append one description per bad column.
+
+    ``dense`` lacks the qubits in the mask ``measured``, which the engine must
+    have left isolated with zero rows.
+    """
     bad = 0
     width = dense.shape[1]
     colmax = np.abs(dense).max(axis=0) if dense.size else np.zeros(width)
     alive = _columns((out.alive,), width).astype(bool)
+    graph, rows = out.graph, list(zip(out.z_rows, out.frame_rows))
+    stray = 0  # columns with a measured qubit left bonded or with a nonzero bit
+    for q in sorted(_bits(measured), reverse=True):
+        stray |= (out.alive if graph.adj[q] else 0) | rows[q][0] | rows[q][1]
+        graph = graph.delete_vertex(q)[0]
+        del rows[q]
 
     for c in np.nonzero(~alive & (colmax > 0))[0]:
         bad += 1
@@ -119,12 +141,14 @@ def _compare(dense: np.ndarray, out: FrameBatch, label: str, failures: list[str]
     if not survivors.size:
         return bad
 
-    physical = _columns([z ^ f for z, f in zip(out.z_rows, out.frame_rows)], width)
-    claimed = _pattern_panel(out.graph, physical[survivors])
+    physical = _columns([z ^ f for z, f in rows], width)
+    claimed = _pattern_panel(graph, physical[survivors])
     sub = dense[:, survivors]
     lhs = sub * claimed[0][None, :]
     rhs = claimed * sub[0][None, :]
     good = np.all(lhs == rhs, axis=0) & (np.abs(sub).max(axis=0) > 0)
+    if stray:
+        good &= ~_columns((stray,), width).astype(bool)[survivors]
     for k in np.nonzero(~good)[0]:
         bad += 1
         if len(failures) < _MAX_FAILURES_KEPT:
@@ -176,14 +200,14 @@ def check_graph(
         for v in range(u + 1, n):
             dense = _cz_rows(base, n, u, v)
             checks += width
-            bad += _compare(dense, batch_cz(batch, u, v), f"{gname} cz({u},{v})", failures)
+            bad += _compare(dense, batch_cz(batch, u, v), 0, f"{gname} cz({u},{v})", failures)
 
     for v in range(n):
         for outcome in (+1, -1):
             out = batch_measure_z(batch, v, forced_outcome=outcome).batch
             dense = _project_z_rows(base, n, v, (1 - outcome) // 2)
             checks += width
-            bad += _compare(dense, out, f"{gname} mz({v},{outcome:+d})", failures)
+            bad += _compare(dense, out, 1 << v, f"{gname} mz({v},{outcome:+d})", failures)
 
     limit = max_party if max_party is not None else n
     for party in _ordered_parties(n, limit):
@@ -202,7 +226,11 @@ def _check_merge_party(batch: FrameBatch, base: np.ndarray, party, gname, failur
         dense = _replay_merge(base, batch.graph.n, party, structure, outcomes)
         checks += base.shape[1]
         bad += _compare(
-            dense, run.batch, f"{gname} merge{tuple(party)} outcomes={outcomes}", failures
+            dense,
+            run.batch,
+            sum(1 << m for m in party[1:]),
+            f"{gname} merge{tuple(party)} outcomes={outcomes}",
+            failures,
         )
     return checks, bad
 
@@ -212,19 +240,12 @@ def _replay_merge(base: np.ndarray, n: int, party, structure, outcomes) -> np.nd
     kappa = party[0]
     for m in party[1:]:
         panel = _cz_rows(panel, n, kappa, m)
-    where = list(range(n))  # input label -> current row index, -1 if gone
-    cur_n = n
-    for (measured, pivot), outcome in zip(structure, outcomes):
-        v = where[measured]
-        panel = _project_x_rows(panel, cur_n, v, (1 - outcome) // 2)
-        cur_n -= 1
-        for q in range(n):
-            if where[q] == v:
-                where[q] = -1
-            elif where[q] > v:
-                where[q] -= 1
+    gone = 0
+    for (m, pivot), outcome in zip(structure, outcomes):
+        panel = _project_x_rows(panel, n - gone.bit_count(), _row(m, gone), (1 - outcome) // 2)
+        gone |= 1 << m
         if pivot is not None:
-            panel = _h_rows(panel, cur_n, where[pivot])
+            panel = _h_rows(panel, n - gone.bit_count(), _row(pivot, gone))
     return panel
 
 
@@ -245,7 +266,11 @@ def _check_splice(base_graph: Graph, failures: list[str]) -> tuple[int, int]:
             dense = _project_x_rows(dense, n + 1, n, (1 - o1) // 2)
             checks += base.shape[1]
             bad += _compare(
-                dense, out, f"{gname} u={u} v={v} outcomes=({o1:+d},{o2:+d})", failures
+                dense,
+                out,
+                0b11 << n,
+                f"{gname} u={u} v={v} outcomes=({o1:+d},{o2:+d})",
+                failures,
             )
     return checks, bad
 

@@ -29,7 +29,7 @@ from graphpurify.dense import (
     partial_trace,
     project_rho,
     thermal_state,
-    thermal_state_via_errors,
+    thermal_state_from_p,
     trace_distance,
 )
 from graphpurify.graphs import (
@@ -115,7 +115,7 @@ def test_criterion_2_thermal_state_equivalence():
             for ratio in (0.3, 1.0, 3.0):
                 model = ThermalModel(B=1.0, T=ratio)
                 spectral = thermal_state(g, model)
-                errorsum = thermal_state_via_errors(g, model)
+                errorsum = thermal_state_from_p(g, model.error_prob())
                 assert trace_distance(spectral, errorsum) <= 1e-9
 
 

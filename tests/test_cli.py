@@ -157,14 +157,23 @@ class TestSimulate:
         assert envelope(out)["config"]["seed"] == 2**130
 
     def test_capacity_message_names_the_edge_count(self, capsys):
-        for graph, edges in (("grid:5x5", 40), ("complete:12", 66)):
+        for graph, edges in (("grid:4x4x4", 144), ("complete:17", 136)):
             rc, _, err = run_cli(
                 capsys, "simulate", "--graph", graph, "--p", "0.1", "--shots", "1"
             )
             assert rc == 3
             assert f"{graph}: graph has {edges} edges" in err
-            assert "at most 32 edges" in err
+            assert "at most 128 edges" in err
             assert "vertex count" not in err
+
+    @pytest.mark.parametrize("graph", ["grid:8x8", "complete:12"])
+    def test_graphs_past_the_old_64_qubit_cap_run(self, capsys, graph):
+        rc, out, _ = run_cli(
+            capsys, "simulate", "--graph", graph, "--p", "0.1", "--shots", "200",
+            "--seed", "1", "--json",
+        )
+        assert rc == 0
+        assert envelope(out)["results"]["converged"] is True
 
 
 class TestScan:

@@ -36,7 +36,6 @@ from graphpurify.dense import (
     project_vec,
     thermal_state,
     thermal_state_from_p,
-    thermal_state_via_errors,
     trace_distance,
     transverse_field_hamiltonian,
 )
@@ -157,7 +156,7 @@ class TestThermalStates:
     def test_two_routes_agree(self, g, ratio):
         model = ThermalModel(B=1.0, T=ratio)
         a = thermal_state(g, model)
-        b = thermal_state_via_errors(g, model)
+        b = thermal_state_from_p(g, model.error_prob())
         check_density_matrix(a, atol=1e-9)
         check_density_matrix(b, atol=1e-9)
         assert trace_distance(a, b) <= 1e-9

@@ -35,7 +35,7 @@ class TestConstruction:
 
     def test_vertex_cap(self):
         with pytest.raises(CapacityError):
-            Graph.from_edges(65, [])
+            Graph.from_edges(257, [])
 
     def test_edges_round_trip(self):
         edges = [(0, 3), (1, 2), (0, 1)]
@@ -92,15 +92,6 @@ class TestSurgery:
         assert h.n == 3
         # old edge (2,3) is now (1,2); vertex 0 lost its only edge
         assert h.edges() == [(1, 2)]
-
-    def test_local_complement_star_to_complete(self):
-        # complementing at the hub of a star yields the complete graph on the leaves
-        g = star_graph(4)
-        h = g.local_complement(0)
-        for u in range(1, 4):
-            for v in range(u + 1, 4):
-                assert h.has_edge(u, v)
-        assert h.local_complement(0) == g
 
     def test_toggle_edge(self):
         g = path_graph(3)

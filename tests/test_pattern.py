@@ -45,16 +45,23 @@ def _same_ray(a: np.ndarray, b: np.ndarray) -> bool:
     return abs(abs(np.vdot(a, b)) - na * nb) < 1e-9
 
 
+def _plus_at(rest: np.ndarray) -> np.ndarray:
+    """Put a qubit in |+> (unnormalized) between the (higher, lower) index
+    halves of ``rest``, a vector without it."""
+    return np.stack((rest, rest), axis=1).reshape(-1)
+
+
 def _drop_z(psi: np.ndarray, n: int, v: int, bit: int) -> np.ndarray:
-    """Project qubit v onto Z outcome ``bit`` and remove it."""
+    """Project qubit v onto Z outcome ``bit`` and leave it in |+>, the
+    engine's picture of a measured qubit."""
     r = psi.reshape(1 << (n - 1 - v), 2, 1 << v)
-    return r[:, bit, :].reshape(-1)
+    return _plus_at(r[:, bit, :])
 
 
 def _collapse_x(psi: np.ndarray, n: int, v: int, bit: int) -> np.ndarray:
-    """Project qubit v onto the X eigenstate for ``bit`` and remove it."""
+    """Project qubit v onto the X eigenstate for ``bit`` and leave it in |+>."""
     r = psi.reshape(1 << (n - 1 - v), 2, 1 << v)
-    return (r[:, 0, :] + (1.0 - 2.0 * bit) * r[:, 1, :]).reshape(-1)
+    return _plus_at(r[:, 0, :] + (1.0 - 2.0 * bit) * r[:, 1, :])
 
 
 class TestPatternState:
@@ -120,14 +127,13 @@ class TestMeasureZ:
         st = ideal_state(path_graph(3))
         plus = measure_z(st, 1, forced_outcome=+1)
         assert plus.outcome == +1
-        assert plus.state.graph == Graph.from_edges(2, [])
-        assert plus.state == PatternState(Graph.from_edges(2, []), 0, 0)
-        assert plus.vertex_map == (0, 2)
+        # the measured qubit keeps its index as a bare, error-free |+>
+        assert plus.state == PatternState(Graph.from_edges(3, []), 0, 0)
 
         minus = measure_z(st, 1, forced_outcome=-1)
         # the -1 branch leaves a known Z byproduct on both old neighbours
         assert minus.outcome == -1
-        assert minus.state.correction_frame == 0b11
+        assert minus.state.correction_frame == 0b101
         assert minus.state.z_errors == 0
 
     def test_error_bit_flips_the_sampled_outcome(self):
@@ -151,7 +157,8 @@ class TestMeasureZ:
                         res = measure_z(st, v, forced_outcome=outcome)
                         branch = _drop_z(psi, 3, v, (1 - outcome) // 2)
                         assert _same_ray(branch, _dense_of(res.state))
-                        assert res.vertex_map == tuple(q for q in range(3) if q != v)
+                        assert res.state.graph.adj[v] == 0
+                        assert not (res.state.z_errors | res.state.correction_frame) >> v & 1
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ParameterError):
@@ -165,19 +172,10 @@ def _replay_merge(pre: PatternState, party, structure, outcomes) -> np.ndarray:
     kappa = party[0]
     for m in party[1:]:
         psi = apply_unitary_vec(psi, CZ, (kappa, m))
-    where = list(range(n))
-    cur_n = n
     for (measured, pivot), outcome in zip(structure, outcomes):
-        v = where[measured]
-        psi = _collapse_x(psi, cur_n, v, (1 - outcome) // 2)
-        cur_n -= 1
-        for q in range(n):
-            if where[q] == v:
-                where[q] = -1
-            elif where[q] > v:
-                where[q] -= 1
+        psi = _collapse_x(psi, n, measured, (1 - outcome) // 2)
         if pivot is not None:
-            psi = apply_unitary_vec(psi, H, (where[pivot],))
+            psi = apply_unitary_vec(psi, H, (pivot,))
     return psi
 
 
@@ -186,9 +184,8 @@ class TestMergeLocal:
         # two fresh pairs; joining one half of each leaves a three-vertex chain
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         res = merge_local(ideal_state(g), [1, 2], forced_outcomes=[+1])
-        assert res.state.graph == path_graph(3)
-        assert res.kept_qubit == 1
-        assert res.vertex_map == (0, 1, 3)
+        # a three-vertex chain 0-1-3, the measured half 2 left bare
+        assert res.state.graph == Graph.from_edges(4, [(0, 1), (1, 3)])
         assert res.steps == (MergeStep(measured=2, outcome=+1, pivot=3),)
 
     @pytest.mark.parametrize(
@@ -226,7 +223,7 @@ class TestMergeLocal:
         # bare qubit is deterministic, so the other branch must be refused
         g = Graph.from_edges(2, [(0, 1)])
         ok = merge_local(ideal_state(g), [0, 1], forced_outcomes=[+1])
-        assert ok.state.graph.n == 1
+        assert ok.state.graph == Graph.from_edges(2, [])
         with pytest.raises(ParameterError):
             merge_local(ideal_state(g), [0, 1], forced_outcomes=[-1])
         # an unknown error bit flips which branch is possible
@@ -264,15 +261,14 @@ class TestApplyCzViaPair:
                     psi = apply_unitary_vec(psi, CZ, (0, 2))
                     psi = apply_unitary_vec(psi, CZ, (1, 3))
                     psi = _collapse_x(psi, 4, 3, (1 - o2) // 2)
-                    psi = _collapse_x(psi, 3, 2, (1 - o1) // 2)
+                    psi = _collapse_x(psi, 4, 2, (1 - o1) // 2)
                     assert res.outcomes == (o1, o2)
-                    assert res.vertex_map == (0, 1)
                     assert _same_ray(psi, _dense_of(res.state))
 
     def test_edge_toggled_pair_consumed(self):
         g = Graph.from_edges(4, [(2, 3)])
         res = apply_cz_via_pair(ideal_state(g), 0, 1, 2, 3, forced_outcomes=(+1, +1))
-        assert res.state.graph == Graph.from_edges(2, [(0, 1)])
+        assert res.state.graph == Graph.from_edges(4, [(0, 1)])
 
     def test_pair_must_be_isolated_edge(self):
         g = Graph.from_edges(4, [(1, 2), (2, 3)])
@@ -367,11 +363,10 @@ class TestZMap:
         # reaches the pivot's old neighbors, the pivot's reaches the kept half
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         res = merge_local(ideal_state(g), [1, 2], forced_outcomes=[+1])
-        assert res.vertex_map == (0, 1, 3)
-        assert res.z_map == (0b0001, 0b1010, 0b0100)
+        assert res.z_map == (0b0001, 0b1010, 0, 0b0100)
 
     def test_worked_example_splice(self):
         g = Graph.from_edges(4, [(2, 3)])
         res = apply_cz_via_pair(ideal_state(g), 0, 1, 2, 3, forced_outcomes=(+1, +1))
-        # the far half's error lands on each endpoint
-        assert res.z_map == (0b1001, 0b0110)
+        # the far half's error lands on each endpoint; the halves are cleared
+        assert res.z_map == (0b1001, 0b0110, 0, 0)

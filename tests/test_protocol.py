@@ -97,6 +97,13 @@ class TestPlanExtraction:
         # fully connected: every pair blocks every other
         assert plan_extraction(parse_family("complete:5")).n_geo == 10
 
+    @pytest.mark.parametrize("family", ["grid:5x5", "grid:8x8", "grid:3x3x3"])
+    def test_planner_meets_the_cluster_formula_at_size(self, family):
+        # graphs past the old 64-vertex cap; the planner's greedy rounds must
+        # not exceed the 3d^2 family count
+        g = parse_family(family)
+        assert plan_extraction(g).n_geo <= n_geo_formula(family)
+
     def test_edgeless_graph_has_no_rounds(self):
         plan = plan_extraction(Graph.from_edges(3, []))
         assert plan.rounds == ()
@@ -129,7 +136,7 @@ def _extracted_pair_distribution(g: Graph, edge, p: float):
     distribution helper for multi-pair rounds (see below)."""
     u, v = edge
     zset = (g.adj[u] | g.adj[v]) & ~((1 << u) | (1 << v))
-    boundary = sorted((q for q in range(g.n) if zset >> q & 1), reverse=True)
+    boundary = [q for q in range(g.n) if zset >> q & 1]
     dist = [0.0] * 4
     for e in range(1 << g.n):
         w = 1.0
@@ -137,12 +144,10 @@ def _extracted_pair_distribution(g: Graph, edge, p: float):
             w *= p if e >> q & 1 else 1.0 - p
         for outs in itertools.product((+1, -1), repeat=len(boundary)):
             st = PatternState(g, e, 0)
-            for q, o in zip(boundary, outs):  # descending: labels stay valid
+            for q, o in zip(boundary, outs):
                 st = measure_z(st, q, forced_outcome=o).state
-            du = u - sum(1 for q in boundary if q < u)
-            dv = v - sum(1 for q in boundary if q < v)
-            assert st.graph.adj[du] == 1 << dv
-            cls = (st.z_errors >> du & 1) | (st.z_errors >> dv & 1) << 1
+            assert st.graph.adj[u] == 1 << v
+            cls = (st.z_errors >> u & 1) | (st.z_errors >> v & 1) << 1
             dist[cls] += w * 0.5 ** len(boundary)
     return dist
 
@@ -174,9 +179,7 @@ class TestExtractionStatistics:
         plan = plan_extraction(g)
         round0 = plan.rounds[0]
         assert [pe.edge for pe in round0] == [(0, 1), (3, 4)]
-        boundary = sorted(
-            {q for pe in round0 for q in pe.z_measure_set}, reverse=True
-        )
+        boundary = sorted({q for pe in round0 for q in pe.z_measure_set})
         joint = {}
         for e in range(1 << g.n):
             w = 1.0
@@ -189,9 +192,7 @@ class TestExtractionStatistics:
                 key = []
                 for pe in round0:
                     u, v = pe.edge
-                    du = u - sum(1 for q in boundary if q < u)
-                    dv = v - sum(1 for q in boundary if q < v)
-                    key.append((st.z_errors >> du & 1) | (st.z_errors >> dv & 1) << 1)
+                    key.append((st.z_errors >> u & 1) | (st.z_errors >> v & 1) << 1)
                 key = tuple(key)
                 joint[key] = joint.get(key, 0.0) + w * 0.5 ** len(boundary)
         want = from_z_noise(p).probs
@@ -293,10 +294,10 @@ class TestCompiledParityChecks:
             assert engine.ideal == _residual_is_zero(compiled, combo), combo
 
     def test_too_many_edges_names_the_edge_count(self):
-        with pytest.raises(CapacityError, match="40 edges.*at most 32 edges"):
-            run_drpp(grid_graph([5, 5]), 0.1, shots=1)
-        with pytest.raises(CapacityError, match="32 edges and 1 isolated"):
-            run_drpp(Graph.from_edges(34, [(v, v + 1) for v in range(32)]), 0.1, shots=1)
+        with pytest.raises(CapacityError, match="144 edges.*at most 128 edges"):
+            run_drpp(grid_graph([4, 4, 4]), 0.1, shots=1)
+        with pytest.raises(CapacityError, match="128 edges and 1 isolated"):
+            run_drpp(Graph.from_edges(130, [(v, v + 1) for v in range(128)]), 0.1, shots=1)
 
 
 _CORRUPT_REBUILD = """

@@ -10,7 +10,6 @@ from graphpurify.thermal import (
     P_STAR,
     ThermalModel,
     critical_temperature,
-    is_purifiable,
     purifiable_at,
     temperature_for_p,
 )
@@ -81,11 +80,6 @@ class TestPurifiability:
         assert not purifiable_at(P_STAR)
         assert purifiable_at(P_STAR - 1e-12)
         assert not purifiable_at(P_STAR + 1e-12)
-
-    def test_model_verdict_matches_p_verdict(self):
-        for t in (0.3, 0.9, 1.1, 1.13, 1.14, 2.0):
-            m = ThermalModel(B=1.0, T=t)
-            assert is_purifiable(m) == purifiable_at(m.error_prob())
 
     def test_p_star_value(self):
         assert P_STAR == pytest.approx(1 - 1 / math.sqrt(2), rel=1e-15)

@@ -104,7 +104,7 @@ def _drop_pivot_frame_spread(monkeypatch):
         if pivot is not None:
             for x in range(g.n):
                 if x != pivot and g.adj[m] >> x & 1:
-                    f[x - (x > m)] ^= f_before[pivot]
+                    f[x] ^= f_before[pivot]
         return out
 
     monkeypatch.setattr(pattern, "_measure_x", mutant)
@@ -117,7 +117,7 @@ def _drop_far_half_frame(monkeypatch):
     def mutant(batch, u, v, pair_u, pair_v, rng=None, forced_outcomes=None):
         res = real(batch, u, v, pair_u, pair_v, rng, forced_outcomes)
         frame = list(res.batch.frame_rows)
-        frame[res.vertex_map.index(u)] ^= batch.frame_rows[pair_v]
+        frame[u] ^= batch.frame_rows[pair_v]
         wrong = dataclasses.replace(res.batch, frame_rows=tuple(frame))
         return dataclasses.replace(res, batch=wrong)
 
