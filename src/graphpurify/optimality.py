@@ -219,10 +219,10 @@ def build_reconstruction(g: Graph, side_a, p: float) -> np.ndarray:
 
 
 def _product_flip_vector(probs: tuple[float, ...]) -> np.ndarray:
-    cols = [np.array([1.0 - q, q]) for q in probs]
-    if not cols:
-        return np.ones(1)
-    return reduce(np.kron, reversed(cols))  # vertex 0 in the low bit
+    v = np.ones(1)
+    for q in reversed(probs):  # vertex 0 in the low bit
+        v = np.outer(v, (1.0 - q, q)).ravel()
+    return v
 
 
 def _analytic_trace_distance(g: Graph, side_a, p: float) -> float:

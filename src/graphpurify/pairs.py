@@ -9,6 +9,12 @@ the other), and the pair is kept only on outcome coincidence.  The kept
 pair's class distribution follows the quadratic map implemented here; the
 pre-rotation is chosen greedily each round to maximize the output fidelity.
 
+One kernel, ``_round``, runs every round: it works on plain 4-tuples, scores
+the three pre-rotations by output fidelity alone and builds the full output
+for the winner only.  ``recurrence_pairing``, ``recurrence_step``,
+``distill_trace`` and ``composite_r2`` all call it, and only what they hand
+back is wrapped in a validated ``BellDiagonal``.
+
 All formulas are validated against dense two-pair circuit simulation in the
 test suite; nothing here depends on the dense layer.
 """
@@ -43,13 +49,6 @@ PAIRING_GATES: dict[int, tuple[str, str]] = {
     3: ("rx90", "s_dagger"),  # swaps Z_a <-> Z_aZ_b
 }
 
-# Permutation sending class index -> slot index for each pairing choice.
-_PAIRING_PERM: dict[int, tuple[int, int, int, int]] = {
-    1: (0, 1, 2, 3),
-    2: (0, 2, 1, 3),
-    3: (0, 3, 2, 1),
-}
-
 @dataclass(frozen=True)
 class BellDiagonal:
     """Probabilities of the error classes (I, Z_a, Z_b, Z_aZ_b), in order."""
@@ -77,28 +76,44 @@ def from_z_noise(p: float) -> BellDiagonal:
     return BellDiagonal((q * q, p * q, p * q, p * p))
 
 
-def _core_map(slots: tuple[float, float, float, float]) -> tuple[tuple[float, float, float, float], float]:
-    a, b, c, d = slots
-    n = (a + b) ** 2 + (c + d) ** 2
-    if n <= 0.0:
-        raise ParameterError("recurrence success probability vanished")
-    out = ((a * a + b * b) / n, 2.0 * a * b / n, (c * c + d * d) / n, 2.0 * c * d / n)
-    if max(slots) <= 0.5:
-        # a slot at or below 1/2 provably cannot map above it (the tight
-        # case is (a-b)^2 <= (c+d)^2, i.e. a <= 1/2); rounding may still
-        # overshoot by an ulp, which would fake a purifiable state
-        out = tuple(min(q, 0.5) for q in out)
-    return out, n
+# Classes moved into the slots b, c, d of the core map by each pre-rotation
+# (class 0 always sits in slot a); pairing k is entry k - 1.
+_PAIRING_SLOTS = ((1, 2, 3), (2, 1, 3), (3, 2, 1))
 
 
-def _step_with(bd: BellDiagonal, pairing: int) -> tuple[BellDiagonal, float]:
-    perm = _PAIRING_PERM[pairing]
-    slots = [0.0] * 4
-    for cls, q in enumerate(bd.probs):
-        slots[perm[cls]] = q
-    out_slots, n = _core_map(tuple(slots))
-    out = tuple(out_slots[perm[cls]] for cls in range(4))
-    return BellDiagonal(out), n
+def _round(q: tuple[float, float, float, float]) -> tuple[tuple[float, float, float, float], float, int]:
+    """One greedy recurrence round on the class probabilities ``q``.
+
+    Returns the kept pair's class probabilities, the coincidence (success)
+    probability and the pairing used.  The pairing is the one whose output
+    fidelity is largest, ties to the smallest index; only its full output is
+    built.  With the classes in slots (a, b, c, d) the core map is
+    ((a^2 + b^2)/n, 2ab/n, (c^2 + d^2)/n, 2cd/n), n = (a + b)^2 + (c + d)^2.
+    """
+    a = q[0]
+    clamp = max(q) <= 0.5
+    best_fid = -1.0
+    for pairing, (i, j, k) in enumerate(_PAIRING_SLOTS, 1):
+        b = q[i]
+        n = (a + b) ** 2 + (q[j] + q[k]) ** 2
+        if n <= 0.0:
+            raise ParameterError("recurrence success probability vanished")
+        fid = (a * a + b * b) / n
+        if clamp:
+            # a slot at or below 1/2 provably cannot map above it (the tight
+            # case is (a-b)^2 <= (c+d)^2, i.e. a <= 1/2); rounding may still
+            # overshoot by an ulp, which would fake a purifiable state
+            fid = min(fid, 0.5)
+        if fid > best_fid:
+            best, best_fid, best_n = pairing, fid, n
+    i, j, k = _PAIRING_SLOTS[best - 1]
+    b, c, d, n = q[i], q[j], q[k], best_n
+    out = [best_fid, 2.0 * a * b / n, (c * c + d * d) / n, 2.0 * c * d / n]
+    if clamp:
+        out[1:] = [min(x, 0.5) for x in out[1:]]
+    kept = [best_fid, 0.0, 0.0, 0.0]
+    kept[i], kept[j], kept[k] = out[1], out[2], out[3]
+    return tuple(kept), n, best
 
 
 def recurrence_pairing(bd: BellDiagonal) -> int:
@@ -107,18 +122,18 @@ def recurrence_pairing(bd: BellDiagonal) -> int:
     Greedy: the choice (1, 2 or 3) whose one-round output fidelity is
     largest, ties to the smallest index.  Deterministic by construction.
     """
-    best, best_fid = 1, -1.0
-    for pairing in (1, 2, 3):
-        fid = _step_with(bd, pairing)[0].fidelity
-        if fid > best_fid:
-            best, best_fid = pairing, fid
-    return best
+    return _round(bd.probs)[2]
 
 
 def recurrence_step(bd: BellDiagonal) -> tuple[BellDiagonal, float]:
     """One two-copy round with the greedy pre-rotation; returns the kept
     pair's distribution and the coincidence (success) probability."""
-    return _step_with(bd, recurrence_pairing(bd))
+    out, n, _ = _round(bd.probs)
+    return BellDiagonal(out), n
+
+
+def _stuck(nxt: tuple[float, ...], cur: tuple[float, ...]) -> bool:
+    return all(abs(x - y) <= 1e-15 for x, y in zip(nxt, cur))
 
 
 @dataclass(frozen=True)
@@ -138,25 +153,24 @@ def distill_trace(
         raise ParameterError("target fidelity must lie in [0, 1)")
     if max_rounds < 0:
         raise ParameterError("max_rounds must be nonnegative")
-    cur = bd
+    cur = bd.probs
     probs: list[float] = []
     pairings: list[int] = []
     cost = 1.0
-    while cur.fidelity < target_fidelity and len(probs) < max_rounds:
-        pairing = recurrence_pairing(cur)
-        nxt, n = _step_with(cur, pairing)
+    while cur[0] < target_fidelity and len(probs) < max_rounds:
+        nxt, n, pairing = _round(cur)
         probs.append(n)
         pairings.append(pairing)
         cost *= 2.0 / n
-        stuck = all(abs(x - y) <= 1e-15 for x, y in zip(nxt.probs, cur.probs))
+        stuck = _stuck(nxt, cur)
         cur = nxt
         if stuck:
             break
     return DistillTrace(
-        converged=cur.fidelity >= target_fidelity,
+        converged=cur[0] >= target_fidelity,
         rounds=len(probs),
         expected_pairs=cost,
-        final=cur,
+        final=BellDiagonal(cur),
         success_probs=tuple(probs),
         pairings=tuple(pairings),
     )
@@ -164,12 +178,16 @@ def distill_trace(
 
 def hashing_yield(bd: BellDiagonal) -> float:
     """max(0, 1 - H2(probs)): asymptotic Bell pairs per input pair."""
-    if max(bd.probs) <= 0.5:
+    return _hashing_yield(bd.probs)
+
+
+def _hashing_yield(probs: tuple[float, ...]) -> float:
+    if max(probs) <= 0.5:
         # entropy >= -log2(max prob) >= 1 bit: the yield is exactly zero,
         # and skipping the float sum keeps it free of rounding dust
         return 0.0
     h = 0.0
-    for q in bd.probs:
+    for q in probs:
         if q > 0.0:
             h -= q * math.log2(q)
     return max(0.0, 1.0 - h)
@@ -185,17 +203,17 @@ def composite_r2(bd: BellDiagonal) -> float:
     survival never grows, so once survival is at most the best candidate no
     later round can beat it; the chain also stops at a fixed point.
     """
-    if max(bd.probs) <= 0.5:
+    cur = bd.probs
+    if max(cur) <= 0.5:
         return 0.0
-    best = hashing_yield(bd)
+    best = _hashing_yield(cur)
     survival = 1.0
-    cur = bd
     while survival > best:
-        nxt, n = recurrence_step(cur)
+        nxt, n, _ = _round(cur)
         survival *= n / 2.0
-        stuck = all(abs(x - y) <= 1e-15 for x, y in zip(nxt.probs, cur.probs))
+        stuck = _stuck(nxt, cur)
         cur = nxt
-        best = max(best, survival * hashing_yield(cur))
+        best = max(best, survival * _hashing_yield(cur))
         if stuck:
             break
     return best

@@ -36,6 +36,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CapacityError, InvariantError, ParameterError
 from .graphs import MAX_VERTICES, Graph
@@ -66,6 +67,9 @@ __all__ = [
 ]
 
 CHUNK_SHOTS = 4096
+# Plans memoised per graph: a process plans a handful of graphs, each many
+# times (every rate-grid point, every simulate call).
+_PLAN_CACHE_SIZE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +85,6 @@ class PairExtraction:
 @dataclass(frozen=True)
 class ExtractionPlan:
     rounds: tuple[tuple[PairExtraction, ...], ...]
-    coverage: dict  # edge -> round index
 
     @property
     def n_geo(self) -> int:
@@ -92,34 +95,38 @@ def _closed_mask(g: Graph, u: int, v: int) -> int:
     return (1 << u) | (1 << v) | g.adj[u] | g.adj[v]
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def plan_extraction(g: Graph) -> ExtractionPlan:
     """Greedy first-fit partition of edges into simultaneous rounds.
 
     Edges are taken in sorted order; an edge joins the first round where no
     already-placed pair has it inside its closed neighborhood (the test is
-    symmetric, so neither pair disturbs the other's extraction).
+    symmetric, so neither pair disturbs the other's extraction).  The plan
+    depends only on the graph, so it is memoised per graph and shared
+    between callers; it is immutable.
     """
     rounds: list[list[tuple[int, int]]] = []
     blockers: list[int] = []
-    coverage: dict[tuple[int, int], int] = {}
     for u, v in sorted(g.edges()):
         bits = (1 << u) | (1 << v)
         for i, blocked in enumerate(blockers):
             if blocked & bits == 0:
                 rounds[i].append((u, v))
                 blockers[i] |= _closed_mask(g, u, v)
-                coverage[(u, v)] = i
                 break
         else:
             rounds.append([(u, v)])
             blockers.append(_closed_mask(g, u, v))
-            coverage[(u, v)] = len(rounds) - 1
 
     built = []
     for members in rounds:
         items = []
+        occupied = measured = 0
         for u, v in members:
-            zset = (g.adj[u] | g.adj[v]) & ~((1 << u) | (1 << v))
+            pair = (1 << u) | (1 << v)
+            zset = (g.adj[u] | g.adj[v]) & ~pair
+            occupied |= pair
+            measured |= zset
             items.append(
                 PairExtraction(
                     edge=(u, v),
@@ -128,14 +135,13 @@ def plan_extraction(g: Graph) -> ExtractionPlan:
                     ),
                 )
             )
+        # read from the built sets, not the blockers: no Z measurement of the
+        # round may hit a pair (pairs sharing a vertex fail too, since each
+        # one's far end is in the other's set)
+        if measured & occupied:
+            raise InvariantError("round contains interfering pairs")
         built.append(tuple(items))
-        for a in items:
-            for b in items:
-                if a is not b and _closed_mask(g, *a.edge) & (
-                    (1 << b.edge[0]) | (1 << b.edge[1])
-                ):
-                    raise InvariantError("round contains interfering pairs")
-    return ExtractionPlan(rounds=tuple(built), coverage=coverage)
+    return ExtractionPlan(rounds=tuple(built))
 
 
 def n_geo_formula(family: str) -> int | None:

@@ -9,9 +9,12 @@ documented exactness condition (every cross degree at most one).
 
 import math
 import os
+import random
 import subprocess
 import sys
+from functools import reduce
 
+import numpy as np
 import pytest
 
 import graphpurify
@@ -31,6 +34,7 @@ from graphpurify.optimality import (
     reconstruction_plan,
     verify_reconstruction,
 )
+from graphpurify.optimality import _product_flip_vector  # white-box: the flip model
 
 
 class TestReconstructionPlan:
@@ -155,6 +159,16 @@ class TestVerifyReconstruction:
         res = verify_reconstruction(g, side, 0.1)
         assert res.method == "analytic"
         assert not res.ok
+
+    def test_flip_vector_equals_the_kron_fold(self):
+        # the outer-product fold must multiply in the kron fold's order, so
+        # the two arrays are equal, not merely close
+        rng = random.Random(17)
+        for n in range(13):
+            probs = tuple(rng.uniform(0.0, 0.5) for _ in range(n))
+            cols = [np.array([1.0 - q, q]) for q in probs]
+            want = reduce(np.kron, reversed(cols)) if cols else np.ones(1)
+            assert np.array_equal(_product_flip_vector(probs), want), n
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ParameterError):

@@ -1,4 +1,5 @@
-"""Property tests of the bit-sliced engine and the extraction planner.
+"""Property tests of the bit-sliced engine, the extraction planner and the
+pair recurrence.
 
 The exhaustive oracle sweep covers every graph on at most 5 vertices; these
 draw larger and less regular cases.  Every batched rule must act on each
@@ -6,7 +7,10 @@ column exactly as a width-1 run on that column alone, its Z-error rows must
 be XOR-linear in the input errors, and a measured qubit must come out as an
 isolated qubit with zero rows.  The planner must put each edge in exactly one
 round on graphs far past the sweep's size, and the compiled run must pass
-every structural check there.
+every structural check there.  The recurrence's one-round kernel must give
+exactly (``==``) what a slow reference over validated ``BellDiagonal``s
+gives: three full probe steps through a class permutation, then the chosen
+step again.
 """
 
 import itertools
@@ -15,6 +19,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphpurify.graphs import MAX_VERTICES, Graph
+from graphpurify.pairs import (
+    BellDiagonal,
+    DistillTrace,
+    composite_r2,
+    distill_trace,
+    from_z_noise,
+    hashing_yield,
+    recurrence_pairing,
+    recurrence_step,
+)
 from graphpurify.pattern import FrameBatch, batch_measure_z, batch_merge, batch_splice
 from graphpurify.protocol import _compile, plan_extraction
 
@@ -119,5 +133,113 @@ def test_plan_covers_each_edge_once_and_compiles(g):
     plan = plan_extraction(g)
     placed = [pe.edge for members in plan.rounds for pe in members]
     assert sorted(placed) == g.edges()
-    assert all(plan.coverage[pe.edge] == i for i, ms in enumerate(plan.rounds) for pe in ms)
+    assert all(sum(e in {pe.edge for pe in ms} for ms in plan.rounds) == 1 for e in g.edges())
     assert _compile(g, plan).ideal
+
+
+# -- the pair recurrence against a slow reference ---------------------------
+
+# class index -> core-map slot for each pairing
+_REF_PERM = {1: (0, 1, 2, 3), 2: (0, 2, 1, 3), 3: (0, 3, 2, 1)}
+
+
+def _ref_step_with(bd: BellDiagonal, pairing: int) -> tuple[BellDiagonal, float]:
+    perm = _REF_PERM[pairing]
+    slots = [0.0] * 4
+    for cls, q in enumerate(bd.probs):
+        slots[perm[cls]] = q
+    a, b, c, d = slots
+    n = (a + b) ** 2 + (c + d) ** 2
+    out = ((a * a + b * b) / n, 2.0 * a * b / n, (c * c + d * d) / n, 2.0 * c * d / n)
+    if max(slots) <= 0.5:
+        out = tuple(min(q, 0.5) for q in out)
+    return BellDiagonal(tuple(out[perm[cls]] for cls in range(4))), n
+
+
+def _ref_pairing(bd: BellDiagonal) -> int:
+    best, best_fid = 1, -1.0
+    for pairing in (1, 2, 3):
+        fid = _ref_step_with(bd, pairing)[0].fidelity
+        if fid > best_fid:
+            best, best_fid = pairing, fid
+    return best
+
+
+def _ref_stuck(nxt: BellDiagonal, cur: BellDiagonal) -> bool:
+    return all(abs(x - y) <= 1e-15 for x, y in zip(nxt.probs, cur.probs))
+
+
+def _ref_distill_trace(bd: BellDiagonal, target: float, max_rounds: int) -> DistillTrace:
+    cur, probs, pairings, cost = bd, [], [], 1.0
+    while cur.fidelity < target and len(probs) < max_rounds:
+        pairing = _ref_pairing(cur)
+        nxt, n = _ref_step_with(cur, pairing)
+        probs.append(n)
+        pairings.append(pairing)
+        cost *= 2.0 / n
+        stuck = _ref_stuck(nxt, cur)
+        cur = nxt
+        if stuck:
+            break
+    return DistillTrace(
+        converged=cur.fidelity >= target,
+        rounds=len(probs),
+        expected_pairs=cost,
+        final=cur,
+        success_probs=tuple(probs),
+        pairings=tuple(pairings),
+    )
+
+
+def _ref_composite_r2(bd: BellDiagonal) -> float:
+    if max(bd.probs) <= 0.5:
+        return 0.0
+    best, survival, cur = hashing_yield(bd), 1.0, bd
+    while survival > best:
+        nxt, n = _ref_step_with(cur, _ref_pairing(cur))
+        survival *= n / 2.0
+        stuck = _ref_stuck(nxt, cur)
+        cur = nxt
+        best = max(best, survival * hashing_yield(cur))
+        if stuck:
+            break
+    return best
+
+
+def _normalized(raw: list[float]) -> BellDiagonal:
+    total = sum(raw)
+    probs = [x / total for x in raw[:3]]
+    return BellDiagonal((*probs, max(0.0, 1.0 - sum(probs))))
+
+
+@st.composite
+def _bell_diagonals(draw) -> BellDiagonal:
+    kind = draw(st.sampled_from(("z-noise", "any", "dominant", "flat", "half")))
+    if kind == "z-noise":
+        return from_z_noise(draw(st.floats(0.0, 0.5)))
+    if kind == "half":
+        # one or two classes at or just below 1/2, the tight cases of the
+        # map's <= 1/2 clamp: unclamped, rounding lifts some outputs past 1/2
+        top = [0.5 - draw(st.floats(0.0, 1e-9)) for _ in range(draw(st.integers(1, 2)))]
+        rest = [draw(st.floats(0.0, 1.0)) for _ in range(4 - len(top))]
+        assume(sum(rest) > 0.0)
+        probs = top + [(1.0 - sum(top)) * x / sum(rest) for x in rest]
+        return BellDiagonal(tuple(draw(st.permutations(probs))))
+    if kind == "flat":
+        # each weight within a factor 2 of the others: every class <= 2/5
+        return _normalized([draw(st.floats(1.0, 2.0)) for _ in range(4)])
+    raw = [draw(st.floats(0.0, 1.0)) for _ in range(4)]
+    if kind == "dominant":
+        # any class, Z_a, Z_b or Z_aZ_b included, well above the rest
+        raw[draw(st.integers(0, 3))] += draw(st.floats(1.0, 1e3))
+    assume(sum(raw) > 0.0)
+    return _normalized(raw)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_bell_diagonals(), st.floats(0.0, 0.9999), st.integers(0, 40))
+def test_recurrence_matches_the_probe_reference_exactly(bd, target, max_rounds):
+    assert recurrence_pairing(bd) == _ref_pairing(bd)
+    assert recurrence_step(bd) == _ref_step_with(bd, _ref_pairing(bd))
+    assert distill_trace(bd, target, max_rounds) == _ref_distill_trace(bd, target, max_rounds)
+    assert composite_r2(bd) == _ref_composite_r2(bd)

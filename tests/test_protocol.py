@@ -18,7 +18,8 @@ import sys
 import pytest
 
 import graphpurify
-from graphpurify.errors import CapacityError, ParameterError
+from graphpurify import protocol
+from graphpurify.errors import CapacityError, InvariantError, ParameterError
 from graphpurify.graphs import Graph, cycle_graph, grid_graph, parse_family, path_graph, star_graph
 from graphpurify.pairs import distill_trace, from_z_noise
 from graphpurify.pattern import PatternState, measure_z
@@ -66,7 +67,7 @@ class TestPlanExtraction:
     @pytest.mark.parametrize("g", _PLAN_GRAPHS, ids=lambda g: f"n{g.n}e{g.edge_count()}")
     def test_plan_is_valid(self, g):
         plan = plan_extraction(g)
-        seen = []
+        rounds_of: dict[tuple[int, int], list[int]] = {}
         for i, members in enumerate(plan.rounds):
             assert members, "empty round"
             for a, b in itertools.combinations(members, 2):
@@ -78,9 +79,9 @@ class TestPlanExtraction:
                 assert pe.z_measure_set == tuple(
                     q for q in range(g.n) if want >> q & 1
                 )
-                assert plan.coverage[pe.edge] == i
-                seen.append(pe.edge)
-        assert sorted(seen) == sorted(g.edges())
+                rounds_of.setdefault(pe.edge, []).append(i)
+        assert sorted(rounds_of) == sorted(g.edges())
+        assert all(len(found) == 1 for found in rounds_of.values())
         assert plan.n_geo == len(plan.rounds)
 
     def test_round_counts_for_known_families(self):
@@ -103,6 +104,22 @@ class TestPlanExtraction:
         # not exceed the 3d^2 family count
         g = parse_family(family)
         assert plan_extraction(g).n_geo <= n_geo_formula(family)
+
+    def test_equal_graphs_share_one_plan(self):
+        a = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        b = Graph.from_edges(5, [(3, 4), (1, 2), (0, 1)])
+        assert a is not b and a == b
+        assert plan_extraction(a) is plan_extraction(b)
+
+    def test_interfering_round_raises_on_every_call(self, monkeypatch):
+        # blockers covering only the pair itself let first-fit put (0, 1) and
+        # (2, 3) of path:4 in one round, though 2 is in (0, 1)'s Z set; a
+        # failed plan is never cached, so the second call raises too
+        monkeypatch.setattr(protocol, "_closed_mask", lambda g, u, v: (1 << u) | (1 << v))
+        plan_extraction.cache_clear()
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="interfering"):
+                plan_extraction(path_graph(4))
 
     def test_edgeless_graph_has_no_rounds(self):
         plan = plan_extraction(Graph.from_edges(3, []))
