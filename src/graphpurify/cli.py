@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 from . import __version__
 from .errors import CapacityError, InvariantError, ParameterError
@@ -404,7 +405,9 @@ def _add_common(sub, *, noise=False, mc=False) -> None:
                          help="pair fidelity the recurrence must reach")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="graphpurify",
         description="Thermal graph-state purification: thresholds, rates, simulation.",

@@ -98,24 +98,9 @@ def pauli_projector(axis: str, outcome: int) -> np.ndarray:
     return (I2 + s * PAULIS[axis]) / 2.0
 
 
-def project_vec(psi: np.ndarray, axis: str, qubit: int, outcome: int) -> np.ndarray:
-    """Unnormalized branch after measuring ``axis`` on ``qubit``."""
-    return apply_unitary_vec(psi, pauli_projector(axis, outcome), (qubit,))
-
-
 def project_rho(rho: np.ndarray, axis: str, qubit: int, outcome: int) -> np.ndarray:
     P = pauli_projector(axis, outcome)
     return apply_unitary_rho(rho, P, (qubit,))
-
-
-def measure_pauli_rho(rho: np.ndarray, axis: str, qubit: int, outcome: int
-                      ) -> tuple[float, np.ndarray]:
-    """(probability, normalized post-state); probability may be 0."""
-    branch = project_rho(rho, axis, qubit, outcome)
-    p = float(np.real(np.trace(branch)))
-    if p <= 1e-300:
-        return 0.0, branch
-    return p, branch / p
 
 
 def partial_trace(rho: np.ndarray, keep: list[int]) -> np.ndarray:
@@ -139,14 +124,6 @@ def fidelity_vec(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0 or nb == 0:
         raise ParameterError("zero vector has no fidelity")
     return float(abs(np.vdot(a, b)) ** 2 / (na * nb) ** 2)
-
-
-def fidelity_vec_rho(psi: np.ndarray, rho: np.ndarray) -> float:
-    n = np.linalg.norm(psi)
-    if n == 0:
-        raise ParameterError("zero vector has no fidelity")
-    v = psi / n
-    return float(np.real(np.vdot(v, rho @ v)))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -274,15 +251,6 @@ def _popcount(x: np.ndarray) -> np.ndarray:
 
 
 # -- state-validity contracts ---------------------------------------------------
-
-
-def check_state_vector(psi: np.ndarray, atol: float = 1e-12) -> None:
-    """Raise unless psi is a unit-norm vector on a whole number of qubits."""
-    if psi.ndim != 1:
-        raise ParameterError("state vector must be one-dimensional")
-    _nqubits(psi.shape[0])
-    if abs(np.linalg.norm(psi) - 1.0) > atol:
-        raise ParameterError("state vector is not normalized")
 
 
 def check_density_matrix(rho: np.ndarray, atol: float = 1e-12,

@@ -3,9 +3,11 @@
 All protocol code manipulates neighborhoods as Python ints used as bitsets
 (bit v set <=> vertex v present).  Vertex labels are stable: the pattern
 engine leaves a measured vertex in place with no bonds instead of deleting
-it, so ``delete_vertex`` (which renumbers) serves only the dense oracle's
-comparison.  Python ints are unbounded, but a graph costs about n^2/2 bits,
-so vertex counts are capped at ``MAX_VERTICES``.
+it, and the dense oracle reads measured qubits as basis rows where they are
+0, so nothing in the package calls ``delete_vertex`` (which renumbers); it
+stays a public graph edit that ``perfbench``'s tracer spans.  Python ints
+are unbounded, but a graph costs about n^2/2 bits, so vertex counts are
+capped at ``MAX_VERTICES``.
 """
 
 from __future__ import annotations

@@ -67,8 +67,8 @@ __all__ = [
 ]
 
 CHUNK_SHOTS = 4096
-# Plans memoised per graph: a process plans a handful of graphs, each many
-# times (every rate-grid point, every simulate call).
+# Plans and compiled rebuilds memoised per graph: a process plans a handful
+# of graphs, each many times (every rate-grid point, every simulate call).
 _PLAN_CACHE_SIZE = 64
 
 
@@ -407,13 +407,16 @@ def _check_capacity(edges: int, isolated: int) -> None:
     )
 
 
-def _compile(g: Graph, plan: ExtractionPlan) -> _Rebuild:
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _compile(g: Graph) -> _Rebuild:
     """Run extraction and rebuild through the engine once, error-free.
 
     Outcomes do not change the rewiring or the Z-error map, so a fixed
-    generator serves; its draws never reach the shots.
+    generator serves; its draws never reach the shots.  Memoised per graph
+    (the result is immutable); a failed check raises on every call, since
+    ``lru_cache`` caches no exception.
     """
-    _check_extraction(g, plan)
+    _check_extraction(g, plan_extraction(g))
     compiled = _rebuild(g, {e: 0 for e in g.edges()}, random.Random(0))
     if not compiled.ideal:
         raise InvariantError("error-free rebuild left a residual error")
@@ -480,7 +483,7 @@ def run_drpp(
             **common,
         )
 
-    compiled = _compile(g, plan)
+    compiled = _compile(g)
     specs = []
     done = 0
     chunk_index = 0

@@ -9,15 +9,24 @@ engine operation is replayed on the panel with elementary row operations
 The engine side runs on the same columns as one bit-sliced ``FrameBatch``
 (bit c of each qubit's row is column c), built once per graph: each CZ,
 Z measurement, merge and splice runs once per forced-outcome branch for all
-columns together.  The engine keeps a measured qubit at its index as an
-isolated, error-free |+>, while the panel drops it, so a panel row is found
-from a qubit label by skipping the measured labels below it.  Before the
-comparison the batch is restricted to its unmeasured qubits, and a column
-whose measured qubits are not isolated or carry a nonzero error or frame bit
-counts as a mismatch.  The engine's claimed output state of every surviving
-column is expanded into a +-1 panel, and the two must agree column-by-column
-up to a scalar — checked by integer cross-multiplication, so the comparison
-is exact rather than to a float tolerance.  A claimed-impossible branch (the
+columns together.  The dense side is compared once per operation site: all
+CZ pairs of a graph, both outcomes of one Z measurement, every outcome tuple
+of one merge party, the four outcomes of one splice.  The site's dense
+branches sit side by side in one wide panel (a merge or splice replay emits
+both X outcomes of every branch at each measurement), and the engine's rows
+of branch b are shifted by b times the batch width, so one un-slicing and one
+exact comparison check every column of the site.
+
+The engine keeps a measured qubit at its index as an isolated, error-free
+|+>, while the panel drops it.  So a panel row is found from a qubit label by
+skipping the measured labels below it, and the engine's claimed panel is
+built on its full-width post-graph and restricted to the basis rows where
+every measured qubit reads 0, which map onto the panel's rows in order.  A
+column whose measured qubits are not isolated or carry a nonzero error or
+frame bit counts as a mismatch.  Every surviving column must agree with its
+claimed one up to a scalar — checked by exact integer cross-multiplication,
+not to a float tolerance (a claimed column is +1 on basis state 0, so the
+scalar is the dense column's first entry).  A claimed-impossible branch (the
 batch drops the column from ``alive``) must correspond to an exactly zero
 column, and vice versa.
 
@@ -29,23 +38,30 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .dense import cz_diagonal
-from .errors import ParameterError
+from .errors import InvariantError, ParameterError
 from .graphs import Graph, _bits
 from .pattern import FrameBatch, batch_cz, batch_measure_z, batch_merge, batch_splice
 
 __all__ = ["SweepReport", "run_oracle_sweep", "check_graph"]
 
 _MAX_FAILURES_KEPT = 25
+# constant memo bounds: CZ diagonals per post-graph (about 1 KB each on the
+# sweep's <= 6 qubits; 1024 keep most of the 5-vertex sweep's post-graphs),
+# and sign and row vectors per (n, qubits)
+_DIAGONAL_CACHE_SIZE = 1024
+_SMALL_CACHE_SIZE = 256
 
 # sign of (-1)^popcount(x) for x < 2^16 — plenty for <= 8-qubit panels
 _PARITY = np.zeros(1 << 16, dtype=np.int64)
 for _b in range(16):
     _PARITY[1 << _b : 2 << _b] = _PARITY[: 1 << _b] ^ 1
 _SIGN = 1 - 2 * _PARITY
+_BIT_WEIGHTS = np.left_shift(1, np.arange(63, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -61,18 +77,42 @@ class SweepReport:
         return self.mismatches == 0
 
 
+@lru_cache(maxsize=_DIAGONAL_CACHE_SIZE)
+def _diagonal(g: Graph) -> np.ndarray:
+    """``cz_diagonal(g)``, memoised: the branches of one site mostly share a post-graph."""
+    diag = cz_diagonal(g)
+    diag.flags.writeable = False
+    return diag
+
+
+@lru_cache(maxsize=_SMALL_CACHE_SIZE)
+def _cz_sign(n: int, u: int, v: int) -> np.ndarray:
+    rows = np.arange(1 << n, dtype=np.int64)
+    sign = 1 - 2 * ((rows >> u) & (rows >> v) & 1)
+    sign.flags.writeable = False
+    return sign
+
+
+@lru_cache(maxsize=_SMALL_CACHE_SIZE)
+def _kept_rows(n: int, measured: int) -> np.ndarray:
+    """Basis rows on n qubits where every qubit in the mask ``measured`` reads 0.
+
+    In increasing order they are the rows of the panel without those qubits.
+    """
+    rows = np.flatnonzero((np.arange(1 << n) & measured) == 0)
+    rows.flags.writeable = False
+    return rows
+
+
 def _pattern_panel(g: Graph, physical: list[int]) -> np.ndarray:
     """Columns of unnormalized Z^g |psi_G> vectors, one per pattern."""
     rows = np.arange(1 << g.n, dtype=np.int64)
-    base = cz_diagonal(g)
     pats = np.asarray(physical, dtype=np.int64)
-    return base[:, None] * _SIGN[rows[:, None] & pats[None, :]]
+    return _diagonal(g)[:, None] * _SIGN[rows[:, None] & pats[None, :]]
 
 
 def _cz_rows(panel: np.ndarray, n: int, u: int, v: int) -> np.ndarray:
-    rows = np.arange(1 << n, dtype=np.int64)
-    flip = ((rows >> u) & (rows >> v) & 1).astype(np.int64)
-    return panel * (1 - 2 * flip)[:, None]
+    return panel * _cz_sign(n, u, v)[:, None]
 
 
 def _split(panel: np.ndarray, n: int, v: int):
@@ -81,32 +121,36 @@ def _split(panel: np.ndarray, n: int, v: int):
     return r[:, 0], r[:, 1]
 
 
-def _project_x_rows(panel: np.ndarray, n: int, v: int, bit: int) -> np.ndarray:
-    lo, hi = _split(panel, n, v)
-    out = lo + hi if bit == 0 else lo - hi
-    return out.reshape(1 << (n - 1), panel.shape[1])
+def _x_branches(panel: np.ndarray, n: int, v: int, width: int) -> np.ndarray:
+    """Project qubit v onto X = +1 and X = -1 in every column block of ``width``.
 
-
-def _project_z_rows(panel: np.ndarray, n: int, v: int, bit: int) -> np.ndarray:
+    Block b of the result's 2x wider panel becomes blocks 2b (+1) and 2b + 1
+    (-1), so repeated calls lay branches out in ``itertools.product`` order.
+    """
     lo, hi = _split(panel, n, v)
-    return (hi if bit else lo).reshape(1 << (n - 1), panel.shape[1])
+    shape = lo.shape[:2] + (panel.shape[1] // width, 1, width)
+    lo, hi = lo.reshape(shape), hi.reshape(shape)
+    out = np.empty(shape[:3] + (2, width), dtype=panel.dtype)
+    np.add(lo, hi, out=out[:, :, :, :1])
+    np.subtract(lo, hi, out=out[:, :, :, 1:])
+    return out.reshape(1 << (n - 1), 2 * panel.shape[1])
 
 
 def _h_rows(panel: np.ndarray, n: int, v: int) -> np.ndarray:
     lo, hi = _split(panel, n, v)
-    out = np.stack((lo + hi, lo - hi), axis=1)
-    return out.reshape(1 << n, panel.shape[1])
+    out = np.empty((lo.shape[0], 2) + lo.shape[1:], dtype=panel.dtype)
+    np.add(lo, hi, out=out[:, 0])
+    np.subtract(lo, hi, out=out[:, 1])
+    return out.reshape(panel.shape)
 
 
 def _columns(rows, width: int) -> np.ndarray:
     """Un-slice: entry c has bit q set when bit c of rows[q] is set."""
+    rows = list(rows)
     nbytes = (width + 7) // 8
-    out = np.zeros(width, dtype=np.int64)
-    for q, row in enumerate(rows):
-        raw = np.frombuffer(row.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, count=width, bitorder="little")
-        out |= bits.astype(np.int64) << q
-    return out
+    raw = np.frombuffer(b"".join(row.to_bytes(nbytes, "little") for row in rows), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(rows), nbytes), axis=1, count=width, bitorder="little")
+    return _BIT_WEIGHTS[: len(rows)] @ bits
 
 
 def _row(q: int, measured: int) -> int:
@@ -115,44 +159,58 @@ def _row(q: int, measured: int) -> int:
 
 
 def _compare(
-    dense: np.ndarray, out: FrameBatch, measured: int, label: str, failures: list[str]
+    dense: np.ndarray,
+    outs: list[FrameBatch],
+    measured: int,
+    labels: list[str],
+    failures: list[str],
 ) -> int:
-    """Count mismatching columns; append one description per bad column.
+    """Count mismatching columns of one operation site; describe each bad one.
 
-    ``dense`` lacks the qubits in the mask ``measured``, which the engine must
-    have left isolated with zero rows.
+    Branch b of the site is the engine's ``outs[b]``, compared with columns
+    b*width .. (b+1)*width - 1 of ``dense``.  ``dense`` lacks the qubits in
+    the mask ``measured``, which the engine must have left isolated with zero
+    rows; it keeps them, so its claimed panel is read on the rows where they
+    all read 0.  Descriptions follow branch order, then column order.
     """
-    bad = 0
-    width = dense.shape[1]
-    colmax = np.abs(dense).max(axis=0) if dense.size else np.zeros(width)
-    alive = _columns((out.alive,), width).astype(bool)
-    graph, rows = out.graph, list(zip(out.z_rows, out.frame_rows))
-    stray = 0  # columns with a measured qubit left bonded or with a nonzero bit
-    for q in sorted(_bits(measured), reverse=True):
-        stray |= (out.alive if graph.adj[q] else 0) | rows[q][0] | rows[q][1]
-        graph = graph.delete_vertex(q)[0]
-        del rows[q]
+    n = outs[0].graph.n
+    width = dense.shape[1] // len(outs)
+    # per qubit its physical pattern, then alive, then stray (a measured qubit
+    # left bonded or with a nonzero bit); branch b starts at bit b*width
+    rows = [0] * (n + 2)
+    for b, out in enumerate(outs):
+        loose = 0
+        for q in _bits(measured):
+            loose |= (out.alive if out.graph.adj[q] else 0) | out.z_rows[q] | out.frame_rows[q]
+        branch = [z ^ f for z, f in zip(out.z_rows, out.frame_rows)] + [out.alive, loose]
+        if max(branch) >> width:
+            raise InvariantError(f"{labels[b]}: engine rows carry bits past column {width - 1}")
+        for q, row in enumerate(branch):
+            rows[q] |= row << b * width
+    cols = _columns(rows, dense.shape[1])
+    alive = cols & (1 << n) != 0
+    stray = cols & (2 << n) != 0
 
-    for c in np.nonzero(~alive & (colmax > 0))[0]:
-        bad += 1
-        if len(failures) < _MAX_FAILURES_KEPT:
-            failures.append(f"{label} col={c}: engine refused a possible branch")
-    survivors = np.nonzero(alive)[0]
-    if not survivors.size:
-        return bad
-
-    physical = _columns([z ^ f for z, f in rows], width)
-    claimed = _pattern_panel(graph, physical[survivors])
-    sub = dense[:, survivors]
-    lhs = sub * claimed[0][None, :]
-    rhs = claimed * sub[0][None, :]
-    good = np.all(lhs == rhs, axis=0) & (np.abs(sub).max(axis=0) > 0)
-    if stray:
-        good &= ~_columns((stray,), width).astype(bool)[survivors]
-    for k in np.nonzero(~good)[0]:
-        bad += 1
-        if len(failures) < _MAX_FAILURES_KEPT:
-            failures.append(f"{label} col={survivors[k]}: state mismatch")
+    kept = _kept_rows(n, measured)
+    diag = np.array([_diagonal(out.graph)[kept] for out in outs]).T
+    signs = _SIGN[kept[:, None] & cols[None, :]].reshape(len(kept), len(outs), width)
+    claimed = (signs * diag[:, :, None]).reshape(dense.shape)
+    # cross-multiplication with claimed[0] = 1 (basis state 0 has no sign):
+    # a column is proportional to its claimed one iff it is dense[0] times it
+    nonzero = dense.any(axis=0)
+    same = np.all(dense == claimed * dense[:1], axis=0)
+    refused = ~alive & nonzero
+    wrong = alive & ~(same & nonzero & ~stray)
+    bad = int(np.count_nonzero(refused) + np.count_nonzero(wrong))
+    if bad:
+        kinds = ((refused, "engine refused a possible branch"), (wrong, "state mismatch"))
+        notes = (
+            f"{label} col={c}: {what}"
+            for b, label in enumerate(labels)
+            for mask, what in kinds
+            for c in np.flatnonzero(mask[b * width : (b + 1) * width])
+        )
+        failures.extend(itertools.islice(notes, max(0, _MAX_FAILURES_KEPT - len(failures))))
     return bad
 
 
@@ -196,18 +254,21 @@ def check_graph(
     bad = 0
     gname = f"n={n} adj={g.adj}"
 
-    for u in range(n):
-        for v in range(u + 1, n):
-            dense = _cz_rows(base, n, u, v)
-            checks += width
-            bad += _compare(dense, batch_cz(batch, u, v), 0, f"{gname} cz({u},{v})", failures)
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs:
+        dense = np.hstack([_cz_rows(base, n, u, v) for u, v in pairs])
+        outs = [batch_cz(batch, u, v) for u, v in pairs]
+        labels = [f"{gname} cz({u},{v})" for u, v in pairs]
+        checks += width * len(pairs)
+        bad += _compare(dense, outs, 0, labels, failures)
 
     for v in range(n):
-        for outcome in (+1, -1):
-            out = batch_measure_z(batch, v, forced_outcome=outcome).batch
-            dense = _project_z_rows(base, n, v, (1 - outcome) // 2)
-            checks += width
-            bad += _compare(dense, out, 1 << v, f"{gname} mz({v},{outcome:+d})", failures)
+        outcomes = (+1, -1)  # Z = +1 keeps qubit v's 0 rows, Z = -1 its 1 rows
+        dense = np.concatenate(_split(base, n, v), axis=2).reshape(1 << (n - 1), 2 * width)
+        outs = [batch_measure_z(batch, v, forced_outcome=o).batch for o in outcomes]
+        labels = [f"{gname} mz({v},{o:+d})" for o in outcomes]
+        checks += width * len(outcomes)
+        bad += _compare(dense, outs, 1 << v, labels, failures)
 
     limit = max_party if max_party is not None else n
     for party in _ordered_parties(n, limit):
@@ -218,31 +279,34 @@ def check_graph(
 
 
 def _check_merge_party(batch: FrameBatch, base: np.ndarray, party, gname, failures):
-    checks = 0
-    bad = 0
-    for outcomes in itertools.product((+1, -1), repeat=len(party) - 1):
-        run = batch_merge(batch, party, forced_outcomes=outcomes)
-        structure = zip(party[1:], run.pivots)
-        dense = _replay_merge(base, batch.graph.n, party, structure, outcomes)
-        checks += base.shape[1]
-        bad += _compare(
-            dense,
-            run.batch,
-            sum(1 << m for m in party[1:]),
-            f"{gname} merge{tuple(party)} outcomes={outcomes}",
-            failures,
-        )
-    return checks, bad
+    n = batch.graph.n
+    width = base.shape[1]
+    branches = list(itertools.product((+1, -1), repeat=len(party) - 1))
+    runs = [batch_merge(batch, party, forced_outcomes=o) for o in branches]
+    # each branch is checked against a replay with its own pivots
+    pivot_runs = {run.pivots for run in runs}
+    replays = {p: _replay_merge(base, n, party, p, width) for p in pivot_runs}
+    dense = np.hstack(
+        [replays[run.pivots][:, b * width : (b + 1) * width] for b, run in enumerate(runs)]
+    )
+    labels = [f"{gname} merge{tuple(party)} outcomes={o}" for o in branches]
+    measured = sum(1 << m for m in party[1:])
+    bad = _compare(dense, [run.batch for run in runs], measured, labels, failures)
+    return width * len(branches), bad
 
 
-def _replay_merge(base: np.ndarray, n: int, party, structure, outcomes) -> np.ndarray:
+def _replay_merge(base: np.ndarray, n: int, party, pivots, width: int) -> np.ndarray:
+    """Every outcome branch of a merge with the given pivots, side by side.
+
+    CZ party[0] to the rest, then X-measure party[1:] in turn (both outcomes
+    of each, in ``itertools.product`` order) with the Hadamard on each pivot.
+    """
     panel = base
-    kappa = party[0]
     for m in party[1:]:
-        panel = _cz_rows(panel, n, kappa, m)
+        panel = _cz_rows(panel, n, party[0], m)
     gone = 0
-    for (m, pivot), outcome in zip(structure, outcomes):
-        panel = _project_x_rows(panel, n - gone.bit_count(), _row(m, gone), (1 - outcome) // 2)
+    for m, pivot in zip(party[1:], pivots):
+        panel = _x_branches(panel, n - gone.bit_count(), _row(m, gone), width)
         gone |= 1 << m
         if pivot is not None:
             panel = _h_rows(panel, n - gone.bit_count(), _row(pivot, gone))
@@ -255,23 +319,20 @@ def _check_splice(base_graph: Graph, failures: list[str]) -> tuple[int, int]:
     joint = Graph.from_edges(n + 2, list(base_graph.edges()) + [(n, n + 1)])
     batch, base = _column_batch(joint, full_variants=False)
     gname = f"splice base n={n} adj={base_graph.adj}"
+    branches = list(itertools.product((+1, -1), repeat=2))
     checks = 0
     bad = 0
     for u, v in itertools.permutations(range(n), 2):
-        for o1, o2 in itertools.product((+1, -1), repeat=2):
-            out = batch_splice(batch, u, v, n, n + 1, forced_outcomes=(o1, o2)).batch
-            dense = _cz_rows(base, n + 2, u, n)
-            dense = _cz_rows(dense, n + 2, v, n + 1)
-            dense = _project_x_rows(dense, n + 2, n + 1, (1 - o2) // 2)
-            dense = _project_x_rows(dense, n + 1, n, (1 - o1) // 2)
-            checks += base.shape[1]
-            bad += _compare(
-                dense,
-                out,
-                0b11 << n,
-                f"{gname} u={u} v={v} outcomes=({o1:+d},{o2:+d})",
-                failures,
-            )
+        dense = _cz_rows(_cz_rows(base, n + 2, u, n), n + 2, v, n + 1)
+        # the two X projections commute; measuring qubit n first gives (o1, o2) order
+        dense = _x_branches(dense, n + 2, n, dense.shape[1])
+        dense = _x_branches(dense, n + 1, n, base.shape[1])
+        outs = [
+            batch_splice(batch, u, v, n, n + 1, forced_outcomes=o).batch for o in branches
+        ]
+        labels = [f"{gname} u={u} v={v} outcomes=({o1:+d},{o2:+d})" for o1, o2 in branches]
+        checks += base.shape[1] * len(branches)
+        bad += _compare(dense, outs, 0b11 << n, labels, failures)
     return checks, bad
 
 

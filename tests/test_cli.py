@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from graphpurify.cli import SEED_ENV_VAR, main
+from graphpurify.cli import SEED_ENV_VAR, build_parser, main
 from graphpurify.graphs import path_graph, write_edge_list
 
 
@@ -356,6 +356,35 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--p", "0.1"])
         assert exc.value.code == 2
+
+
+class TestSharedParser:
+    _SIM = ["simulate", "--graph", "path:3", "--p", "0.1", "--shots", "200", "--json"]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_seed_does_not_carry_over_between_calls(self, capsys, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        _, out, _ = run_cli(capsys, *self._SIM, "--seed", "3")
+        assert envelope(out)["config"]["seed"] == 3
+        _, out, _ = run_cli(capsys, *self._SIM)
+        assert envelope(out)["config"]["seed"] == 0
+        monkeypatch.setenv(SEED_ENV_VAR, "77")
+        _, out, _ = run_cli(capsys, *self._SIM)
+        assert envelope(out)["config"]["seed"] == 77
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"], ["scan", "--help"]])
+    def test_help_matches_a_fresh_parser(self, capsys, argv):
+        run_cli(capsys, *self._SIM, "--seed", "3")  # the shared parser has parsed before
+        with pytest.raises(SystemExit):
+            main(argv)
+        shared = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser.__wrapped__().parse_args(argv)
+        fresh = capsys.readouterr().out
+        assert shared == fresh
+        assert "usage: graphpurify" in shared
 
 
 def test_module_entry_point():

@@ -23,17 +23,13 @@ from graphpurify.dense import (
     apply_unitary_rho,
     apply_unitary_vec,
     check_density_matrix,
-    check_state_vector,
     cz_diagonal,
-    fidelity_vec_rho,
     graph_hamiltonian,
     graph_state_vector,
     isospectral_hamiltonian,
-    measure_pauli_rho,
     partial_trace,
     pauli_projector,
     project_rho,
-    project_vec,
     thermal_state,
     thermal_state_from_p,
     trace_distance,
@@ -54,6 +50,41 @@ def _basis(n: int, index: int) -> np.ndarray:
     v = np.zeros(1 << n, dtype=complex)
     v[index] = 1.0
     return v
+
+
+# -- local oracles: state-level helpers the package itself never needs -------
+
+
+def project_vec(psi: np.ndarray, axis: str, qubit: int, outcome: int) -> np.ndarray:
+    """Unnormalized branch after measuring ``axis`` on ``qubit``."""
+    return apply_unitary_vec(psi, pauli_projector(axis, outcome), (qubit,))
+
+
+def measure_pauli_rho(rho: np.ndarray, axis: str, qubit: int, outcome: int
+                      ) -> tuple[float, np.ndarray]:
+    """(probability, normalized post-state); probability may be 0."""
+    branch = project_rho(rho, axis, qubit, outcome)
+    p = float(np.real(np.trace(branch)))
+    if p <= 1e-300:
+        return 0.0, branch
+    return p, branch / p
+
+
+def fidelity_vec_rho(psi: np.ndarray, rho: np.ndarray) -> float:
+    n = np.linalg.norm(psi)
+    if n == 0:
+        raise ParameterError("zero vector has no fidelity")
+    v = psi / n
+    return float(np.real(np.vdot(v, rho @ v)))
+
+
+def check_state_vector(psi: np.ndarray, atol: float = 1e-12) -> None:
+    """Raise unless psi is a unit-norm vector on a whole number of qubits."""
+    if psi.ndim != 1:
+        raise ParameterError("state vector must be one-dimensional")
+    dense._nqubits(psi.shape[0])
+    if abs(np.linalg.norm(psi) - 1.0) > atol:
+        raise ParameterError("state vector is not normalized")
 
 
 class TestGateConventions:

@@ -134,7 +134,7 @@ def test_plan_covers_each_edge_once_and_compiles(g):
     placed = [pe.edge for members in plan.rounds for pe in members]
     assert sorted(placed) == g.edges()
     assert all(sum(e in {pe.edge for pe in ms} for ms in plan.rounds) == 1 for e in g.edges())
-    assert _compile(g, plan).ideal
+    assert _compile(g).ideal
 
 
 # -- the pair recurrence against a slow reference ---------------------------

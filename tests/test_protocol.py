@@ -9,6 +9,7 @@ sum).  Monte Carlo estimates must land inside their own confidence interval
 around those sums.
 """
 
+import dataclasses
 import itertools
 import os
 import random
@@ -288,7 +289,7 @@ class TestCompiledParityChecks:
         ids=["path3", "cycle3", "star4", "cycle4", "two-comps"],
     )
     def test_every_assignment(self, g):
-        compiled = _compile(g, plan_extraction(g))
+        compiled = _compile(g)
         edges = sorted(g.edges())
         assert len(compiled.class_masks) == len(edges)
         rng = derive_rng(5, "engine")
@@ -299,7 +300,7 @@ class TestCompiledParityChecks:
     @pytest.mark.parametrize("family", ["icosahedron", "grid:4x4", "complete:6"])
     def test_random_low_weight_assignments(self, family):
         g = parse_family(family)
-        compiled = _compile(g, plan_extraction(g))
+        compiled = _compile(g)
         edges = sorted(g.edges())
         pick = random.Random(f"low-weight/{family}")
         rng = derive_rng(6, "engine")
@@ -342,6 +343,31 @@ except InvariantError as exc:
     sys.exit(0)
 sys.exit("run_drpp accepted a corrupted rebuild")
 """
+
+
+class TestCompileMemo:
+    def test_equal_graphs_share_one_compiled_rebuild(self):
+        a = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        b = Graph.from_edges(5, [(3, 4), (1, 2), (0, 1)])
+        assert a is not b and a == b
+        assert _compile(a) is _compile(b)
+
+    def test_corrupt_rebuild_raises_on_every_call(self, monkeypatch):
+        # a failed compile is never cached, so every call re-runs the checks
+        real = protocol.batch_merge
+
+        def dropping_an_edge(batch, party, rng=None, forced_outcomes=None):
+            res = real(batch, party, rng, forced_outcomes)
+            g = res.batch.graph
+            u, v = g.edges()[0]
+            broken = dataclasses.replace(res.batch, graph=g.toggle_edge(u, v))
+            return dataclasses.replace(res, batch=broken)
+
+        _compile.cache_clear()
+        monkeypatch.setattr(protocol, "batch_merge", dropping_an_edge)
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="rebuilt graph differs"):
+                run_drpp(path_graph(3), 0.1, shots=10, seed=0)
 
 
 def test_rebuild_invariants_survive_optimized_mode():

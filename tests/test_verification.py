@@ -4,8 +4,10 @@ just as importantly, must actually catch a broken update rule."""
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphpurify.errors import ParameterError
+from graphpurify.errors import InvariantError, ParameterError
 from graphpurify.graphs import Graph, cycle_graph, path_graph
 from graphpurify.verification import check_graph, run_oracle_sweep
 import graphpurify.pattern as pattern
@@ -92,6 +94,20 @@ class TestCheckGraph:
         assert bad > 0
 
 
+def test_rows_past_the_batch_width_raise(monkeypatch):
+    # branches share one wide row with branch b at bit b*width, so a stray
+    # high bit would land in the next branch's columns; it must raise instead
+    real = verification.batch_cz
+
+    def spilling(batch, u, v):
+        out = real(batch, u, v)
+        return dataclasses.replace(out, alive=out.alive | 1 << out.alive.bit_length())
+
+    monkeypatch.setattr(verification, "batch_cz", spilling)
+    with pytest.raises(InvariantError, match="past column"):
+        check_graph(path_graph(3))
+
+
 def _drop_pivot_frame_spread(monkeypatch):
     # X measurement inside a merge: the pivot's frame row is no longer XORed
     # onto the measured qubit's other neighbours
@@ -124,6 +140,10 @@ def _drop_far_half_frame(monkeypatch):
     monkeypatch.setattr(verification, "batch_splice", mutant)
 
 
+# mismatching columns each mutant leaves in run_oracle_sweep(max_n=3)
+_MUTANT_MISMATCHES = {_drop_pivot_frame_spread: 192, _drop_far_half_frame: 3200}
+
+
 @pytest.mark.parametrize("mutate", [_drop_pivot_frame_spread, _drop_far_half_frame])
 def test_batched_sweep_catches_one_dropped_frame_xor(monkeypatch, mutate):
     # every column of a batch shares one rule run, so a sweep that compared
@@ -131,5 +151,41 @@ def test_batched_sweep_catches_one_dropped_frame_xor(monkeypatch, mutate):
     assert run_oracle_sweep(max_n=3).mismatches == 0
     mutate(monkeypatch)
     report = run_oracle_sweep(max_n=3)
-    assert report.mismatches > 0
+    assert report.mismatches == _MUTANT_MISMATCHES[mutate]
     assert any("state mismatch" in f for f in report.failures)
+
+
+def test_tamper_on_one_merge_branch_names_that_branch(monkeypatch):
+    # all branches of a merge party are compared in one wide panel; a wrong
+    # column in one of them must be reported against that branch alone
+    g = cycle_graph(4)
+    party, hit, col = (0, 1, 2), (-1, 1), 2
+    real = verification.batch_merge
+
+    def tampered(batch, party_qubits, rng=None, forced_outcomes=None):
+        res = real(batch, party_qubits, rng=rng, forced_outcomes=forced_outcomes)
+        if tuple(party_qubits) != party or tuple(forced_outcomes) != hit:
+            return res
+        assert res.batch.alive >> col & 1
+        frame = list(res.batch.frame_rows)
+        frame[party[0]] ^= 1 << col
+        wrong = dataclasses.replace(res.batch, frame_rows=tuple(frame))
+        return dataclasses.replace(res, batch=wrong)
+
+    monkeypatch.setattr(verification, "batch_merge", tampered)
+    failures = []
+    _, bad = check_graph(g, failures=failures)
+    assert bad == 1
+    assert failures == [f"n=4 adj={g.adj} merge(0, 1, 2) outcomes=(-1, 1) col=2: state mismatch"]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.integers(1, 400).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=8))
+    )
+)
+def test_columns_equals_a_per_bit_loop(case):
+    width, rows = case
+    want = [sum((row >> c & 1) << q for q, row in enumerate(rows)) for c in range(width)]
+    assert verification._columns(rows, width).tolist() == want
