@@ -212,11 +212,27 @@ def icosahedron_graph() -> Graph:
     return Graph.from_edges(12, edges)
 
 
+# side of every axis of 'cluster:d': the smallest lattice whose centre vertex
+# has all 2d neighbours
+CLUSTER_SIDE = 3
+
+
+def family_parts(family: str) -> tuple[str, str]:
+    """A family string's lower-case name and its argument ('' when none)."""
+    name, _, arg = family.partition(":")
+    return name.strip().lower(), arg
+
+
+def grid_sides(arg: str) -> list[int]:
+    """Side lengths of a grid argument 'AxBx...'; ValueError when malformed."""
+    return [int(s) for s in arg.lower().split("x")]
+
+
 def parse_family(family: str) -> Graph:
     """Parse 'path:N', 'cycle:N', 'star:N', 'ghz:N', 'complete:N',
-    'grid:AxBx...', or 'icosahedron' into a graph."""
-    name, _, arg = family.partition(":")
-    name = name.strip().lower()
+    'grid:AxBx...', 'cluster:d' (the d-dimensional grid of side
+    ``CLUSTER_SIDE``) or 'icosahedron' into a graph."""
+    name, arg = family_parts(family)
     try:
         if name == "path":
             return path_graph(int(arg))
@@ -227,7 +243,13 @@ def parse_family(family: str) -> Graph:
         if name == "complete":
             return complete_graph(int(arg))
         if name == "grid":
-            return grid_graph([int(s) for s in arg.lower().split("x")])
+            return grid_graph(grid_sides(arg))
+        if name == "cluster":
+            d = int(arg)
+            _need(d >= 1, "cluster needs >= 1 dimension")
+            if d > MAX_VERTICES or CLUSTER_SIDE**d > MAX_VERTICES:
+                raise CapacityError(f"cluster:{d} has {CLUSTER_SIDE}^{d} vertices > {MAX_VERTICES}")
+            return grid_graph([CLUSTER_SIDE] * d)
         if name == "icosahedron":
             _need(arg == "", "icosahedron takes no argument")
             return icosahedron_graph()

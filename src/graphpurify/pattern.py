@@ -27,12 +27,15 @@ each rule is written once over a ``FrameBatch``: many (error, frame) columns
 on one graph, stored as one int per qubit whose bit c is column c's bit (the
 layout of Pauli-frame samplers such as Stim).  A rule rewires the graph once
 and XORs whole rows.  An outcome is a row too (bit c set when column c reads
--1); a forced outcome that has probability zero for some columns clears them
-from the batch's ``alive`` mask instead of raising.
+-1), drawn from an rng or given per column: a batch tiled once per outcome
+branch runs every branch of a rule in one call.  A given outcome that has
+probability zero for some columns clears them from the batch's ``alive``
+mask instead of raising.
 
 The single-pattern API (``measure_z``, ``merge_local``, ``apply_cz_via_pair``
-on a ``PatternState``) runs the same rules on a width-1 batch and raises
-``ParameterError`` when its one column dies.  Their results expose the
+on a ``PatternState``) runs the same rules on a width-1 batch, with a forced
+outcome of +1 or -1 as the row 0 or 1, and raises ``ParameterError`` when
+its one column dies.  Their results expose the
 Z-error update as ``z_map`` (bit j of ``z_map[i]``: input qubit j's Z error
 lands on output qubit i), which is the same rule run on the identity batch,
 one column per input qubit.
@@ -94,7 +97,7 @@ class FrameBatch:
 
     Bit c of ``z_rows[q]`` is column c's error bit on qubit q, bit c of
     ``frame_rows[q]`` its frame bit.  Bit c of ``alive`` is set while column
-    c's forced outcomes so far have nonzero probability; the rows of a dead
+    c's given outcomes so far have nonzero probability; the rows of a dead
     column carry no meaning.
     """
 
@@ -217,15 +220,24 @@ def _survivor(run: BatchResult) -> PatternState:
     return run.batch.column(0)
 
 
-def _outcome_row(forced: int | None, rng: random.Random | None, alive: int) -> int:
-    """One outcome bit per column: forced for all, or drawn per column."""
-    if forced is None:
+def _outcome_row(row: int | None, rng: random.Random | None, alive: int) -> int:
+    """One outcome bit per column: the given row on the live columns, or drawn."""
+    if row is None:
         if rng is None:
             raise ParameterError("an rng is required when no outcome is forced")
         return rng.getrandbits(alive.bit_length())
-    if forced not in (+1, -1):
+    if row < 0:
+        raise ParameterError("an outcome row must be a non-negative int")
+    return row & alive
+
+
+def _width1_rows(outcomes) -> tuple[int, ...] | None:
+    """+-1 per measured qubit as the outcome rows of a width-1 batch."""
+    if outcomes is None:
+        return None
+    if any(o not in (+1, -1) for o in outcomes):
         raise ParameterError("forced outcome must be +1 or -1")
-    return alive if forced == -1 else 0
+    return tuple((1 - o) // 2 for o in outcomes)
 
 
 def _cut(adj: list[int], v: int) -> None:
@@ -239,19 +251,20 @@ def batch_measure_z(
     batch: FrameBatch,
     v: int,
     rng: random.Random | None = None,
-    forced_outcome: int | None = None,
+    outcome_row: int | None = None,
 ) -> BatchResult:
     """Measure Z on qubit v: sever its bonds and leave it a clean |+>.
 
     The outcome is uniform, reported with the qubit's error bit folded in;
     the outcome-conditioned Z byproduct on the neighborhood goes into the
-    correction frame.  Both outcomes are possible for every column.
+    correction frame.  Both outcomes are possible for every column, so an
+    ``outcome_row`` (bit c set when column c reads -1) replaces the draw.
     """
     g = batch.graph
     if not 0 <= v < g.n:
         raise ParameterError(f"vertex {v} out of range")
-    o = _outcome_row(forced_outcome, rng, batch.alive)
-    if forced_outcome is None:
+    o = _outcome_row(outcome_row, rng, batch.alive)
+    if outcome_row is None:
         o ^= batch.z_rows[v]
     f = list(batch.frame_rows)
     for x in _bits(g.adj[v]):
@@ -270,7 +283,8 @@ def measure_z(
     forced_outcome: int | None = None,
 ) -> ZMeasurement:
     """``batch_measure_z`` on the one pattern of ``state``."""
-    run = batch_measure_z(_width1(state), v, rng, forced_outcome)
+    row = None if forced_outcome is None else _width1_rows((forced_outcome,))[0]
+    run = batch_measure_z(_width1(state), v, rng, row)
     return ZMeasurement(outcome=1 - 2 * run.outcomes[0], state=_survivor(run))
 
 
@@ -282,7 +296,7 @@ def _measure_x(
     m: int,
     kappa: int,
     rng: random.Random | None,
-    forced_outcome: int | None,
+    outcome_row: int | None,
 ) -> tuple[Graph, int, int, int | None]:
     """X-measure qubit m, preferring a pivot other than ``kappa``.
 
@@ -296,15 +310,15 @@ def _measure_x(
     if nb == 0:
         # Bare |+> up to a Z: the X outcome is deterministic per column.
         det = z[m] ^ f[m]
-        if forced_outcome is None:
+        if outcome_row is None:
             sigma = det
         else:
-            sigma = _outcome_row(forced_outcome, None, alive)
+            sigma = _outcome_row(outcome_row, None, alive)
             alive &= ~(det ^ sigma)
         z[m] = f[m] = 0
         return g, alive, sigma, None
 
-    sigma = _outcome_row(forced_outcome, rng, alive)
+    sigma = _outcome_row(outcome_row, rng, alive)
 
     cand = nb & ~(1 << kappa)
     pivot = _lowest_bit(cand) if cand else _lowest_bit(nb)
@@ -357,14 +371,15 @@ def batch_merge(
     batch: FrameBatch,
     party_qubits,
     rng: random.Random | None = None,
-    forced_outcomes=None,
+    outcome_rows=None,
 ) -> BatchResult:
     """Fuse one party's qubits: CZ the first qubit to each of the others,
     then X-measure the others in order, keeping only the first.
 
-    Forced outcomes (+-1 per measured qubit, the same for every column)
-    replace random draws; columns for which a forced branch is impossible
-    drop out of ``alive``.
+    Outcome rows (one per measured qubit, bit c set when column c reads -1)
+    replace random draws; columns for which their given branch is impossible
+    drop out of ``alive``.  The rewiring and the pivots depend only on the
+    graph, so columns may take different branches in one call.
     """
     party = list(party_qubits)
     if not party:
@@ -375,7 +390,7 @@ def batch_merge(
     if any(not 0 <= q < n for q in party):
         raise ParameterError("party qubit out of range")
     measured = party[1:]
-    if forced_outcomes is not None and len(forced_outcomes) != len(measured):
+    if outcome_rows is not None and len(outcome_rows) != len(measured):
         raise ParameterError("need one forced outcome per measured qubit")
 
     kappa = party[0]
@@ -391,8 +406,8 @@ def batch_merge(
     outcomes: list[int] = []
     pivots: list[int | None] = []
     for i, m in enumerate(measured):
-        forced = forced_outcomes[i] if forced_outcomes is not None else None
-        g, alive, sigma, pivot = _measure_x(g, z, f, alive, m, kappa, rng, forced)
+        row = outcome_rows[i] if outcome_rows is not None else None
+        g, alive, sigma, pivot = _measure_x(g, z, f, alive, m, kappa, rng, row)
         outcomes.append(sigma)
         pivots.append(pivot)
     return BatchResult(FrameBatch(g, tuple(z), tuple(f), alive), tuple(outcomes), tuple(pivots))
@@ -409,7 +424,7 @@ def merge_local(
 
     The result carries, per measured qubit, its outcome and pivot.
     """
-    run = batch_merge(_width1(state), party_qubits, rng, forced_outcomes)
+    run = batch_merge(_width1(state), party_qubits, rng, _width1_rows(forced_outcomes))
     post = _survivor(run)
     outcomes = tuple(1 - 2 * o for o in run.outcomes)
     g, party = state.graph, tuple(party_qubits)
@@ -418,7 +433,7 @@ def merge_local(
         outcomes=outcomes,
         steps=tuple(MergeStep(*s) for s in zip(party[1:], outcomes, run.pivots)),
         _on_identity=lambda: batch_merge(
-            FrameBatch.identity(g), party, forced_outcomes=(1,) * (len(party) - 1)
+            FrameBatch.identity(g), party, outcome_rows=(0,) * (len(party) - 1)
         ),
     )
 
@@ -430,7 +445,7 @@ def batch_splice(
     pair_u: int,
     pair_v: int,
     rng: random.Random | None = None,
-    forced_outcomes: tuple[int, int] | None = None,
+    outcome_rows: tuple[int, int] | None = None,
 ) -> BatchResult:
     """Toggle edge {u,v} by consuming a fresh two-qubit graph pair.
 
@@ -438,7 +453,8 @@ def batch_splice(
     endpoint and X-measured; the four outcome branches are uniform, and the
     net effect is the edge toggle plus outcome-conditioned Z corrections on u
     and v (recorded in the frame) and the far half's error bit landing on
-    each endpoint.
+    each endpoint.  ``outcome_rows`` (pair_u's, then pair_v's) replace the
+    draws.
     """
     g = batch.graph
     ids = (u, v, pair_u, pair_v)
@@ -449,9 +465,11 @@ def batch_splice(
     if g.adj[pair_u] != 1 << pair_v or g.adj[pair_v] != 1 << pair_u:
         raise ParameterError("pair halves must form an isolated edge")
 
-    forced = forced_outcomes if forced_outcomes is not None else (None, None)
-    s1 = _outcome_row(forced[0], rng, batch.alive)
-    s2 = _outcome_row(forced[1], rng, batch.alive)
+    rows = outcome_rows if outcome_rows is not None else (None, None)
+    if len(rows) != 2:
+        raise ParameterError("need one forced outcome per pair half")
+    s1 = _outcome_row(rows[0], rng, batch.alive)
+    s2 = _outcome_row(rows[1], rng, batch.alive)
 
     z = list(batch.z_rows)
     f = list(batch.frame_rows)
@@ -479,12 +497,12 @@ def apply_cz_via_pair(
     forced_outcomes: tuple[int, int] | None = None,
 ) -> PairSpliceResult:
     """``batch_splice`` on the one pattern of ``state``."""
-    run = batch_splice(_width1(state), u, v, pair_u, pair_v, rng, forced_outcomes)
+    run = batch_splice(_width1(state), u, v, pair_u, pair_v, rng, _width1_rows(forced_outcomes))
     g = state.graph
     return PairSpliceResult(
         state=_survivor(run),
         outcomes=tuple(1 - 2 * o for o in run.outcomes),
         _on_identity=lambda: batch_splice(
-            FrameBatch.identity(g), u, v, pair_u, pair_v, forced_outcomes=(1, 1)
+            FrameBatch.identity(g), u, v, pair_u, pair_v, outcome_rows=(0, 0)
         ),
     )

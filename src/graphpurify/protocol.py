@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapacityError, InvariantError, ParameterError
-from .graphs import MAX_VERTICES, Graph
+from .graphs import MAX_VERTICES, Graph, family_parts, grid_sides
 from .pairs import composite_r2, distill_trace, from_z_noise
 from .pattern import (
     FrameBatch,
@@ -150,23 +150,22 @@ def n_geo_formula(family: str) -> int | None:
     path -> 3; cluster:d -> 3*d*d (grid:...xN counts its nontrivial axes the
     same way); star/ghz:N -> N-1.
     """
-    name, _, arg = family.partition(":")
-    name = name.strip().lower()
+    name, arg = family_parts(family)
     try:
         if name == "path":
             return 3
-        if name == "cluster":
-            d = int(arg)
-            return 3 * d * d if d >= 1 else None
         if name in ("star", "ghz"):
             size = int(arg)
             return size - 1 if size >= 2 else None
-        if name == "grid":
-            d = sum(1 for s in arg.lower().split("x") if int(s) >= 2)
-            return 3 * d * d if d >= 1 else None
+        if name == "cluster":
+            d = int(arg)
+        elif name == "grid":
+            d = sum(1 for s in grid_sides(arg) if s >= 2)
+        else:
+            return None
     except ValueError:
         return None
-    return None
+    return 3 * d * d if d >= 1 else None
 
 
 # ---------------------------------------------------------------------------

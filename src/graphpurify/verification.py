@@ -7,15 +7,19 @@ engine operation is replayed on the panel with elementary row operations
 (CZ sign flips, X/Z projections, Hadamard pairs), all unnormalized.
 
 The engine side runs on the same columns as one bit-sliced ``FrameBatch``
-(bit c of each qubit's row is column c), built once per graph: each CZ,
-Z measurement, merge and splice runs once per forced-outcome branch for all
-columns together.  The dense side is compared once per operation site: all
-CZ pairs of a graph, both outcomes of one Z measurement, every outcome tuple
-of one merge party, the four outcomes of one splice.  The site's dense
-branches sit side by side in one wide panel (a merge or splice replay emits
-both X outcomes of every branch at each measurement), and the engine's rows
-of branch b are shifted by b times the batch width, so one un-slicing and one
-exact comparison check every column of the site.
+(bit c of each qubit's row is column c), built once per graph.  An operation
+site is all CZ pairs of a graph, both outcomes of one Z measurement, every
+outcome tuple of one merge party, or the four outcomes of one splice.  The
+site's dense branches sit side by side in one wide panel (a merge or splice
+replay emits both X outcomes of every branch at each measurement), in
+``itertools.product((+1, -1), ...)`` order.  The engine runs each Z
+measurement, merge and splice site once: on the batch tiled once per branch
+(each row times the repunit sum_b 2^(b*width)), with one outcome row per
+measured qubit that reads -1 on exactly the blocks of the branches where it
+does.  Its output rows then already carry branch b at bit b*width.  The CZ
+pairs of a graph give different graphs, so they run one batch per pair and
+the rows of pair i are shifted by i times the batch width.  Either way, one
+un-slicing and one exact comparison check every column of the site.
 
 The engine keeps a measured qubit at its index as an isolated, error-free
 |+>, while the panel drops it.  So a panel row is found from a qubit label by
@@ -94,6 +98,37 @@ def _cz_sign(n: int, u: int, v: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_SMALL_CACHE_SIZE)
+def _repunit(copies: int, width: int) -> int:
+    """sum_b 2^(b*width) over ``copies`` blocks: a row of ``width`` bits times it repeats."""
+    return sum(1 << b * width for b in range(copies))
+
+
+@lru_cache(maxsize=_SMALL_CACHE_SIZE)
+def _branch_rows(k: int, width: int) -> tuple[int, ...]:
+    """Outcome rows of k measured qubits over 2^k blocks of ``width`` columns.
+
+    Block b takes branch b of ``itertools.product((+1, -1), repeat=k)``: the
+    i-th measured qubit reads -1 there exactly when bit k-1-i of b is set.
+    """
+    block = (1 << width) - 1
+    return tuple(
+        sum(block << b * width for b in range(1 << k) if b >> (k - 1 - i) & 1)
+        for i in range(k)
+    )
+
+
+def _tile(batch: FrameBatch, copies: int, width: int) -> FrameBatch:
+    """``copies`` copies of a batch of ``width`` columns, side by side."""
+    rep = _repunit(copies, width)
+    return FrameBatch(
+        batch.graph,
+        tuple(row * rep for row in batch.z_rows),
+        tuple(row * rep for row in batch.frame_rows),
+        batch.alive * rep,
+    )
+
+
+@lru_cache(maxsize=_SMALL_CACHE_SIZE)
 def _kept_rows(n: int, measured: int) -> np.ndarray:
     """Basis rows on n qubits where every qubit in the mask ``measured`` reads 0.
 
@@ -167,33 +202,36 @@ def _compare(
 ) -> int:
     """Count mismatching columns of one operation site; describe each bad one.
 
-    Branch b of the site is the engine's ``outs[b]``, compared with columns
-    b*width .. (b+1)*width - 1 of ``dense``.  ``dense`` lacks the qubits in
-    the mask ``measured``, which the engine must have left isolated with zero
-    rows; it keeps them, so its claimed panel is read on the rows where they
-    all read 0.  Descriptions follow branch order, then column order.
+    Branch b of the site, named ``labels[b]``, is columns b*width ..
+    (b+1)*width - 1 of ``dense``.  The engine's batches ``outs`` cover equal
+    shares of those columns in order: one batch tiled over every branch, or
+    one per branch.  ``dense`` lacks the qubits in the mask ``measured``,
+    which the engine must have left isolated with zero rows; it keeps them,
+    so its claimed panel is read on the rows where they all read 0.
+    Descriptions follow branch order, then column order.
     """
     n = outs[0].graph.n
-    width = dense.shape[1] // len(outs)
+    span = dense.shape[1] // len(outs)
     # per qubit its physical pattern, then alive, then stray (a measured qubit
-    # left bonded or with a nonzero bit); branch b starts at bit b*width
+    # left bonded or with a nonzero bit); batch i starts at bit i*span
     rows = [0] * (n + 2)
-    for b, out in enumerate(outs):
+    for i, out in enumerate(outs):
         loose = 0
         for q in _bits(measured):
             loose |= (out.alive if out.graph.adj[q] else 0) | out.z_rows[q] | out.frame_rows[q]
-        branch = [z ^ f for z, f in zip(out.z_rows, out.frame_rows)] + [out.alive, loose]
-        if max(branch) >> width:
-            raise InvariantError(f"{labels[b]}: engine rows carry bits past column {width - 1}")
-        for q, row in enumerate(branch):
-            rows[q] |= row << b * width
+        share = [z ^ f for z, f in zip(out.z_rows, out.frame_rows)] + [out.alive, loose]
+        if max(share) >> span:
+            site = labels[i * len(labels) // len(outs)]
+            raise InvariantError(f"{site}: engine rows carry bits past column {span - 1}")
+        for q, row in enumerate(share):
+            rows[q] |= row << i * span
     cols = _columns(rows, dense.shape[1])
     alive = cols & (1 << n) != 0
     stray = cols & (2 << n) != 0
 
     kept = _kept_rows(n, measured)
     diag = np.array([_diagonal(out.graph)[kept] for out in outs]).T
-    signs = _SIGN[kept[:, None] & cols[None, :]].reshape(len(kept), len(outs), width)
+    signs = _SIGN[kept[:, None] & cols[None, :]].reshape(len(kept), len(outs), span)
     claimed = (signs * diag[:, :, None]).reshape(dense.shape)
     # cross-multiplication with claimed[0] = 1 (basis state 0 has no sign):
     # a column is proportional to its claimed one iff it is dense[0] times it
@@ -203,6 +241,7 @@ def _compare(
     wrong = alive & ~(same & nonzero & ~stray)
     bad = int(np.count_nonzero(refused) + np.count_nonzero(wrong))
     if bad:
+        width = dense.shape[1] // len(labels)
         kinds = ((refused, "engine refused a possible branch"), (wrong, "state mismatch"))
         notes = (
             f"{label} col={c}: {what}"
@@ -262,13 +301,15 @@ def check_graph(
         checks += width * len(pairs)
         bad += _compare(dense, outs, 0, labels, failures)
 
+    both = _tile(batch, 2, width)
+    (minus,) = _branch_rows(1, width)
     for v in range(n):
-        outcomes = (+1, -1)  # Z = +1 keeps qubit v's 0 rows, Z = -1 its 1 rows
+        # Z = +1 keeps qubit v's 0 rows, Z = -1 its 1 rows
         dense = np.concatenate(_split(base, n, v), axis=2).reshape(1 << (n - 1), 2 * width)
-        outs = [batch_measure_z(batch, v, forced_outcome=o).batch for o in outcomes]
-        labels = [f"{gname} mz({v},{o:+d})" for o in outcomes]
-        checks += width * len(outcomes)
-        bad += _compare(dense, outs, 1 << v, labels, failures)
+        out = batch_measure_z(both, v, outcome_row=minus).batch
+        labels = [f"{gname} mz({v},{o:+d})" for o in (+1, -1)]
+        checks += 2 * width
+        bad += _compare(dense, [out], 1 << v, labels, failures)
 
     limit = max_party if max_party is not None else n
     for party in _ordered_parties(n, limit):
@@ -279,20 +320,18 @@ def check_graph(
 
 
 def _check_merge_party(batch: FrameBatch, base: np.ndarray, party, gname, failures):
-    n = batch.graph.n
     width = base.shape[1]
-    branches = list(itertools.product((+1, -1), repeat=len(party) - 1))
-    runs = [batch_merge(batch, party, forced_outcomes=o) for o in branches]
-    # each branch is checked against a replay with its own pivots
-    pivot_runs = {run.pivots for run in runs}
-    replays = {p: _replay_merge(base, n, party, p, width) for p in pivot_runs}
-    dense = np.hstack(
-        [replays[run.pivots][:, b * width : (b + 1) * width] for b, run in enumerate(runs)]
-    )
-    labels = [f"{gname} merge{tuple(party)} outcomes={o}" for o in branches]
+    k = len(party) - 1
+    run = batch_merge(_tile(batch, 1 << k, width), party, outcome_rows=_branch_rows(k, width))
+    # the pivots depend only on the graph, so one replay serves every branch
+    dense = _replay_merge(base, batch.graph.n, party, run.pivots, width)
+    labels = [
+        f"{gname} merge{tuple(party)} outcomes={o}"
+        for o in itertools.product((+1, -1), repeat=k)
+    ]
     measured = sum(1 << m for m in party[1:])
-    bad = _compare(dense, [run.batch for run in runs], measured, labels, failures)
-    return width * len(branches), bad
+    bad = _compare(dense, [run.batch], measured, labels, failures)
+    return width << k, bad
 
 
 def _replay_merge(base: np.ndarray, n: int, party, pivots, width: int) -> np.ndarray:
@@ -318,21 +357,22 @@ def _check_splice(base_graph: Graph, failures: list[str]) -> tuple[int, int]:
     n = base_graph.n
     joint = Graph.from_edges(n + 2, list(base_graph.edges()) + [(n, n + 1)])
     batch, base = _column_batch(joint, full_variants=False)
+    width = base.shape[1]
     gname = f"splice base n={n} adj={base_graph.adj}"
     branches = list(itertools.product((+1, -1), repeat=2))
+    tiled = _tile(batch, len(branches), width)
+    rows = _branch_rows(2, width)
     checks = 0
     bad = 0
     for u, v in itertools.permutations(range(n), 2):
         dense = _cz_rows(_cz_rows(base, n + 2, u, n), n + 2, v, n + 1)
         # the two X projections commute; measuring qubit n first gives (o1, o2) order
-        dense = _x_branches(dense, n + 2, n, dense.shape[1])
-        dense = _x_branches(dense, n + 1, n, base.shape[1])
-        outs = [
-            batch_splice(batch, u, v, n, n + 1, forced_outcomes=o).batch for o in branches
-        ]
+        dense = _x_branches(dense, n + 2, n, width)
+        dense = _x_branches(dense, n + 1, n, width)
+        out = batch_splice(tiled, u, v, n, n + 1, outcome_rows=rows).batch
         labels = [f"{gname} u={u} v={v} outcomes=({o1:+d},{o2:+d})" for o1, o2 in branches]
-        checks += base.shape[1] * len(branches)
-        bad += _compare(dense, outs, 0b11 << n, labels, failures)
+        checks += width * len(branches)
+        bad += _compare(dense, [out], 0b11 << n, labels, failures)
     return checks, bad
 
 

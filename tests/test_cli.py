@@ -242,6 +242,12 @@ class TestRatesAndPlan:
         rc, _, _ = run_cli(capsys, "rates", "--family", "some/file.txt", "--p", "0.1")
         assert rc == 2
 
+    def test_plan_cluster_family(self, capsys):
+        rc, out, _ = run_cli(capsys, "plan", "--graph", "cluster:2", "--json")
+        assert rc == 0
+        res = envelope(out)["results"]
+        assert (res["n_geo_plan"], res["n_geo_formula"]) == (9, 12)
+
     def test_plan_path(self, capsys):
         rc, out, _ = run_cli(capsys, "plan", "--graph", "path:4", "--json")
         assert rc == 0

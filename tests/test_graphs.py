@@ -83,6 +83,17 @@ class TestFamilies:
         with pytest.raises(ParameterError):
             parse_family("blancmange:3")
 
+    def test_cluster_is_the_side_3_lattice(self):
+        # the family behind the 3d^2 round formula names a graph too
+        assert parse_family("cluster:1") == grid_graph([3])
+        assert parse_family("cluster:2") == grid_graph([3, 3])
+        assert parse_family("cluster:5").n == 243
+        with pytest.raises(CapacityError, match="cluster:6"):
+            parse_family("cluster:6")
+        for bad in ("cluster:0", "cluster:x", "cluster"):
+            with pytest.raises(ParameterError):
+                parse_family(bad)
+
 
 class TestSurgery:
     def test_delete_vertex_relabels(self):

@@ -15,10 +15,13 @@ from graphpurify.dense import CZ, H, Z, apply_unitary_vec, graph_state_vector
 from graphpurify.errors import ParameterError
 from graphpurify.graphs import Graph, path_graph, star_graph
 from graphpurify.pattern import (
+    FrameBatch,
     MergeStep,
     PatternState,
     apply_cz,
     apply_cz_via_pair,
+    batch_merge,
+    batch_splice,
     ideal_state,
     is_ideal,
     measure_z,
@@ -242,6 +245,19 @@ class TestMergeLocal:
         with pytest.raises(ParameterError):
             merge_local(st, [0, 1], forced_outcomes=[+1, -1])
 
+    def test_outcomes_must_be_signs_and_rows_non_negative(self):
+        st = ideal_state(path_graph(3))
+        with pytest.raises(ParameterError):
+            merge_local(st, [0, 1], forced_outcomes=[0])
+        with pytest.raises(ParameterError):
+            measure_z(st, 1, forced_outcome=2)
+        batch = FrameBatch.of_columns(st.graph, [(0, 0)])
+        with pytest.raises(ParameterError):
+            batch_merge(batch, [0, 1], outcome_rows=(-1,))
+        pair = FrameBatch.of_columns(Graph.from_edges(4, [(2, 3)]), [(0, 0)])
+        with pytest.raises(ParameterError):
+            batch_splice(pair, 0, 1, 2, 3, outcome_rows=(0,))
+
     def test_rng_route_reproducible(self):
         g = star_graph(4)
         a = merge_local(ideal_state(g), [1, 2, 3], rng=derive_rng(5, "m"))
@@ -287,38 +303,58 @@ class TestApplyCzViaPair:
         assert a == b
 
 
-def _apply_map(z_map, mask: int) -> int:
-    """Image of an input Z pattern under a z_map, computed row by row."""
-    out = 0
-    for i, row in enumerate(z_map):
-        if bin(row & mask).count("1") % 2:
-            out |= 1 << i
-    return out
-
-
 def _all_graphs(n: int):
     slots = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(slots)):
         yield Graph.from_edges(n, [slots[i] for i in range(len(slots)) if mask >> i & 1])
 
 
-def _check_z_map(g: Graph, op, n_outcomes: int, columns) -> None:
+def _xor_rows(rows, mask: int) -> int:
+    """XOR of the rows picked by the bits of ``mask``."""
+    out = 0
+    for j, row in enumerate(rows):
+        if mask >> j & 1:
+            out ^= row
+    return out
+
+
+def _check_z_map(g: Graph, op, rule, n_outcomes: int, columns, rng) -> None:
     """The map of one error-free run reproduces the engine on every column
     and forced-outcome branch: the Z errors exactly, the frame up to a
     byproduct that depends on the outcomes only.  That one map serving every
     pattern and branch is what the protocol relies on.
+
+    ``rule`` runs once, on the columns tiled once per branch (block b takes
+    branch b of ``itertools.product``), and the map is applied to its input
+    rows, so every column of every branch is checked at once.  ``op``, the
+    width-1 wrapper, gives the map and is cross-checked on two sampled
+    (branch, column) pairs.
     """
     z_map = op(PatternState(g), None).z_map
-    for outcomes in itertools.product((+1, -1), repeat=n_outcomes):
-        byproducts = set()
-        for e, f in columns:
-            try:
-                res = op(PatternState(g, e, f), outcomes)
-            except ParameterError:
-                continue
-            assert _apply_map(z_map, e) == res.state.z_errors, (g, e, f, outcomes)
-            byproducts.add(res.state.correction_frame ^ _apply_map(z_map, f))
-        assert len(byproducts) <= 1, (g, outcomes)
+    branches = list(itertools.product((+1, -1), repeat=n_outcomes))
+    width, block = len(columns), (1 << len(columns)) - 1
+    batch = FrameBatch.of_columns(g, columns * len(branches))
+    rows = tuple(
+        sum(block << b * width for b, o in enumerate(branches) if o[i] == -1)
+        for i in range(n_outcomes)
+    )
+    out = rule(batch, rows).batch
+    alive = out.alive
+    for i, zm in enumerate(z_map):
+        assert (out.z_rows[i] ^ _xor_rows(batch.z_rows, zm)) & alive == 0, (g, i)
+        byproduct = out.frame_rows[i] ^ _xor_rows(batch.frame_rows, zm)
+        for b, outcomes in enumerate(branches):
+            live = alive >> b * width & block
+            assert byproduct >> b * width & live in (0, live), (g, i, outcomes)
+    for _ in range(2):
+        b, c = rng.randrange(len(branches)), rng.randrange(width)
+        e, f = columns[c]
+        try:
+            res = op(PatternState(g, e, f), branches[b])
+        except ParameterError:
+            assert not alive >> (b * width + c) & 1, (g, e, f, branches[b])
+            continue
+        assert res.state == out.column(b * width + c), (g, e, f, branches[b])
 
 
 class TestZMap:
@@ -339,8 +375,10 @@ class TestZMap:
                     _check_z_map(
                         g,
                         lambda st, outs: merge_local(st, list(party), rng, outs),
+                        lambda b, rows: batch_merge(b, party, outcome_rows=rows),
                         size - 1,
                         cols,
+                        rng,
                     )
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -354,8 +392,10 @@ class TestZMap:
                 _check_z_map(
                     joint,
                     lambda st, outs: apply_cz_via_pair(st, u, v, n, n + 1, rng, outs),
+                    lambda b, rows: batch_splice(b, u, v, n, n + 1, outcome_rows=rows),
                     2,
                     cols,
+                    rng,
                 )
 
     def test_worked_example_merge(self):

@@ -328,8 +328,8 @@ if __debug__:
     sys.exit("asserts are live; run this under python -O")
 real = protocol.batch_merge
 
-def dropping_an_edge(batch, party, rng=None, forced_outcomes=None):
-    res = real(batch, party, rng, forced_outcomes)
+def dropping_an_edge(batch, party, rng=None, outcome_rows=None):
+    res = real(batch, party, rng, outcome_rows)
     g = res.batch.graph
     u, v = g.edges()[0]
     broken = dataclasses.replace(res.batch, graph=g.toggle_edge(u, v))
@@ -356,8 +356,8 @@ class TestCompileMemo:
         # a failed compile is never cached, so every call re-runs the checks
         real = protocol.batch_merge
 
-        def dropping_an_edge(batch, party, rng=None, forced_outcomes=None):
-            res = real(batch, party, rng, forced_outcomes)
+        def dropping_an_edge(batch, party, rng=None, outcome_rows=None):
+            res = real(batch, party, rng, outcome_rows)
             g = res.batch.graph
             u, v = g.edges()[0]
             broken = dataclasses.replace(res.batch, graph=g.toggle_edge(u, v))

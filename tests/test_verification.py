@@ -2,6 +2,7 @@
 just as importantly, must actually catch a broken update rule."""
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -63,8 +64,8 @@ class TestCheckGraph:
         # notice, otherwise it proves nothing
         real = verification.batch_measure_z
 
-        def tampered(batch, v, rng=None, forced_outcome=None):
-            res = real(batch, v, rng=rng, forced_outcome=forced_outcome)
+        def tampered(batch, v, rng=None, outcome_row=None):
+            res = real(batch, v, rng=rng, outcome_row=outcome_row)
             out = res.batch
             if not out.frame_rows:
                 return res
@@ -81,8 +82,8 @@ class TestCheckGraph:
         # make every merge claim an extra edge in its output graph
         real = verification.batch_merge
 
-        def tampered(batch, party, rng=None, forced_outcomes=None):
-            res = real(batch, party, rng=rng, forced_outcomes=forced_outcomes)
+        def tampered(batch, party, rng=None, outcome_rows=None):
+            res = real(batch, party, rng=rng, outcome_rows=outcome_rows)
             g = res.batch.graph
             if g.n < 2:
                 return res
@@ -113,9 +114,9 @@ def _drop_pivot_frame_spread(monkeypatch):
     # onto the measured qubit's other neighbours
     real = pattern._measure_x
 
-    def mutant(g, z, f, alive, m, kappa, rng, forced_outcome):
+    def mutant(g, z, f, alive, m, kappa, rng, outcome_row):
         f_before = list(f)
-        out = real(g, z, f, alive, m, kappa, rng, forced_outcome)
+        out = real(g, z, f, alive, m, kappa, rng, outcome_row)
         pivot = out[3]
         if pivot is not None:
             for x in range(g.n):
@@ -130,8 +131,8 @@ def _drop_far_half_frame(monkeypatch):
     # splice: the far half's frame row is no longer XORed onto endpoint u
     real = verification.batch_splice
 
-    def mutant(batch, u, v, pair_u, pair_v, rng=None, forced_outcomes=None):
-        res = real(batch, u, v, pair_u, pair_v, rng, forced_outcomes)
+    def mutant(batch, u, v, pair_u, pair_v, rng=None, outcome_rows=None):
+        res = real(batch, u, v, pair_u, pair_v, rng, outcome_rows)
         frame = list(res.batch.frame_rows)
         frame[u] ^= batch.frame_rows[pair_v]
         wrong = dataclasses.replace(res.batch, frame_rows=tuple(frame))
@@ -156,19 +157,23 @@ def test_batched_sweep_catches_one_dropped_frame_xor(monkeypatch, mutate):
 
 
 def test_tamper_on_one_merge_branch_names_that_branch(monkeypatch):
-    # all branches of a merge party are compared in one wide panel; a wrong
-    # column in one of them must be reported against that branch alone
+    # all branches of a merge party run as column blocks of one tiled batch
+    # and are compared in one wide panel; a wrong column in the block of one
+    # branch must be reported against that branch alone
     g = cycle_graph(4)
     party, hit, col = (0, 1, 2), (-1, 1), 2
+    branches = list(itertools.product((+1, -1), repeat=len(party) - 1))
     real = verification.batch_merge
 
-    def tampered(batch, party_qubits, rng=None, forced_outcomes=None):
-        res = real(batch, party_qubits, rng=rng, forced_outcomes=forced_outcomes)
-        if tuple(party_qubits) != party or tuple(forced_outcomes) != hit:
+    def tampered(batch, party_qubits, rng=None, outcome_rows=None):
+        res = real(batch, party_qubits, rng=rng, outcome_rows=outcome_rows)
+        if tuple(party_qubits) != party:
             return res
-        assert res.batch.alive >> col & 1
+        width = batch.alive.bit_length() // len(branches)
+        bit = branches.index(hit) * width + col
+        assert res.batch.alive >> bit & 1
         frame = list(res.batch.frame_rows)
-        frame[party[0]] ^= 1 << col
+        frame[party[0]] ^= 1 << bit
         wrong = dataclasses.replace(res.batch, frame_rows=tuple(frame))
         return dataclasses.replace(res, batch=wrong)
 
@@ -189,3 +194,19 @@ def test_columns_equals_a_per_bit_loop(case):
     width, rows = case
     want = [sum((row >> c & 1) << q for q, row in enumerate(rows)) for c in range(width)]
     assert verification._columns(rows, width).tolist() == want
+
+
+def test_the_engine_runs_once_per_merge_party(monkeypatch):
+    # every outcome branch of a party rides in one tiled call
+    g = cycle_graph(4)
+    real = verification.batch_merge
+    seen = []
+
+    def counting(batch, party_qubits, rng=None, outcome_rows=None):
+        seen.append(tuple(party_qubits))
+        return real(batch, party_qubits, rng=rng, outcome_rows=outcome_rows)
+
+    monkeypatch.setattr(verification, "batch_merge", counting)
+    check_graph(g)
+    parties = [p for size in (2, 3, 4) for p in itertools.permutations(range(4), size)]
+    assert sorted(seen) == sorted(parties)
