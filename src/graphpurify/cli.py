@@ -216,7 +216,7 @@ def cmd_scan(args) -> int:
     g, _ = _load(args.graph)
     if (args.p_grid is None) == (args.t_grid is None):
         raise ParameterError("give exactly one of --p-grid or --T-grid")
-    temperature_of = None
+    temps = None
     if args.p_grid is not None:
         grid = _parse_grid(args.p_grid, "p")
         b_val = None
@@ -224,12 +224,11 @@ def cmd_scan(args) -> int:
         if args.B is None:
             raise ParameterError("--T-grid needs --B")
         b_val = args.B
-        temps = _parse_grid(args.t_grid, "T")
-        by_p = {}
-        for t in temps:
-            by_p[ThermalModel(B=args.B, T=t).error_prob()] = t
-        grid = sorted(by_p)
-        temperature_of = by_p.get
+        # one row per requested temperature, repeats included, in p order
+        by_p = sorted((ThermalModel(B=args.B, T=t).error_prob(), t)
+                      for t in _parse_grid(args.t_grid, "T"))
+        grid = [p for p, _ in by_p]
+        temps = [t for _, t in by_p]
     seed = _resolve_seed(args)
     rows = threshold_scan(
         g,
@@ -238,7 +237,7 @@ def cmd_scan(args) -> int:
         seed=seed,
         pair_target_fidelity=args.target,
         workers=args.workers,
-        temperature_of=temperature_of,
+        temperatures=temps,
     )
     cfg = RunConfig(
         command="scan",
@@ -429,12 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p-grid", help="comma-separated flip probabilities")
     s.add_argument("--T-grid", dest="t_grid", help="comma-separated temperatures (needs --B)")
     s.add_argument("--B", type=float, help="field strength for --T-grid")
-    s.add_argument("--shots", type=int, default=10000)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--workers", type=int, default=1)
-    s.add_argument("--target", type=float, default=0.999)
-    s.add_argument("--json", action="store_true")
-    s.add_argument("--out")
+    _add_common(s, mc=True)
     s.set_defaults(handler=cmd_scan)
 
     s = subs.add_parser("rates", help="pair rate and state-rate bounds")

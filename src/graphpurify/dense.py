@@ -7,11 +7,16 @@ Conventions, fixed across the whole package:
   significant bit of the gate's own index.
 * Everything is capped at ``MAX_DENSE_QUBITS`` to keep memory bounded; this
   module is an oracle for small instances, not a production simulator.
+* Real gates (I2, X, Z, H, CZ, CNOT) are float64, so circuits built from
+  them stay real, and so does ``thermal_state_from_p``.  A
+  layer of CZs is diagonal: ``cz_diagonal`` gives its +-1 entries s, and
+  conjugating rho by it is ``rho * outer(s, s)``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -24,24 +29,24 @@ MAX_THERMAL_QUBITS = 10
 
 _SQ2 = math.sqrt(2.0)
 
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
+I2 = np.eye(2)
+X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-H = np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
+Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+H = np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQ2
 S = np.array([[1, 0], [0, 1j]], dtype=complex)
 SDG = S.conj().T
 # quarter turn about X: exp(-i pi X / 4)
 RX90 = np.array([[1, -1j], [-1j, 1]], dtype=complex) / _SQ2
 
-CZ = np.diag([1, 1, 1, -1]).astype(complex)
+CZ = np.diag([1.0, 1.0, 1.0, -1.0])
 # targets (control, target): control is gate bit 0
 CNOT = np.array(
     [[1, 0, 0, 0],
      [0, 0, 0, 1],
      [0, 0, 1, 0],
      [0, 1, 0, 0]],
-    dtype=complex,
+    dtype=np.float64,
 )
 
 PAULIS = {"X": X, "Y": Y, "Z": Z}
@@ -183,33 +188,6 @@ def graph_hamiltonian(g: Graph, B: float) -> np.ndarray:
     return Hm
 
 
-def transverse_field_hamiltonian(n: int, B: float) -> np.ndarray:
-    """B * sum of single-qubit X operators on n qubits."""
-    _check_cap(n)
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    Hm = np.zeros((dim, dim), dtype=np.float64)
-    for v in range(n):
-        Hm[idx ^ (1 << v), idx] += B
-    return Hm
-
-
-def isospectral_hamiltonian(g: Graph, B: float) -> np.ndarray:
-    """The transverse-field sum conjugated by the edge-CZ circuit.
-
-    Built literally as D (B sum X_i) D with D the CZ-product diagonal, so that
-    its spectrum provably equals that of the bare transverse field; each
-    conjugated X_i becomes the corresponding vertex stabilizer.  Note the
-    normalization differs from ``graph_hamiltonian`` (+B per stabilizer here
-    versus -B/2 there); the two are spectrally unrelated on purpose.
-    """
-    if not (B > 0 and math.isfinite(B)):
-        raise ParameterError("field strength B must be positive and finite")
-    d = cz_diagonal(g).astype(np.float64)
-    Hx = transverse_field_hamiltonian(g.n, B)
-    return d[:, None] * Hx * d[None, :]
-
-
 def thermal_state(g: Graph, model: ThermalModel) -> np.ndarray:
     """Gibbs state of the stabilizer Hamiltonian via dense diagonalization."""
     if g.n > MAX_THERMAL_QUBITS:
@@ -225,29 +203,22 @@ def thermal_state(g: Graph, model: ThermalModel) -> np.ndarray:
 
 
 def thermal_state_from_p(g: Graph, p: float) -> np.ndarray:
-    """Mixture of Z-error patterns with independent per-qubit flip rate p."""
+    """Mixture of Z-error patterns with independent per-qubit flip rate p.
+
+    Summing Z^e rho_G Z^e over patterns e factorizes per qubit: entry
+    (b, b') of the graph state is damped by (1 - 2p) for every qubit where
+    b and b' differ, so rho = outer(psi, psi) * (1 - 2p)^popcount(b ^ b'),
+    real like the graph state itself.
+    """
     if g.n > MAX_THERMAL_QUBITS:
         raise CapacityError(f"{g.n} qubits exceeds thermal cap {MAX_THERMAL_QUBITS}")
     if not 0.0 <= p <= 1.0:
         raise ParameterError("flip probability must lie in [0, 1]")
-    dim = 1 << g.n
-    idx = np.arange(dim, dtype=np.int64)
-    # S[e, b] = (-1)^popcount(e & b): the sign Z^e puts on basis state b
-    Sm = 1.0 - 2.0 * _bit_parity(idx[:, None] & idx[None, :])
-    k = _popcount(idx)
-    wts = p**k * (1.0 - p) ** (g.n - k)
-    psi = graph_state_vector(g)
-    kernel = (Sm * wts[:, None]).T @ Sm
-    return np.outer(psi, psi.conj()) * kernel
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.int64).copy()
-    count = np.zeros_like(x)
-    while np.any(x):
-        count += x & 1
-        x >>= 1
-    return count
+    # entry x is (1 - 2p)^popcount(x): one factor (1, 1 - 2p) per qubit
+    damping = reduce(np.kron, [np.array([1.0, 1.0 - 2.0 * p])] * g.n, np.ones(1))
+    idx = np.arange(1 << g.n)
+    psi = cz_diagonal(g) / math.sqrt(1 << g.n)
+    return np.outer(psi, psi) * damping[idx[:, None] ^ idx[None, :]]
 
 
 # -- state-validity contracts ---------------------------------------------------

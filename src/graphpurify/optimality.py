@@ -21,6 +21,10 @@ of impossibility.
 Net effect: the candidate carries independent Z-flips with per-vertex
 probability (1 - (1-2p)^w)/2, width w = max(1, cross degree), so it matches
 the target state exactly iff every cross degree is at most one.
+
+The dense check builds the candidate in real arithmetic (every operator of
+the family is real), applies each layer of CZs as one +-1 diagonal product,
+and compares it with ``dense.thermal_state_from_p`` by trace distance.
 """
 
 from __future__ import annotations
@@ -156,30 +160,35 @@ def _check_p(p: float) -> None:
         raise ParameterError("flip probability must lie in [0, 1/2]")
 
 
-def _noisy_plus(p: float) -> np.ndarray:
-    return np.array([[0.5, 0.5 - p], [0.5 - p, 0.5]], dtype=complex)
+def _cz_layer(rho: np.ndarray, n: int, edges) -> np.ndarray:
+    """CZ on every edge at once: their +-1 diagonal s scales rho by s_b s_b'."""
+    s = dense.cz_diagonal(Graph.from_edges(n, edges))
+    return rho * np.outer(s, s)
 
 
 def build_reconstruction(g: Graph, side_a, p: float) -> np.ndarray:
-    """Dense density matrix of the canonical candidate for this bipartition.
-
-    Every initial qubit (pair halves and local preparations alike) starts as
-    a Z-noisy plus state; pair CZs, folds, and internal CZs follow the plan.
-    Fold corrections are read off a clean run of the pattern engine, branch
-    by branch, so this build shares no arithmetic with the analytic model.
-    """
+    """Dense density matrix of the canonical candidate for this bipartition."""
     plan = reconstruction_plan(g, side_a)
     if plan is None:
         raise ParameterError("bipartition admits no wiring in the canonical family")
+    return _assemble(plan, p)
+
+
+def _assemble(plan: Reconstruction, p: float) -> np.ndarray:
+    """Every initial qubit starts as a Z-noisy plus state; pair CZs, folds
+    and internal CZs follow the plan, all real, so the build is float64.
+    Fold corrections are read off a clean run of the pattern engine, branch
+    by branch, so this build shares no arithmetic with the analytic model."""
     _check_p(p)
+    g = plan.graph
     n_tot = g.n + len(plan.merges)
     if n_tot > dense.MAX_DENSE_QUBITS:
         raise CapacityError(
             f"candidate needs {n_tot} dense qubits, cap is {dense.MAX_DENSE_QUBITS}"
         )
-    rho = reduce(np.kron, [_noisy_plus(p)] * n_tot) if n_tot else np.ones((1, 1), complex)
-    for a, b in plan.copy_slots:
-        rho = dense.apply_unitary_rho(rho, dense.CZ, (a, b))
+    noisy_plus = np.array([[0.5, 0.5 - p], [0.5 - p, 0.5]])
+    rho = reduce(np.kron, [noisy_plus] * n_tot, np.ones((1, 1)))
+    rho = _cz_layer(rho, n_tot, plan.copy_slots)
 
     # extras are folded in slot order and the dense state drops each one, so
     # at fold i slot q sits at row q below the extras and at row q - i above
@@ -202,7 +211,7 @@ def build_reconstruction(g: Graph, side_a, p: float) -> np.ndarray:
             return q if q < g.n else q - i
 
         m_row = row(extra)
-        rho = dense.apply_unitary_rho(rho, dense.CZ, (kappa, m_row))
+        rho = _cz_layer(rho, n_tot - i, [(kappa, m_row)])
         acc = None
         for b in (0, 1):
             br = dense.project_rho(rho, "X", m_row, b)
@@ -213,9 +222,7 @@ def build_reconstruction(g: Graph, side_a, p: float) -> np.ndarray:
         rho = dense.partial_trace(acc, [q for q in range(n_tot - i) if q != m_row])
         probe_graph = probes[0].state.graph
 
-    for u, v in plan.internal_edges:
-        rho = dense.apply_unitary_rho(rho, dense.CZ, (u, v))
-    return rho
+    return _cz_layer(rho, g.n, plan.internal_edges)
 
 
 def _product_flip_vector(probs: tuple[float, ...]) -> np.ndarray:
@@ -234,6 +241,11 @@ def _analytic_trace_distance(g: Graph, side_a, p: float) -> float:
     return 0.5 * float(np.abs(cand - target).sum())
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterError(f"--tol must be finite and non-negative, got {tol!r}")
+
+
 def verify_reconstruction(
     g: Graph,
     side_a,
@@ -249,18 +261,21 @@ def verify_reconstruction(
     """
     if method not in ("auto", "dense", "analytic"):
         raise ParameterError(f"unknown method {method!r}")
+    _check_tol(tol)
     plan = reconstruction_plan(g, side_a)
     if plan is None:
         return VerifyResult(ok=False, trace_distance=math.inf, method="no-canonical-wiring")
-    analytic = _analytic_trace_distance(g, side_a, p)
+    return _verify(plan, p, _analytic_trace_distance(g, side_a, p), tol, method)
+
+
+def _verify(plan: Reconstruction, p: float, analytic: float, tol: float, method: str) -> VerifyResult:
+    g = plan.graph
     n_tot = g.n + len(plan.merges)
     dense_ok = n_tot <= dense.MAX_DENSE_QUBITS and g.n <= dense.MAX_THERMAL_QUBITS
     if method == "dense" and not dense_ok:
         raise CapacityError("dense verification does not fit the qubit cap")
     if method != "analytic" and dense_ok:
-        cand = build_reconstruction(g, side_a, p)
-        target = dense.thermal_state_from_p(g, p)
-        dist = dense.trace_distance(cand, target)
+        dist = dense.trace_distance(_assemble(plan, p), dense.thermal_state_from_p(g, p))
         if abs(dist - analytic) > 1e-9:
             raise InvariantError("dense circuit disagrees with the analytic flip model")
         return VerifyResult(ok=dist <= tol, trace_distance=dist, method="dense")
@@ -273,7 +288,9 @@ def proof_applies(g: Graph, p: float = 0.1, tol: float = 1e-9) -> dict:
 
     Searches every bipartition separating the edge (the canonical family
     only); True needs a verified reconstruction, and the graph-level claim
-    is simply all(values).  The probe noise level must be interior — at the
+    is simply all(values).  Each bipartition is planned and screened by the
+    analytic distance once; the first that passes is built densely and
+    cross-checked.  The probe noise level must be interior — at the
     endpoints every candidate matches trivially.
     """
     if g.n > MAX_RECONSTRUCTION_QUBITS:
@@ -282,15 +299,19 @@ def proof_applies(g: Graph, p: float = 0.1, tol: float = 1e-9) -> dict:
         )
     if not 0.0 < p < 0.5:
         raise ParameterError("probe flip probability must lie strictly inside (0, 1/2)")
+    _check_tol(tol)
     verdicts: dict[tuple[int, int], bool] = {}
     for u, v in sorted(g.edges()):
         others = [w for w in range(g.n) if w != u and w != v]
         found = False
         for pick in range(1 << len(others)):
             side = [u] + [w for i, w in enumerate(others) if pick >> i & 1]
-            if verify_reconstruction(g, side, p, tol, method="analytic").ok:
-                checked = verify_reconstruction(g, side, p, tol, method="auto")
-                if not checked.ok:
+            plan = reconstruction_plan(g, side)
+            if plan is None:
+                continue
+            analytic = _analytic_trace_distance(g, side, p)
+            if analytic <= tol:
+                if not _verify(plan, p, analytic, tol, "auto").ok:
                     raise InvariantError("analytic success must survive the dense check")
                 found = True
                 break

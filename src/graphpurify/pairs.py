@@ -58,7 +58,8 @@ class BellDiagonal:
     def __post_init__(self) -> None:
         if len(self.probs) != 4:
             raise ParameterError("need exactly four class probabilities")
-        if any(q < 0.0 or q > 1.0 or not math.isfinite(q) for q in self.probs):
+        a, b, c, d = self.probs
+        if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0 and 0.0 <= d <= 1.0):
             raise ParameterError("class probabilities must lie in [0, 1]")
         if abs(sum(self.probs) - 1.0) > _SUM_TOL:
             raise ParameterError("class probabilities must sum to 1")
@@ -76,11 +77,6 @@ def from_z_noise(p: float) -> BellDiagonal:
     return BellDiagonal((q * q, p * q, p * q, p * p))
 
 
-# Classes moved into the slots b, c, d of the core map by each pre-rotation
-# (class 0 always sits in slot a); pairing k is entry k - 1.
-_PAIRING_SLOTS = ((1, 2, 3), (2, 1, 3), (3, 2, 1))
-
-
 def _round(q: tuple[float, float, float, float]) -> tuple[tuple[float, float, float, float], float, int]:
     """One greedy recurrence round on the class probabilities ``q``.
 
@@ -89,31 +85,36 @@ def _round(q: tuple[float, float, float, float]) -> tuple[tuple[float, float, fl
     fidelity is largest, ties to the smallest index; only its full output is
     built.  With the classes in slots (a, b, c, d) the core map is
     ((a^2 + b^2)/n, 2ab/n, (c^2 + d^2)/n, 2cd/n), n = (a + b)^2 + (c + d)^2.
+    Class 0 always sits in slot a; pairing k puts class k in slot b, so the
+    slots (b, c, d) hold classes (1, 2, 3), (2, 1, 3) and (3, 2, 1).
     """
-    a = q[0]
-    clamp = max(q) <= 0.5
-    best_fid = -1.0
-    for pairing, (i, j, k) in enumerate(_PAIRING_SLOTS, 1):
-        b = q[i]
-        n = (a + b) ** 2 + (q[j] + q[k]) ** 2
-        if n <= 0.0:
-            raise ParameterError("recurrence success probability vanished")
-        fid = (a * a + b * b) / n
-        if clamp:
-            # a slot at or below 1/2 provably cannot map above it (the tight
-            # case is (a-b)^2 <= (c+d)^2, i.e. a <= 1/2); rounding may still
-            # overshoot by an ulp, which would fake a purifiable state
-            fid = min(fid, 0.5)
-        if fid > best_fid:
-            best, best_fid, best_n = pairing, fid, n
-    i, j, k = _PAIRING_SLOTS[best - 1]
-    b, c, d, n = q[i], q[j], q[k], best_n
-    out = [best_fid, 2.0 * a * b / n, (c * c + d * d) / n, 2.0 * c * d / n]
+    a, q1, q2, q3 = q
+    n1 = (a + q1) ** 2 + (q2 + q3) ** 2
+    n2 = (a + q2) ** 2 + (q1 + q3) ** 2
+    n3 = (a + q3) ** 2 + (q2 + q1) ** 2
+    if n1 <= 0.0 or n2 <= 0.0 or n3 <= 0.0:
+        raise ParameterError("recurrence success probability vanished")
+    fid, n, best = (a * a + q1 * q1) / n1, n1, 1
+    f2, f3 = (a * a + q2 * q2) / n2, (a * a + q3 * q3) / n3
+    clamp = a <= 0.5 and q1 <= 0.5 and q2 <= 0.5 and q3 <= 0.5
     if clamp:
-        out[1:] = [min(x, 0.5) for x in out[1:]]
-    kept = [best_fid, 0.0, 0.0, 0.0]
-    kept[i], kept[j], kept[k] = out[1], out[2], out[3]
-    return tuple(kept), n, best
+        # a slot at or below 1/2 provably cannot map above it (the tight
+        # case is (a-b)^2 <= (c+d)^2, i.e. a <= 1/2); rounding may still
+        # overshoot by an ulp, which would fake a purifiable state
+        fid, f2, f3 = min(fid, 0.5), min(f2, 0.5), min(f3, 0.5)
+    if f2 > fid:
+        fid, n, best = f2, n2, 2
+    if f3 > fid:
+        fid, n, best = f3, n3, 3
+    if best == 1:
+        kept = (fid, 2.0 * a * q1 / n, (q2 * q2 + q3 * q3) / n, 2.0 * q2 * q3 / n)
+    elif best == 2:
+        kept = (fid, (q1 * q1 + q3 * q3) / n, 2.0 * a * q2 / n, 2.0 * q1 * q3 / n)
+    else:
+        kept = (fid, 2.0 * q2 * q1 / n, (q2 * q2 + q1 * q1) / n, 2.0 * a * q3 / n)
+    if clamp:
+        kept = (fid, min(kept[1], 0.5), min(kept[2], 0.5), min(kept[3], 0.5))
+    return kept, n, best
 
 
 def recurrence_pairing(bd: BellDiagonal) -> int:
@@ -133,7 +134,8 @@ def recurrence_step(bd: BellDiagonal) -> tuple[BellDiagonal, float]:
 
 
 def _stuck(nxt: tuple[float, ...], cur: tuple[float, ...]) -> bool:
-    return all(abs(x - y) <= 1e-15 for x, y in zip(nxt, cur))
+    return (abs(nxt[0] - cur[0]) <= 1e-15 and abs(nxt[1] - cur[1]) <= 1e-15
+            and abs(nxt[2] - cur[2]) <= 1e-15 and abs(nxt[3] - cur[3]) <= 1e-15)
 
 
 @dataclass(frozen=True)
@@ -182,15 +184,22 @@ def hashing_yield(bd: BellDiagonal) -> float:
 
 
 def _hashing_yield(probs: tuple[float, ...]) -> float:
-    if max(probs) <= 0.5:
+    a, b, c, d = probs
+    if a <= 0.5 and b <= 0.5 and c <= 0.5 and d <= 0.5:
         # entropy >= -log2(max prob) >= 1 bit: the yield is exactly zero,
         # and skipping the float sum keeps it free of rounding dust
         return 0.0
     h = 0.0
-    for q in probs:
-        if q > 0.0:
-            h -= q * math.log2(q)
-    return max(0.0, 1.0 - h)
+    if a > 0.0:
+        h -= a * math.log2(a)
+    if b > 0.0:
+        h -= b * math.log2(b)
+    if c > 0.0:
+        h -= c * math.log2(c)
+    if d > 0.0:
+        h -= d * math.log2(d)
+    y = 1.0 - h
+    return y if y > 0.0 else 0.0
 
 
 def composite_r2(bd: BellDiagonal) -> float:
@@ -213,7 +222,9 @@ def composite_r2(bd: BellDiagonal) -> float:
         survival *= n / 2.0
         stuck = _stuck(nxt, cur)
         cur = nxt
-        best = max(best, survival * _hashing_yield(cur))
+        cand = survival * _hashing_yield(cur)
+        if cand > best:
+            best = cand
         if stuck:
             break
     return best

@@ -172,7 +172,7 @@ def n_geo_formula(family: str) -> int | None:
 # rate accounting
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateReport:
     n_geo_plan: int
     n_geo_formula: int | None
@@ -200,13 +200,8 @@ def _rates(plan: ExtractionPlan, p: float, family_hint, r2_estimator) -> RateRep
     estimator = r2_estimator if r2_estimator is not None else composite_r2
     r2 = estimator(from_z_noise(p))
     formula = n_geo_formula(family_hint) if family_hint is not None else None
-    return RateReport(
-        n_geo_plan=plan.n_geo,
-        n_geo_formula=formula,
-        r2=r2,
-        r_psi_lower=r2 / max(1, plan.n_geo),
-        r_psi_upper=r2,
-    )
+    n_geo = plan.n_geo
+    return RateReport(n_geo, formula, r2, r2 / (n_geo or 1), r2)
 
 
 # ---------------------------------------------------------------------------
@@ -529,12 +524,17 @@ def threshold_scan(
     seed: int = 0,
     pair_target_fidelity: float = 0.999,
     workers: int = 1,
-    temperature_of=None,
+    temperatures=None,
 ) -> list[ScanRow]:
-    """Purifiability verdict and achieved fidelity across a noise grid."""
+    """Purifiability verdict and achieved fidelity across a noise grid.
+
+    ``temperatures``, when given, holds one bath temperature per grid point.
+    """
     grid = list(p_grid)
     if grid != sorted(grid):
         raise ParameterError("p grid must be sorted ascending")
+    if temperatures is not None and len(temperatures) != len(grid):
+        raise ParameterError("need one temperature per grid point")
     rows = []
     for i, p in enumerate(grid):
         res = run_drpp(
@@ -548,7 +548,7 @@ def threshold_scan(
         rows.append(
             ScanRow(
                 p=p,
-                temperature=temperature_of(p) if temperature_of is not None else None,
+                temperature=temperatures[i] if temperatures is not None else None,
                 purifiable=purifiable_at(p),
                 converged=res.converged,
                 fidelity=res.fidelity,

@@ -201,6 +201,32 @@ class TestScan:
         assert [r["temperature"] for r in rows] == [0.9, 1.4]
         assert [r["purifiable"] for r in rows] == [True, False]
 
+    def test_temperature_grid_keeps_repeats(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "scan", "--graph", "path:3", "--T-grid", "0.6,0.5,0.5",
+            "--B", "1.0", "--shots", "50", "--seed", "2", "--json",
+        )
+        assert rc == 0
+        rows = envelope(out)["results"]
+        assert [r["temperature"] for r in rows] == [0.5, 0.5, 0.6]
+        assert rows[0]["p"] == rows[1]["p"] < rows[2]["p"]
+        rc, out, _ = run_cli(
+            capsys, "scan", "--graph", "path:3", "--T-grid", "0.5,0.5,0.6",
+            "--B", "1.0", "--shots", "50", "--seed", "2",
+        )
+        assert rc == 0
+        assert out.startswith("scan over 3 points")
+
+    def test_temperatures_with_equal_p_keep_their_own_rows(self, capsys):
+        # T = 0 and T = 0.001 both give p = 0.0 at B = 1 (e^-1000 underflows)
+        rc, out, _ = run_cli(
+            capsys, "scan", "--graph", "path:3", "--T-grid", "0.001,0",
+            "--B", "1.0", "--shots", "20", "--json",
+        )
+        assert rc == 0
+        rows = envelope(out)["results"]
+        assert [(r["p"], r["temperature"]) for r in rows] == [(0.0, 0.0), (0.0, 0.001)]
+
     def test_temperature_grid_needs_field_scale(self, capsys):
         rc, _, _ = run_cli(
             capsys, "scan", "--graph", "path:3", "--T-grid", "1.0", "--shots", "10"
@@ -321,6 +347,22 @@ class TestCheckOptimality:
     def test_capacity_exit_code(self, capsys):
         rc, _, _ = run_cli(capsys, "check-optimality", "--graph", "path:9")
         assert rc == 3
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, tol):
+        rc, out, err = run_cli(
+            capsys, "check-optimality", "--graph", "path:3", f"--tol={tol}"
+        )
+        assert rc == 2
+        assert "--tol" in err
+        assert "threshold argument" not in out
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "check-optimality", "--graph", "path:3", "--tol", "0", "--json"
+        )
+        assert rc == 0
+        assert envelope(out)["results"]["tol"] == 0.0
 
 
 class TestOutputFile:

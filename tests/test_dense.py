@@ -26,14 +26,12 @@ from graphpurify.dense import (
     cz_diagonal,
     graph_hamiltonian,
     graph_state_vector,
-    isospectral_hamiltonian,
     partial_trace,
     pauli_projector,
     project_rho,
     thermal_state,
     thermal_state_from_p,
     trace_distance,
-    transverse_field_hamiltonian,
 )
 from graphpurify.errors import CapacityError, ParameterError
 from graphpurify.graphs import (
@@ -53,6 +51,29 @@ def _basis(n: int, index: int) -> np.ndarray:
 
 
 # -- local oracles: state-level helpers the package itself never needs -------
+
+
+def transverse_field_hamiltonian(n: int, B: float) -> np.ndarray:
+    """B * sum of single-qubit X operators on n qubits."""
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.int64)
+    Hm = np.zeros((dim, dim), dtype=np.float64)
+    for v in range(n):
+        Hm[idx ^ (1 << v), idx] += B
+    return Hm
+
+
+def isospectral_hamiltonian(g: Graph, B: float) -> np.ndarray:
+    """The transverse-field sum conjugated by the edge-CZ circuit.
+
+    Built literally as D (B sum X_i) D with D the CZ-product diagonal, so that
+    its spectrum provably equals that of the bare transverse field; each
+    conjugated X_i becomes the corresponding vertex stabilizer.  Note the
+    normalization differs from ``graph_hamiltonian`` (+B per stabilizer here
+    versus -B/2 there); the two are spectrally unrelated on purpose.
+    """
+    d = cz_diagonal(g).astype(np.float64)
+    return d[:, None] * transverse_field_hamiltonian(g.n, B) * d[None, :]
 
 
 def project_vec(psi: np.ndarray, axis: str, qubit: int, outcome: int) -> np.ndarray:

@@ -525,13 +525,14 @@ class TestThresholdScan:
         assert rows[2].fidelity is None and rows[2].ci95 is None
 
     def test_temperature_column(self):
-        by_p = {0.1: 2.5, 0.2: 4.0}
         rows = threshold_scan(
-            path_graph(3), [0.1, 0.2], shots=50, seed=1, temperature_of=by_p.get
+            path_graph(3), [0.1, 0.2], shots=50, seed=1, temperatures=[2.5, 4.0]
         )
         assert [r.temperature for r in rows] == [2.5, 4.0]
         plain = threshold_scan(path_graph(3), [0.1], shots=50, seed=1)
         assert plain[0].temperature is None
+        with pytest.raises(ParameterError):
+            threshold_scan(path_graph(3), [0.1, 0.2], shots=50, temperatures=[2.5])
 
     def test_grid_must_be_sorted(self):
         with pytest.raises(ParameterError):
