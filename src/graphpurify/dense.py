@@ -16,7 +16,6 @@ Conventions, fixed across the whole package:
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
@@ -202,23 +201,41 @@ def thermal_state(g: Graph, model: ThermalModel) -> np.ndarray:
     return (V * weights) @ V.conj().T
 
 
+def flip_damping(n: int, p: float) -> np.ndarray:
+    """(1 - 2p)^popcount(b ^ b') for every pair of n-qubit basis states.
+
+    Independent Z flips at rate p scale entry (b, b') of a density matrix by
+    (1 - 2p) for every qubit where b and b' differ.  Built by doubling: one
+    more qubit copies the block onto the diagonal and scales it by 1 - 2p off
+    it, so each entry is the same left-to-right product of 1 - 2p factors a
+    kron of n per-qubit factors gives.
+    """
+    _check_cap(n)
+    d = 1.0 - 2.0 * p
+    out = np.ones((1, 1))
+    for _ in range(n):
+        k = out.shape[0]
+        grown = np.empty((2 * k, 2 * k))
+        grown[:k, :k] = out
+        grown[k:, k:] = out
+        np.multiply(out, d, out=grown[:k, k:])
+        grown[k:, :k] = grown[:k, k:]
+        out = grown
+    return out
+
+
 def thermal_state_from_p(g: Graph, p: float) -> np.ndarray:
     """Mixture of Z-error patterns with independent per-qubit flip rate p.
 
-    Summing Z^e rho_G Z^e over patterns e factorizes per qubit: entry
-    (b, b') of the graph state is damped by (1 - 2p) for every qubit where
-    b and b' differ, so rho = outer(psi, psi) * (1 - 2p)^popcount(b ^ b'),
-    real like the graph state itself.
+    Summing Z^e rho_G Z^e over patterns e factorizes per qubit, so
+    rho = outer(psi, psi) * flip_damping(n, p), real like the graph state.
     """
     if g.n > MAX_THERMAL_QUBITS:
         raise CapacityError(f"{g.n} qubits exceeds thermal cap {MAX_THERMAL_QUBITS}")
     if not 0.0 <= p <= 1.0:
         raise ParameterError("flip probability must lie in [0, 1]")
-    # entry x is (1 - 2p)^popcount(x): one factor (1, 1 - 2p) per qubit
-    damping = reduce(np.kron, [np.array([1.0, 1.0 - 2.0 * p])] * g.n, np.ones(1))
-    idx = np.arange(1 << g.n)
     psi = cz_diagonal(g) / math.sqrt(1 << g.n)
-    return np.outer(psi, psi) * damping[idx[:, None] ^ idx[None, :]]
+    return np.outer(psi, psi) * flip_damping(g.n, p)
 
 
 # -- state-validity contracts ---------------------------------------------------

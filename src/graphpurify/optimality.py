@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -52,6 +51,11 @@ __all__ = [
 ]
 
 MAX_RECONSTRUCTION_QUBITS = 8
+# the float flip-vector distance differs from the exact one by rounding alone
+# (entries are products of at most 8 factors, summed over at most 256 terms),
+# far below this slack; a marginal gap rejects a split only past it, so the
+# screen never rejects a split that the float distance would accept
+_SCREEN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,11 @@ def candidate_flip_probs(g: Graph, side_a, p: float) -> tuple[float, ...]:
     the vertex qubit, i.e. max(1, cross degree).
     """
     _check_p(p)
-    amask = _side_mask(g, side_a)
+    return _flip_probs(g, _side_mask(g, side_a), p)
+
+
+def _flip_probs(g: Graph, amask: int, p: float) -> tuple[float, ...]:
+    """``candidate_flip_probs`` for the side given as a vertex bitset."""
     probs = []
     for v in range(g.n):
         other = g.adj[v] & (~amask if amask >> v & 1 else amask)
@@ -186,8 +194,7 @@ def _assemble(plan: Reconstruction, p: float) -> np.ndarray:
         raise CapacityError(
             f"candidate needs {n_tot} dense qubits, cap is {dense.MAX_DENSE_QUBITS}"
         )
-    noisy_plus = np.array([[0.5, 0.5 - p], [0.5 - p, 0.5]])
-    rho = reduce(np.kron, [noisy_plus] * n_tot, np.ones((1, 1)))
+    rho = dense.flip_damping(n_tot, p) / (1 << n_tot)  # noisy |+> on every qubit
     rho = _cz_layer(rho, n_tot, plan.copy_slots)
 
     # extras are folded in slot order and the dense state drops each one, so
@@ -232,13 +239,31 @@ def _product_flip_vector(probs: tuple[float, ...]) -> np.ndarray:
     return v
 
 
-def _analytic_trace_distance(g: Graph, side_a, p: float) -> float:
+def _analytic_trace_distance(probs: tuple[float, ...], target: np.ndarray) -> float:
     """Both states are diagonal in the Z-error basis of the target graph
     state, so trace distance collapses to total variation between the two
-    flip-pattern distributions."""
-    cand = _product_flip_vector(candidate_flip_probs(g, side_a, p))
-    target = _product_flip_vector(tuple([p] * g.n))
-    return 0.5 * float(np.abs(cand - target).sum())
+    flip-pattern distributions: the candidate's per-vertex ``probs`` and the
+    target's ``_product_flip_vector((p,) * n)``."""
+    return 0.5 * float(np.abs(_product_flip_vector(probs) - target).sum())
+
+
+def _screened_distance(
+    probs: tuple[float, ...], p: float, tol: float, target: np.ndarray
+) -> float | None:
+    """``_analytic_trace_distance(probs, target)`` when it is at most tol,
+    else None, trying the cheap bounds first (``target`` is the flip vector of
+    ``(p,) * n``).
+
+    The total variation between two product distributions is at least every
+    per-vertex gap |q_v - p|, so one gap past tol (and the float slack)
+    rejects; equal tuples give equal vectors, so their distance is exactly 0.0.
+    """
+    if any(abs(q - p) > tol + _SCREEN_SLACK for q in probs):
+        return None
+    if all(q == p for q in probs):
+        return 0.0
+    dist = _analytic_trace_distance(probs, target)
+    return dist if dist <= tol else None
 
 
 def _check_tol(tol: float) -> None:
@@ -265,17 +290,31 @@ def verify_reconstruction(
     plan = reconstruction_plan(g, side_a)
     if plan is None:
         return VerifyResult(ok=False, trace_distance=math.inf, method="no-canonical-wiring")
-    return _verify(plan, p, _analytic_trace_distance(g, side_a, p), tol, method)
+    analytic = _analytic_trace_distance(
+        candidate_flip_probs(g, side_a, p), _product_flip_vector((p,) * g.n)
+    )
+    return _verify(plan, p, analytic, tol, method)
 
 
-def _verify(plan: Reconstruction, p: float, analytic: float, tol: float, method: str) -> VerifyResult:
+def _verify(
+    plan: Reconstruction,
+    p: float,
+    analytic: float,
+    tol: float,
+    method: str,
+    target: np.ndarray | None = None,
+) -> VerifyResult:
+    """Judge one plan; ``target`` is ``dense.thermal_state_from_p(g, p)`` when
+    the caller already has it."""
     g = plan.graph
     n_tot = g.n + len(plan.merges)
     dense_ok = n_tot <= dense.MAX_DENSE_QUBITS and g.n <= dense.MAX_THERMAL_QUBITS
     if method == "dense" and not dense_ok:
         raise CapacityError("dense verification does not fit the qubit cap")
     if method != "analytic" and dense_ok:
-        dist = dense.trace_distance(_assemble(plan, p), dense.thermal_state_from_p(g, p))
+        if target is None:
+            target = dense.thermal_state_from_p(g, p)
+        dist = dense.trace_distance(_assemble(plan, p), target)
         if abs(dist - analytic) > 1e-9:
             raise InvariantError("dense circuit disagrees with the analytic flip model")
         return VerifyResult(ok=dist <= tol, trace_distance=dist, method="dense")
@@ -288,10 +327,16 @@ def proof_applies(g: Graph, p: float = 0.1, tol: float = 1e-9) -> dict:
 
     Searches every bipartition separating the edge (the canonical family
     only); True needs a verified reconstruction, and the graph-level claim
-    is simply all(values).  Each bipartition is planned and screened by the
-    analytic distance once; the first that passes is built densely and
-    cross-checked.  The probe noise level must be interior — at the
-    endpoints every candidate matches trivially.
+    is simply all(values).  The first split that passes wins, and each is
+    screened before it is planned, cheapest test first: the marginal bound,
+    the exact zero, then the flip-vector distance (``_screened_distance``).
+    Only a split within tol is planned (a cycle of cross edges has no
+    wiring), and each distinct split that has a wiring gets one dense
+    witness, cross-checked against the analytic distance, on a thermal
+    target built once per call.
+
+    The probe noise level must be interior — at the endpoints every
+    candidate matches trivially.
     """
     if g.n > MAX_RECONSTRUCTION_QUBITS:
         raise CapacityError(
@@ -300,20 +345,28 @@ def proof_applies(g: Graph, p: float = 0.1, tol: float = 1e-9) -> dict:
     if not 0.0 < p < 0.5:
         raise ParameterError("probe flip probability must lie strictly inside (0, 1/2)")
     _check_tol(tol)
+    flip_target = _product_flip_vector((p,) * g.n)
+    thermal = None
+    witnessed: dict[int, VerifyResult] = {}  # side bitset -> dense verdict
     verdicts: dict[tuple[int, int], bool] = {}
     for u, v in sorted(g.edges()):
         others = [w for w in range(g.n) if w != u and w != v]
         found = False
         for pick in range(1 << len(others)):
-            side = [u] + [w for i, w in enumerate(others) if pick >> i & 1]
-            plan = reconstruction_plan(g, side)
+            amask = 1 << u | sum(1 << w for i, w in enumerate(others) if pick >> i & 1)
+            analytic = _screened_distance(_flip_probs(g, amask, p), p, tol, flip_target)
+            if analytic is None:
+                continue
+            plan = reconstruction_plan(g, list(_bits(amask)))
             if plan is None:
                 continue
-            analytic = _analytic_trace_distance(g, side, p)
-            if analytic <= tol:
-                if not _verify(plan, p, analytic, tol, "auto").ok:
-                    raise InvariantError("analytic success must survive the dense check")
-                found = True
-                break
+            if amask not in witnessed:
+                if thermal is None:
+                    thermal = dense.thermal_state_from_p(g, p)
+                witnessed[amask] = _verify(plan, p, analytic, tol, "auto", thermal)
+            if not witnessed[amask].ok:
+                raise InvariantError("analytic success must survive the dense check")
+            found = True
+            break
         verdicts[(u, v)] = found
     return verdicts

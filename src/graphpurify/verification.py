@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -197,15 +198,17 @@ def _compare(
     dense: np.ndarray,
     outs: list[FrameBatch],
     measured: int,
-    labels: list[str],
+    branches: Sequence,
+    name: Callable[[object], str],
     failures: list[str],
 ) -> int:
     """Count mismatching columns of one operation site; describe each bad one.
 
-    Branch b of the site, named ``labels[b]``, is columns b*width ..
-    (b+1)*width - 1 of ``dense``.  The engine's batches ``outs`` cover equal
-    shares of those columns in order: one batch tiled over every branch, or
-    one per branch.  ``dense`` lacks the qubits in the mask ``measured``,
+    Branch b of the site, named ``name(branches[b])``, is columns b*width ..
+    (b+1)*width - 1 of ``dense``; a name is formatted only when the site has
+    a failure to describe.  The engine's batches ``outs`` cover equal shares
+    of those columns in order: one batch tiled over every branch, or one per
+    branch.  ``dense`` lacks the qubits in the mask ``measured``,
     which the engine must have left isolated with zero rows; it keeps them,
     so its claimed panel is read on the rows where they all read 0.
     Descriptions follow branch order, then column order.
@@ -221,7 +224,7 @@ def _compare(
             loose |= (out.alive if out.graph.adj[q] else 0) | out.z_rows[q] | out.frame_rows[q]
         share = [z ^ f for z, f in zip(out.z_rows, out.frame_rows)] + [out.alive, loose]
         if max(share) >> span:
-            site = labels[i * len(labels) // len(outs)]
+            site = name(branches[i * len(branches) // len(outs)])
             raise InvariantError(f"{site}: engine rows carry bits past column {span - 1}")
         for q, row in enumerate(share):
             rows[q] |= row << i * span
@@ -241,6 +244,7 @@ def _compare(
     wrong = alive & ~(same & nonzero & ~stray)
     bad = int(np.count_nonzero(refused) + np.count_nonzero(wrong))
     if bad:
+        labels = [name(branch) for branch in branches]
         width = dense.shape[1] // len(labels)
         kinds = ((refused, "engine refused a possible branch"), (wrong, "state mismatch"))
         notes = (
@@ -297,9 +301,8 @@ def check_graph(
     if pairs:
         dense = np.hstack([_cz_rows(base, n, u, v) for u, v in pairs])
         outs = [batch_cz(batch, u, v) for u, v in pairs]
-        labels = [f"{gname} cz({u},{v})" for u, v in pairs]
         checks += width * len(pairs)
-        bad += _compare(dense, outs, 0, labels, failures)
+        bad += _compare(dense, outs, 0, pairs, lambda uv: f"{gname} cz({uv[0]},{uv[1]})", failures)
 
     both = _tile(batch, 2, width)
     (minus,) = _branch_rows(1, width)
@@ -307,9 +310,8 @@ def check_graph(
         # Z = +1 keeps qubit v's 0 rows, Z = -1 its 1 rows
         dense = np.concatenate(_split(base, n, v), axis=2).reshape(1 << (n - 1), 2 * width)
         out = batch_measure_z(both, v, outcome_row=minus).batch
-        labels = [f"{gname} mz({v},{o:+d})" for o in (+1, -1)]
         checks += 2 * width
-        bad += _compare(dense, [out], 1 << v, labels, failures)
+        bad += _compare(dense, [out], 1 << v, (+1, -1), lambda o: f"{gname} mz({v},{o:+d})", failures)
 
     limit = max_party if max_party is not None else n
     for party in _ordered_parties(n, limit):
@@ -325,12 +327,11 @@ def _check_merge_party(batch: FrameBatch, base: np.ndarray, party, gname, failur
     run = batch_merge(_tile(batch, 1 << k, width), party, outcome_rows=_branch_rows(k, width))
     # the pivots depend only on the graph, so one replay serves every branch
     dense = _replay_merge(base, batch.graph.n, party, run.pivots, width)
-    labels = [
-        f"{gname} merge{tuple(party)} outcomes={o}"
-        for o in itertools.product((+1, -1), repeat=k)
-    ]
     measured = sum(1 << m for m in party[1:])
-    bad = _compare(dense, [run.batch], measured, labels, failures)
+    bad = _compare(
+        dense, [run.batch], measured, list(itertools.product((+1, -1), repeat=k)),
+        lambda o: f"{gname} merge{tuple(party)} outcomes={o}", failures,
+    )
     return width << k, bad
 
 
@@ -370,9 +371,11 @@ def _check_splice(base_graph: Graph, failures: list[str]) -> tuple[int, int]:
         dense = _x_branches(dense, n + 2, n, width)
         dense = _x_branches(dense, n + 1, n, width)
         out = batch_splice(tiled, u, v, n, n + 1, outcome_rows=rows).batch
-        labels = [f"{gname} u={u} v={v} outcomes=({o1:+d},{o2:+d})" for o1, o2 in branches]
         checks += width * len(branches)
-        bad += _compare(dense, [out], 0b11 << n, labels, failures)
+        bad += _compare(
+            dense, [out], 0b11 << n, branches,
+            lambda o: f"{gname} u={u} v={v} outcomes=({o[0]:+d},{o[1]:+d})", failures,
+        )
     return checks, bad
 
 

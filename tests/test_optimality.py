@@ -7,17 +7,22 @@ lean on structural properties, hand-derived trace distances, and the
 documented exactness condition (every cross degree at most one).
 """
 
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphpurify
+from graphpurify import optimality
 
 from graphpurify.dense import (
     check_density_matrix,
@@ -25,7 +30,7 @@ from graphpurify.dense import (
     trace_distance,
 )
 from graphpurify.errors import CapacityError, ParameterError
-from graphpurify.graphs import Graph, cycle_graph, path_graph, star_graph
+from graphpurify.graphs import Graph, cycle_graph, load_graph, path_graph, star_graph
 from graphpurify.optimality import (
     MAX_RECONSTRUCTION_QUBITS,
     build_reconstruction,
@@ -34,7 +39,13 @@ from graphpurify.optimality import (
     reconstruction_plan,
     verify_reconstruction,
 )
-from graphpurify.optimality import _product_flip_vector  # white-box: the flip model
+# white-box: the flip model and the screen in front of it
+from graphpurify.optimality import (
+    _SCREEN_SLACK,
+    _analytic_trace_distance,
+    _product_flip_vector,
+    _screened_distance,
+)
 
 
 class TestReconstructionPlan:
@@ -217,6 +228,128 @@ class TestProofApplies:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             proof_applies(path_graph(MAX_RECONSTRUCTION_QUBITS + 1))
+
+
+def _reference_first_splits(g: Graph, p: float, tol: float) -> dict:
+    """The search without any screen: plan every split separating the edge,
+    take the full flip-vector total variation, and the first split that has
+    a wiring and passes wins (None when none does)."""
+    target = _product_flip_vector((p,) * g.n)
+    first = {}
+    for u, v in sorted(g.edges()):
+        others = [w for w in range(g.n) if w != u and w != v]
+        first[(u, v)] = None
+        for pick in range(1 << len(others)):
+            side = [u] + [w for i, w in enumerate(others) if pick >> i & 1]
+            if reconstruction_plan(g, side) is None:
+                continue
+            amask = sum(1 << x for x in side)
+            probs = []
+            for x in range(g.n):
+                cross = (g.adj[x] & (~amask if amask >> x & 1 else amask)).bit_count()
+                probs.append((1.0 - (1.0 - 2.0 * p) ** max(1, cross)) / 2.0)
+            if 0.5 * float(np.abs(_product_flip_vector(tuple(probs)) - target).sum()) <= tol:
+                first[(u, v)] = frozenset(side)
+                break
+    return first
+
+
+_SCREEN_CASES = ((0.1, 1e-9), (0.3, 1e-9), (1e-6, 1e-9), (0.1, 0.05), (0.2, 0.3), (0.01, 0.02))
+_BENCH_GRAPHS = ("cycle:3", "cycle:5", "path:6", "grid:2x3", "star:6", "cycle:7")
+
+
+def _labelled_graphs(max_n: int):
+    for n in range(1, max_n + 1):
+        slots = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(slots)):
+            yield Graph.from_edges(n, [e for i, e in enumerate(slots) if mask >> i & 1])
+
+
+class TestScreenedSearch:
+    """``proof_applies`` screens a split by cheap bounds before planning it
+    and builds one dense witness per distinct split; its verdicts must be
+    those of the unscreened search."""
+
+    def test_verdicts_equal_the_unscreened_search(self):
+        graphs = list(_labelled_graphs(4)) + [load_graph(name) for name in _BENCH_GRAPHS]
+        assert len(graphs) == 75 + 6
+        for g in graphs:
+            for p, tol in _SCREEN_CASES:
+                want = {e: side is not None for e, side in _reference_first_splits(g, p, tol).items()}
+                assert proof_applies(g, p, tol) == want, (g, p, tol)
+
+    def test_one_plan_per_passing_split_and_one_witness_per_distinct_split(self, monkeypatch):
+        plans = []
+        witnesses = []
+        real_plan, real_assemble = optimality.reconstruction_plan, optimality._assemble
+
+        def counting_plan(g, side_a):
+            plans.append(frozenset(side_a))
+            return real_plan(g, side_a)
+
+        def counting_assemble(plan, p):
+            witnesses.append(plan.side_a)
+            return real_assemble(plan, p)
+
+        monkeypatch.setattr(optimality, "reconstruction_plan", counting_plan)
+        monkeypatch.setattr(optimality, "_assemble", counting_assemble)
+        firsts = distinct = 0
+        for name in _BENCH_GRAPHS:
+            g = load_graph(name)
+            ref = _reference_first_splits(g, 0.1, 1e-9)
+            sides = [side for side in ref.values() if side is not None]
+            firsts += len(sides)
+            distinct += len(set(sides))
+            plans.clear()
+            witnesses.clear()
+            assert proof_applies(g, 0.1) == {e: side is not None for e, side in ref.items()}
+            # at p = 0.1 every split within tol has all cross degrees <= 1, a
+            # matching, so each planned split is some edge's first split
+            assert sorted(plans, key=sorted) == sorted(sides, key=sorted), name
+            assert sorted(witnesses) == sorted(tuple(sorted(s)) for s in set(sides)), name
+        # the parent planned 211 splits and built 29 witnesses per pass
+        assert (firsts, distinct) == (29, 23)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.floats(0.0, 0.5),
+        st.lists(st.floats(0.0, 0.5), min_size=1, max_size=6),
+    )
+    def test_total_variation_bounds_every_marginal_gap(self, p, probs):
+        # exactly, in rationals
+        exact = [Fraction(q) for q in probs]
+        fp = Fraction(p)
+        tv = Fraction(0)
+        for x in range(1 << len(probs)):
+            c = t = Fraction(1)
+            for i, q in enumerate(exact):
+                bit = x >> i & 1
+                c *= q if bit else 1 - q
+                t *= fp if bit else 1 - fp
+            tv += abs(c - t)
+        assert tv / 2 >= max(abs(q - fp) for q in exact)
+        # and in floats, within the screen's slack
+        gap = max(abs(q - p) for q in probs)
+        dist = _analytic_trace_distance(tuple(probs), _product_flip_vector((p,) * len(probs)))
+        assert dist >= gap - _SCREEN_SLACK
+        if gap > _SCREEN_SLACK:
+            assert _screened_distance(tuple(probs), p, gap - 2 * _SCREEN_SLACK, None) is None
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.floats(0.0, 0.5), st.integers(1, 8), st.floats(0.0, 1e-6))
+    def test_equal_tuples_are_exactly_zero(self, p, n, tol):
+        probs = (p,) * n
+        target = _product_flip_vector(probs)
+        assert _analytic_trace_distance(probs, target) == 0.0
+        assert _screened_distance(probs, p, tol, target) == 0.0
+        assert _screened_distance(probs, p, 0.0, target) == 0.0
+
+    def test_width_one_probs_are_not_always_p_in_floats(self):
+        # (1 - (1 - 2p)) / 2 rounds away from p at p = 0.1, so the exact-zero
+        # shortcut must compare the tuples, not the cross degrees: at tol 0
+        # the flip-vector distance (about 5e-17) rejects every split
+        assert candidate_flip_probs(path_graph(3), [0], 0.1) != (0.1, 0.1, 0.1)
+        assert proof_applies(path_graph(3), 0.1, tol=0.0) == {(0, 1): False, (1, 2): False}
 
 
 _CORRUPT_TRACE_DISTANCE = """

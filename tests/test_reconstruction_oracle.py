@@ -5,7 +5,8 @@ arithmetic, and ``thermal_state_from_p`` is a closed form.  Here both meet
 slow routes written out in the test: a build that applies every gate, each
 CZ included, as its own unitary through ``apply_unitary_rho``, and an
 explicit sum over Z-error patterns.  A build that loses one internal CZ must
-trip the dense cross-check.
+trip the dense cross-check.  The analytic distance, now fed a target flip
+vector built once per search, must equal the per-split form it replaced.
 """
 
 import dataclasses
@@ -162,6 +163,19 @@ def test_thermal_closed_form_matches_the_pattern_sum_and_the_gibbs_state():
     assert graphs == 1 + 2 + 8 + 64
 
 
+@pytest.mark.parametrize("p", [0.0, 1e-6, 0.1, 0.3, 0.5, 1.0])
+def test_flip_damping_equals_the_kron_folds_it_replaced(p):
+    # the noisy-plus product the build started from, and the damping vector
+    # the thermal target gathered at b ^ b': both bit for bit
+    plus = np.array([[0.5, 0.5 - p], [0.5 - p, 0.5]])
+    for n in range(9):
+        damping = dense.flip_damping(n, p)
+        assert np.array_equal(damping / (1 << n), reduce(np.kron, [plus] * n, np.ones((1, 1)))), n
+        vec = reduce(np.kron, [np.array([1.0, 1.0 - 2.0 * p])] * n, np.ones(1))
+        idx = np.arange(1 << n)
+        assert np.array_equal(damping, vec[idx[:, None] ^ idx[None, :]]), n
+
+
 def test_a_build_missing_one_internal_cz_trips_the_cross_check(monkeypatch):
     real = optimality._assemble
 
@@ -175,6 +189,39 @@ def test_a_build_missing_one_internal_cz_trips_the_cross_check(monkeypatch):
     monkeypatch.setattr(optimality, "_assemble", lossy)
     with pytest.raises(InvariantError, match="dense circuit disagrees"):
         proof_applies(path_graph(3))
+
+
+def _per_split_analytic_distance(g: Graph, side_a, p: float) -> float:
+    """The analytic distance as computed split by split before the search
+    screened splits: candidate probabilities and both flip vectors rebuilt
+    on every call."""
+    amask = 0
+    for v in side_a:
+        amask |= 1 << v
+    probs = []
+    for v in range(g.n):
+        other = g.adj[v] & (~amask if amask >> v & 1 else amask)
+        width = max(1, other.bit_count())
+        probs.append((1.0 - (1.0 - 2.0 * p) ** width) / 2.0)
+    cand = optimality._product_flip_vector(tuple(probs))
+    target = optimality._product_flip_vector(tuple([p] * g.n))
+    return 0.5 * float(np.abs(cand - target).sum())
+
+
+def test_analytic_distance_equals_the_per_split_form_on_five_vertices():
+    splits = 0
+    for g in _CLASSES_5:
+        for mask in range(1 << g.n):
+            side = [v for v in range(g.n) if mask >> v & 1]
+            # width-1 probabilities round away from p at 0.1 and 1e-6, not at 0.3
+            for p in (0.1, 0.3, 1e-6):
+                res = verify_reconstruction(g, side, p, method="analytic")
+                if reconstruction_plan(g, side) is None:
+                    assert res.method == "no-canonical-wiring"
+                    continue
+                assert res.trace_distance == _per_split_analytic_distance(g, side, p), (g, side, p)
+            splits += 1
+    assert splits == 1 * 2 + 2 * 4 + 4 * 8 + 11 * 16 + 34 * 32
 
 
 @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])

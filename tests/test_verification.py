@@ -184,6 +184,63 @@ def test_tamper_on_one_merge_branch_names_that_branch(monkeypatch):
     assert failures == [f"n=4 adj={g.adj} merge(0, 1, 2) outcomes=(-1, 1) col=2: state mismatch"]
 
 
+def test_failure_labels_read_as_the_eager_formats(monkeypatch):
+    # labels are formatted only for a failing site; one wrong column at a CZ
+    # pair, a Z measurement, a merge party and a splice must each read
+    # exactly as the label strings once built up front for every branch
+    path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    joint = Graph.from_edges(4, [(0, 1), (2, 3)])  # splice base path:2 plus its pair
+
+    def flip(batch, qubit, bit):
+        assert batch.alive >> bit & 1
+        frame = list(batch.frame_rows)
+        frame[qubit] ^= 1 << bit
+        return dataclasses.replace(batch, frame_rows=tuple(frame))
+
+    real_cz, real_mz = verification.batch_cz, verification.batch_measure_z
+    real_merge, real_splice = verification.batch_merge, verification.batch_splice
+
+    def cz(batch, u, v):
+        out = real_cz(batch, u, v)
+        return flip(out, 1, 5) if (batch.graph, u, v) == (path3, 0, 2) else out
+
+    def mz(batch, v, rng=None, outcome_row=None):
+        res = real_mz(batch, v, rng=rng, outcome_row=outcome_row)
+        if (batch.graph, v) != (path3, 1):
+            return res
+        width = batch.alive.bit_length() // 2
+        return dataclasses.replace(res, batch=flip(res.batch, 0, width + 3))  # branch -1
+
+    def merge(batch, party, rng=None, outcome_rows=None):
+        res = real_merge(batch, party, rng=rng, outcome_rows=outcome_rows)
+        if (batch.graph, tuple(party)) != (path3, (0, 2)):
+            return res
+        width = batch.alive.bit_length() // 2
+        return dataclasses.replace(res, batch=flip(res.batch, 0, width + 4))  # branch (-1,)
+
+    def splice(batch, u, v, pair_u, pair_v, rng=None, outcome_rows=None):
+        res = real_splice(batch, u, v, pair_u, pair_v, rng, outcome_rows)
+        if (batch.graph, u, v) != (joint, 1, 0):
+            return res
+        width = batch.alive.bit_length() // 4
+        return dataclasses.replace(res, batch=flip(res.batch, u, width + 6))  # branch (+1, -1)
+
+    for name, fake in (("batch_cz", cz), ("batch_measure_z", mz),
+                       ("batch_merge", merge), ("batch_splice", splice)):
+        monkeypatch.setattr(verification, name, fake)
+    report = run_oracle_sweep(max_n=3)
+    g, u, v, o = path3, 0, 2, -1
+    base = Graph.from_edges(2, [(0, 1)])
+    o1, o2 = +1, -1
+    assert report.failures == (
+        f"n={g.n} adj={g.adj} cz({u},{v}) col=5: state mismatch",
+        f"n={g.n} adj={g.adj} mz({1},{o:+d}) col=3: state mismatch",
+        f"n={g.n} adj={g.adj} merge{(0, 2)} outcomes={(-1,)} col=4: state mismatch",
+        f"splice base n={base.n} adj={base.adj} u={1} v={0} outcomes=({o1:+d},{o2:+d}) col=6: state mismatch",
+    )
+    assert report.mismatches == 4
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(
     st.integers(1, 400).flatmap(
