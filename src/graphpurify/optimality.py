@@ -256,12 +256,10 @@ def _screened_distance(
 
     The total variation between two product distributions is at least every
     per-vertex gap |q_v - p|, so one gap past tol (and the float slack)
-    rejects; equal tuples give equal vectors, so their distance is exactly 0.0.
+    rejects without building the candidate's vector.
     """
     if any(abs(q - p) > tol + _SCREEN_SLACK for q in probs):
         return None
-    if all(q == p for q in probs):
-        return 0.0
     dist = _analytic_trace_distance(probs, target)
     return dist if dist <= tol else None
 
@@ -329,11 +327,10 @@ def proof_applies(g: Graph, p: float = 0.1, tol: float = 1e-9) -> dict:
     only); True needs a verified reconstruction, and the graph-level claim
     is simply all(values).  The first split that passes wins, and each is
     screened before it is planned, cheapest test first: the marginal bound,
-    the exact zero, then the flip-vector distance (``_screened_distance``).
-    Only a split within tol is planned (a cycle of cross edges has no
-    wiring), and each distinct split that has a wiring gets one dense
-    witness, cross-checked against the analytic distance, on a thermal
-    target built once per call.
+    then the flip-vector distance (``_screened_distance``).  Only a split
+    within tol is planned (a cycle of cross edges has no wiring), and each
+    edge's winning split gets a dense witness, cross-checked against the
+    analytic distance, on a thermal target built once per call.
 
     The probe noise level must be interior — at the endpoints every
     candidate matches trivially.
@@ -347,7 +344,6 @@ def proof_applies(g: Graph, p: float = 0.1, tol: float = 1e-9) -> dict:
     _check_tol(tol)
     flip_target = _product_flip_vector((p,) * g.n)
     thermal = None
-    witnessed: dict[int, VerifyResult] = {}  # side bitset -> dense verdict
     verdicts: dict[tuple[int, int], bool] = {}
     for u, v in sorted(g.edges()):
         others = [w for w in range(g.n) if w != u and w != v]
@@ -360,11 +356,9 @@ def proof_applies(g: Graph, p: float = 0.1, tol: float = 1e-9) -> dict:
             plan = reconstruction_plan(g, list(_bits(amask)))
             if plan is None:
                 continue
-            if amask not in witnessed:
-                if thermal is None:
-                    thermal = dense.thermal_state_from_p(g, p)
-                witnessed[amask] = _verify(plan, p, analytic, tol, "auto", thermal)
-            if not witnessed[amask].ok:
+            if thermal is None:
+                thermal = dense.thermal_state_from_p(g, p)
+            if not _verify(plan, p, analytic, tol, "auto", thermal).ok:
                 raise InvariantError("analytic success must survive the dense check")
             found = True
             break

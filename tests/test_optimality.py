@@ -267,8 +267,8 @@ def _labelled_graphs(max_n: int):
 
 class TestScreenedSearch:
     """``proof_applies`` screens a split by cheap bounds before planning it
-    and builds one dense witness per distinct split; its verdicts must be
-    those of the unscreened search."""
+    and builds one dense witness per edge's winning split; its verdicts must
+    be those of the unscreened search."""
 
     def test_verdicts_equal_the_unscreened_search(self):
         graphs = list(_labelled_graphs(4)) + [load_graph(name) for name in _BENCH_GRAPHS]
@@ -278,7 +278,7 @@ class TestScreenedSearch:
                 want = {e: side is not None for e, side in _reference_first_splits(g, p, tol).items()}
                 assert proof_applies(g, p, tol) == want, (g, p, tol)
 
-    def test_one_plan_per_passing_split_and_one_witness_per_distinct_split(self, monkeypatch):
+    def test_one_plan_and_one_witness_per_winning_split(self, monkeypatch):
         plans = []
         witnesses = []
         real_plan, real_assemble = optimality.reconstruction_plan, optimality._assemble
@@ -293,22 +293,21 @@ class TestScreenedSearch:
 
         monkeypatch.setattr(optimality, "reconstruction_plan", counting_plan)
         monkeypatch.setattr(optimality, "_assemble", counting_assemble)
-        firsts = distinct = 0
+        firsts = 0
         for name in _BENCH_GRAPHS:
             g = load_graph(name)
             ref = _reference_first_splits(g, 0.1, 1e-9)
             sides = [side for side in ref.values() if side is not None]
             firsts += len(sides)
-            distinct += len(set(sides))
             plans.clear()
             witnesses.clear()
             assert proof_applies(g, 0.1) == {e: side is not None for e, side in ref.items()}
             # at p = 0.1 every split within tol has all cross degrees <= 1, a
             # matching, so each planned split is some edge's first split
             assert sorted(plans, key=sorted) == sorted(sides, key=sorted), name
-            assert sorted(witnesses) == sorted(tuple(sorted(s)) for s in set(sides)), name
-        # the parent planned 211 splits and built 29 witnesses per pass
-        assert (firsts, distinct) == (29, 23)
+            assert sorted(witnesses) == sorted(tuple(sorted(s)) for s in sides), name
+        # planning every split before screening it took 211 plans per pass
+        assert firsts == 29
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
@@ -342,12 +341,11 @@ class TestScreenedSearch:
         target = _product_flip_vector(probs)
         assert _analytic_trace_distance(probs, target) == 0.0
         assert _screened_distance(probs, p, tol, target) == 0.0
-        assert _screened_distance(probs, p, 0.0, target) == 0.0
 
     def test_width_one_probs_are_not_always_p_in_floats(self):
-        # (1 - (1 - 2p)) / 2 rounds away from p at p = 0.1, so the exact-zero
-        # shortcut must compare the tuples, not the cross degrees: at tol 0
-        # the flip-vector distance (about 5e-17) rejects every split
+        # (1 - (1 - 2p)) / 2 rounds away from p at p = 0.1, so all cross
+        # degrees <= 1 does not mean distance 0.0: at tol 0 the flip-vector
+        # distance (about 5e-17) rejects every split
         assert candidate_flip_probs(path_graph(3), [0], 0.1) != (0.1, 0.1, 0.1)
         assert proof_applies(path_graph(3), 0.1, tol=0.0) == {(0, 1): False, (1, 2): False}
 
@@ -371,6 +369,28 @@ except InvariantError as exc:
 sys.exit("verify_reconstruction accepted a corrupted dense check")
 """
 
+# the screened search in proof_applies must reach the same check
+_MISSING_INTERNAL_CZ = """
+import dataclasses
+import sys
+from graphpurify import optimality
+from graphpurify.errors import InvariantError
+from graphpurify.graphs import path_graph
+
+if __debug__:
+    sys.exit("asserts are live; run this under python -O")
+real = optimality._assemble
+optimality._assemble = lambda plan, p: real(
+    dataclasses.replace(plan, internal_edges=plan.internal_edges[:-1]), p
+)
+try:
+    optimality.proof_applies(path_graph(3))
+except InvariantError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("proof_applies accepted a build missing one internal CZ")
+"""
+
 
 def test_dense_cross_check_survives_optimized_mode():
     # -O strips asserts from test modules too, so a child interpreter runs
@@ -378,9 +398,10 @@ def test_dense_cross_check_survives_optimized_mode():
     src = os.path.dirname(os.path.dirname(graphpurify.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPT_TRACE_DISTANCE],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "dense circuit disagrees with the analytic flip model" in proc.stdout
+    for script in (_CORRUPT_TRACE_DISTANCE, _MISSING_INTERNAL_CZ):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "dense circuit disagrees with the analytic flip model" in proc.stdout
