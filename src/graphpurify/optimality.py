@@ -251,7 +251,7 @@ def _screened_distance(
     probs: tuple[float, ...], p: float, tol: float, target: np.ndarray
 ) -> float | None:
     """``_analytic_trace_distance(probs, target)`` when it is at most tol,
-    else None, trying the cheap bounds first (``target`` is the flip vector of
+    else None, trying the cheap bound first (``target`` is the flip vector of
     ``(p,) * n``).
 
     The total variation between two product distributions is at least every
