@@ -8,9 +8,10 @@ Conventions, fixed across the whole package:
 * Everything is capped at ``MAX_DENSE_QUBITS`` to keep memory bounded; this
   module is an oracle for small instances, not a production simulator.
 * Real gates (I2, X, Z, H, CZ, CNOT) are float64, so circuits built from
-  them stay real, and so does ``thermal_state_from_p``.  A
-  layer of CZs is diagonal: ``cz_diagonal`` gives its +-1 entries s, and
-  conjugating rho by it is ``rho * outer(s, s)``.
+  them stay real, and so does ``thermal_state_from_p``.  A layer of CZs is
+  diagonal: ``cz_layer_diagonal`` gives its +-1 entries s (``cz_diagonal``
+  for every edge of a graph), and conjugating rho by it is
+  ``rho * outer(s, s)``.
 """
 
 from __future__ import annotations
@@ -160,10 +161,15 @@ def _bit_parity(x: np.ndarray) -> np.ndarray:
 
 def cz_diagonal(g: Graph) -> np.ndarray:
     """Diagonal (+-1 per basis state) of the product of CZ over all edges."""
-    _check_cap(g.n)
-    idx = np.arange(1 << g.n, dtype=np.int64)
-    sign = np.ones(1 << g.n, dtype=np.int64)
-    for u, v in g.edges():
+    return cz_layer_diagonal(g.n, g.edges())
+
+
+def cz_layer_diagonal(n: int, edges) -> np.ndarray:
+    """``cz_diagonal`` of the CZs on the qubit pairs ``edges`` of n qubits."""
+    _check_cap(n)
+    idx = np.arange(1 << n, dtype=np.int64)
+    sign = np.ones(1 << n, dtype=np.int64)
+    for u, v in edges:
         sign *= 1 - 2 * ((idx >> u & 1) & (idx >> v & 1))
     return sign
 

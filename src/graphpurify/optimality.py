@@ -56,6 +56,9 @@ MAX_RECONSTRUCTION_QUBITS = 8
 # far below this slack; a marginal gap rejects a split only past it, so the
 # screen never rejects a split that the float distance would accept
 _SCREEN_SLACK = 1e-12
+# the dense and analytic trace distances are one quantity computed two ways;
+# they must agree within this allowance or the build is wrong
+_AGREEMENT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,7 @@ def _check_p(p: float) -> None:
 
 def _cz_layer(rho: np.ndarray, n: int, edges) -> np.ndarray:
     """CZ on every edge at once: their +-1 diagonal s scales rho by s_b s_b'."""
-    s = dense.cz_diagonal(Graph.from_edges(n, edges))
+    s = dense.cz_layer_diagonal(n, edges)
     return rho * np.outer(s, s)
 
 
@@ -280,7 +283,8 @@ def verify_reconstruction(
 
     method: "dense" demands the circuit-level build and oracle comparison,
     "analytic" uses the flip-distribution model alone, "auto" runs the dense
-    route whenever it fits and cross-checks the two against each other.
+    route whenever it fits, cross-checks the two against each other and
+    passes when either distance is within tol.
     """
     if method not in ("auto", "dense", "analytic"):
         raise ParameterError(f"unknown method {method!r}")
@@ -313,9 +317,12 @@ def _verify(
         if target is None:
             target = dense.thermal_state_from_p(g, p)
         dist = dense.trace_distance(_assemble(plan, p), target)
-        if abs(dist - analytic) > 1e-9:
+        if abs(dist - analytic) > _AGREEMENT:
             raise InvariantError("dense circuit disagrees with the analytic flip model")
-        return VerifyResult(ok=dist <= tol, trace_distance=dist, method="dense")
+        # once they agree, "auto" passes when either does: at tol 0 an exact
+        # analytic 0.0 must not fail on the eigenvalues' float noise
+        ok = dist <= tol or (method == "auto" and analytic <= tol)
+        return VerifyResult(ok=ok, trace_distance=dist, method="dense")
     return VerifyResult(ok=analytic <= tol, trace_distance=analytic, method="analytic")
 
 

@@ -17,9 +17,15 @@ measurement, merge and splice site once: on the batch tiled once per branch
 (each row times the repunit sum_b 2^(b*width)), with one outcome row per
 measured qubit that reads -1 on exactly the blocks of the branches where it
 does.  Its output rows then already carry branch b at bit b*width.  The CZ
-pairs of a graph give different graphs, so they run one batch per pair and
-the rows of pair i are shifted by i times the batch width.  Either way, one
-un-slicing and one exact comparison check every column of the site.
+pairs of a graph give different graphs, so they run one batch per pair.
+
+Sites of one kind whose panels have the same height, 2^(n-k) rows after k
+measured qubits, form a group: all CZ pairs of a graph, all its Z
+measurements, all its merge parties of one size, or all ordered endpoint
+pairs of one splice base.  The engine still runs once per site, but the
+group's dense panels sit side by side and the rows of site i are shifted by
+i times its column count, so one un-slicing and one exact comparison check
+every column of the group; each site keeps its own measured mask.
 
 The engine keeps a measured qubit at its index as an isolated, error-free
 |+>, while the panel drops it.  So a panel row is found from a qubit label by
@@ -197,30 +203,31 @@ def _row(q: int, measured: int) -> int:
 def _compare(
     dense: np.ndarray,
     outs: list[FrameBatch],
-    measured: int,
+    measured: Sequence[int],
     branches: Sequence,
     name: Callable[[object], str],
     failures: list[str],
 ) -> int:
-    """Count mismatching columns of one operation site; describe each bad one.
+    """Count mismatching columns of a group of operation sites; describe each bad one.
 
-    Branch b of the site, named ``name(branches[b])``, is columns b*width ..
-    (b+1)*width - 1 of ``dense``; a name is formatted only when the site has
+    Branch b of the group, named ``name(branches[b])``, is columns b*width ..
+    (b+1)*width - 1 of ``dense``; a name is formatted only when the group has
     a failure to describe.  The engine's batches ``outs`` cover equal shares
-    of those columns in order: one batch tiled over every branch, or one per
-    branch.  ``dense`` lacks the qubits in the mask ``measured``,
-    which the engine must have left isolated with zero rows; it keeps them,
-    so its claimed panel is read on the rows where they all read 0.
-    Descriptions follow branch order, then column order.
+    of those columns in order, one per site (tiled over its branches) or one
+    per branch.  Batch i's share of ``dense`` lacks the qubits in the mask
+    ``measured[i]``, which the engine must have left isolated with zero rows;
+    the batch keeps them, so its claimed panel is read on the rows where they
+    all read 0.  Every mask has the same popcount, so every share has the
+    same height.  Descriptions follow branch order, then column order.
     """
     n = outs[0].graph.n
     span = dense.shape[1] // len(outs)
     # per qubit its physical pattern, then alive, then stray (a measured qubit
     # left bonded or with a nonzero bit); batch i starts at bit i*span
     rows = [0] * (n + 2)
-    for i, out in enumerate(outs):
+    for i, (out, gone) in enumerate(zip(outs, measured)):
         loose = 0
-        for q in _bits(measured):
+        for q in _bits(gone):
             loose |= (out.alive if out.graph.adj[q] else 0) | out.z_rows[q] | out.frame_rows[q]
         share = [z ^ f for z, f in zip(out.z_rows, out.frame_rows)] + [out.alive, loose]
         if max(share) >> span:
@@ -232,9 +239,11 @@ def _compare(
     alive = cols & (1 << n) != 0
     stray = cols & (2 << n) != 0
 
-    kept = _kept_rows(n, measured)
-    diag = np.array([_diagonal(out.graph)[kept] for out in outs]).T
-    signs = _SIGN[kept[:, None] & cols[None, :]].reshape(len(kept), len(outs), span)
+    # kept[r, i] is row r of batch i's share; diagonals and signs of every
+    # batch are gathered by one fancy index each
+    kept = np.stack([_kept_rows(n, gone) for gone in measured], axis=1)
+    diag = np.stack([_diagonal(out.graph) for out in outs])[np.arange(len(outs)), kept]
+    signs = _SIGN[kept[:, :, None] & cols.reshape(len(outs), span)]
     claimed = (signs * diag[:, :, None]).reshape(dense.shape)
     # cross-multiplication with claimed[0] = 1 (basis state 0 has no sign):
     # a column is proportional to its claimed one iff it is dense[0] times it
@@ -272,11 +281,6 @@ def _column_batch(g: Graph, full_variants: bool) -> tuple[FrameBatch, np.ndarray
     return FrameBatch.of_columns(g, cols), _pattern_panel(g, [e ^ f for e, f in cols])
 
 
-def _ordered_parties(n: int, max_size: int):
-    for size in range(2, max_size + 1):
-        yield from itertools.permutations(range(n), size)
-
-
 def check_graph(
     g: Graph,
     *,
@@ -302,37 +306,55 @@ def check_graph(
         dense = np.hstack([_cz_rows(base, n, u, v) for u, v in pairs])
         outs = [batch_cz(batch, u, v) for u, v in pairs]
         checks += width * len(pairs)
-        bad += _compare(dense, outs, 0, pairs, lambda uv: f"{gname} cz({uv[0]},{uv[1]})", failures)
+        bad += _compare(
+            dense, outs, [0] * len(pairs), pairs,
+            lambda uv: f"{gname} cz({uv[0]},{uv[1]})", failures,
+        )
 
     both = _tile(batch, 2, width)
     (minus,) = _branch_rows(1, width)
-    for v in range(n):
-        # Z = +1 keeps qubit v's 0 rows, Z = -1 its 1 rows
-        dense = np.concatenate(_split(base, n, v), axis=2).reshape(1 << (n - 1), 2 * width)
-        out = batch_measure_z(both, v, outcome_row=minus).batch
-        checks += 2 * width
-        bad += _compare(dense, [out], 1 << v, (+1, -1), lambda o: f"{gname} mz({v},{o:+d})", failures)
+    # Z = +1 keeps qubit v's 0 rows, Z = -1 its 1 rows
+    dense = np.hstack([
+        np.concatenate(_split(base, n, v), axis=2).reshape(1 << (n - 1), 2 * width)
+        for v in range(n)
+    ])
+    outs = [batch_measure_z(both, v, outcome_row=minus).batch for v in range(n)]
+    checks += 2 * width * n
+    bad += _compare(
+        dense, outs, [1 << v for v in range(n)], [(v, o) for v in range(n) for o in (+1, -1)],
+        lambda vo: f"{gname} mz({vo[0]},{vo[1]:+d})", failures,
+    )
 
-    limit = max_party if max_party is not None else n
-    for party in _ordered_parties(n, limit):
-        checks_p, bad_p = _check_merge_party(batch, base, list(party), gname, failures)
-        checks += checks_p
-        bad += bad_p
+    limit = min(max_party, n) if max_party is not None else n
+    for size in range(2, limit + 1):
+        checks_s, bad_s = _check_merge_parties(
+            batch, base, list(itertools.permutations(range(n), size)), gname, failures
+        )
+        checks += checks_s
+        bad += bad_s
     return checks, bad
 
 
-def _check_merge_party(batch: FrameBatch, base: np.ndarray, party, gname, failures):
+def _check_merge_parties(batch: FrameBatch, base: np.ndarray, parties, gname, failures):
+    """Every outcome branch of every merge party, all parties of one size."""
     width = base.shape[1]
-    k = len(party) - 1
-    run = batch_merge(_tile(batch, 1 << k, width), party, outcome_rows=_branch_rows(k, width))
+    k = len(parties[0]) - 1
+    tiled = _tile(batch, 1 << k, width)
+    rows = _branch_rows(k, width)
+    runs = [batch_merge(tiled, list(party), outcome_rows=rows) for party in parties]
     # the pivots depend only on the graph, so one replay serves every branch
-    dense = _replay_merge(base, batch.graph.n, party, run.pivots, width)
-    measured = sum(1 << m for m in party[1:])
+    dense = np.hstack([
+        _replay_merge(base, batch.graph.n, party, run.pivots, width)
+        for party, run in zip(parties, runs)
+    ])
+    outcomes = list(itertools.product((+1, -1), repeat=k))
     bad = _compare(
-        dense, [run.batch], measured, list(itertools.product((+1, -1), repeat=k)),
-        lambda o: f"{gname} merge{tuple(party)} outcomes={o}", failures,
+        dense, [run.batch for run in runs],
+        [sum(1 << m for m in party[1:]) for party in parties],
+        [(party, o) for party in parties for o in outcomes],
+        lambda po: f"{gname} merge{po[0]} outcomes={po[1]}", failures,
     )
-    return width << k, bad
+    return len(parties) * width << k, bad
 
 
 def _replay_merge(base: np.ndarray, n: int, party, pivots, width: int) -> np.ndarray:
@@ -356,6 +378,9 @@ def _replay_merge(base: np.ndarray, n: int, party, pivots, width: int) -> np.nda
 def _check_splice(base_graph: Graph, failures: list[str]) -> tuple[int, int]:
     """Pair-mediated CZ between every ordered endpoint pair of a base graph."""
     n = base_graph.n
+    pairs = list(itertools.permutations(range(n), 2))
+    if not pairs:
+        return 0, 0
     joint = Graph.from_edges(n + 2, list(base_graph.edges()) + [(n, n + 1)])
     batch, base = _column_batch(joint, full_variants=False)
     width = base.shape[1]
@@ -363,20 +388,19 @@ def _check_splice(base_graph: Graph, failures: list[str]) -> tuple[int, int]:
     branches = list(itertools.product((+1, -1), repeat=2))
     tiled = _tile(batch, len(branches), width)
     rows = _branch_rows(2, width)
-    checks = 0
-    bad = 0
-    for u, v in itertools.permutations(range(n), 2):
+    panels = []
+    for u, v in pairs:
         dense = _cz_rows(_cz_rows(base, n + 2, u, n), n + 2, v, n + 1)
         # the two X projections commute; measuring qubit n first gives (o1, o2) order
         dense = _x_branches(dense, n + 2, n, width)
-        dense = _x_branches(dense, n + 1, n, width)
-        out = batch_splice(tiled, u, v, n, n + 1, outcome_rows=rows).batch
-        checks += width * len(branches)
-        bad += _compare(
-            dense, [out], 0b11 << n, branches,
-            lambda o: f"{gname} u={u} v={v} outcomes=({o[0]:+d},{o[1]:+d})", failures,
-        )
-    return checks, bad
+        panels.append(_x_branches(dense, n + 1, n, width))
+    outs = [batch_splice(tiled, u, v, n, n + 1, outcome_rows=rows).batch for u, v in pairs]
+    bad = _compare(
+        np.hstack(panels), outs, [0b11 << n] * len(pairs),
+        [(u, v, o) for u, v in pairs for o in branches],
+        lambda s: f"{gname} u={s[0]} v={s[1]} outcomes=({s[2][0]:+d},{s[2][1]:+d})", failures,
+    )
+    return width * len(branches) * len(pairs), bad
 
 
 def _all_graphs(n: int):
@@ -445,8 +469,10 @@ def run_oracle_sweep(
     if include_six_qubit_merges and max_n >= 5:
         g, parties = _six_qubit_merge_configs()
         batch, base = _column_batch(g, full_variants=False)
-        for party in parties:
-            c, b = _check_merge_party(batch, base, list(party), "three-pair", failures)
+        # sorted order mixes sizes: each maximal run of one size is one group,
+        # so the failures keep the order of one call per party
+        for _, run in itertools.groupby(parties, key=len):
+            c, b = _check_merge_parties(batch, base, list(run), "three-pair", failures)
             checks += c
             bad += b
         if progress is not None:

@@ -4,6 +4,7 @@ Everything runs in-process through cli.main so exit codes and stdout are
 asserted directly; one subprocess smoke test covers the `-m` entry point.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -363,6 +364,36 @@ class TestCheckOptimality:
         )
         assert rc == 0
         assert envelope(out)["results"]["tol"] == 0.0
+
+
+    def test_zero_tolerance_at_a_float_exact_p_passes(self, capsys):
+        # at p = 0.3 the analytic distance is exactly 0.0 and the dense one
+        # about 1e-16; float noise must neither fail the edge nor exit 4
+        rc, out, _ = run_cli(
+            capsys, "check-optimality", "--graph", "path:3", "--p", "0.3", "--tol", "0", "--json"
+        )
+        assert rc == 0
+        res = envelope(out)["results"]
+        assert [row["reconstructable"] for row in res["edges"]] == [True, True]
+        assert res["graph_ok"] is True
+
+    # SHA-256 of `check-optimality --graph G --p 0.1 --json` as printed
+    # before the auto verdict accepted float noise at tol 0; the default tol
+    # must give the same bytes
+    _JSON_SHA256 = {
+        "cycle:3": "f72c66d877acb29ab7590142b4cc3ccaf528f4bcb4df0913fcaedd7f4fe4ac08",
+        "cycle:5": "1867d84954685b42f9c099f29ef2b2d9d56cea43a86a7b7fbeea84d03eb30b8f",
+        "path:6": "98b769dca2cdcc53c866c65ec3d75617c66be950dfd9bec1d401c2b5d6ec0e20",
+        "grid:2x3": "da018d24b64f5114b3d953854ed789016ea8940e8bd92cc459424ec9996ea794",
+        "star:6": "ffddeb54e3bdff12ee02a7983f20451d2bfe67981519b7aafc6c9c357704c9cd",
+        "cycle:7": "61f4d96cd1093602a2895be173ae664e912385c728222797519c81e0ff66a2d5",
+    }
+
+    @pytest.mark.parametrize("graph", sorted(_JSON_SHA256))
+    def test_json_is_unchanged_on_the_benchmark_graphs(self, capsys, graph):
+        rc, out, _ = run_cli(capsys, "check-optimality", "--graph", graph, "--p", "0.1", "--json")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self._JSON_SHA256[graph]
 
 
 class TestOutputFile:

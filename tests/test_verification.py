@@ -4,6 +4,7 @@ just as importantly, must actually catch a broken update rule."""
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,3 +268,164 @@ def test_the_engine_runs_once_per_merge_party(monkeypatch):
     check_graph(g)
     parties = [p for size in (2, 3, 4) for p in itertools.permutations(range(4), size)]
     assert sorted(seen) == sorted(parties)
+
+
+def test_one_comparison_per_group_of_sites(monkeypatch):
+    # all CZ pairs, all Z measurements and all merge parties of one size
+    # each go through a single exact comparison; so do all ordered endpoint
+    # pairs of one splice base
+    real = verification._compare
+    seen = []
+
+    def counting(dense, outs, measured, branches, name, failures):
+        seen.append((len(outs), tuple(measured)))
+        return real(dense, outs, measured, branches, name, failures)
+
+    monkeypatch.setattr(verification, "_compare", counting)
+    check_graph(cycle_graph(4))
+    merges = [
+        (len(parties), tuple(sum(1 << m for m in p[1:]) for p in parties))
+        for parties in (list(itertools.permutations(range(4), size)) for size in (2, 3, 4))
+    ]
+    assert seen == [(6, (0,) * 6), (4, (1, 2, 4, 8))] + merges
+    for n in (2, 3, 4):
+        for g in verification._all_graphs(n):
+            seen.clear()
+            verification._check_splice(g, [])
+            assert seen == [(n * (n - 1), (0b11 << n,) * (n * (n - 1)))]
+
+
+def _flip(batch, qubit, bit):
+    assert batch.alive >> bit & 1
+    frame = list(batch.frame_rows)
+    frame[qubit] ^= 1 << bit
+    return dataclasses.replace(batch, frame_rows=tuple(frame))
+
+
+def test_tamper_on_the_last_z_measurement_names_that_site(monkeypatch):
+    g = cycle_graph(4)
+    real = verification.batch_measure_z
+
+    def tampered(batch, v, rng=None, outcome_row=None):
+        res = real(batch, v, rng=rng, outcome_row=outcome_row)
+        if v != 3:
+            return res
+        width = batch.alive.bit_length() // 2
+        return dataclasses.replace(res, batch=_flip(res.batch, 0, width + 7))  # branch -1
+
+    monkeypatch.setattr(verification, "batch_measure_z", tampered)
+    failures = []
+    _, bad = check_graph(g, failures=failures)
+    assert bad == 1
+    assert failures == [f"n=4 adj={g.adj} mz(3,-1) col=7: state mismatch"]
+
+
+def test_tamper_on_the_last_party_of_a_size_names_that_party(monkeypatch):
+    g = cycle_graph(4)
+    party, hit, col = (3, 2, 1), (-1, 1), 5
+    assert list(itertools.permutations(range(4), 3))[-1] == party
+    branches = list(itertools.product((+1, -1), repeat=2))
+    real = verification.batch_merge
+
+    def tampered(batch, party_qubits, rng=None, outcome_rows=None):
+        res = real(batch, party_qubits, rng=rng, outcome_rows=outcome_rows)
+        if tuple(party_qubits) != party:
+            return res
+        width = batch.alive.bit_length() // len(branches)
+        bit = branches.index(hit) * width + col
+        return dataclasses.replace(res, batch=_flip(res.batch, party[0], bit))
+
+    monkeypatch.setattr(verification, "batch_merge", tampered)
+    failures = []
+    _, bad = check_graph(g, failures=failures)
+    assert bad == 1
+    assert failures == [f"n=4 adj={g.adj} merge(3, 2, 1) outcomes=(-1, 1) col=5: state mismatch"]
+
+
+def test_tamper_on_the_last_splice_pair_names_that_pair(monkeypatch):
+    g = cycle_graph(4)
+    real = verification.batch_splice
+
+    def tampered(batch, u, v, pair_u, pair_v, rng=None, outcome_rows=None):
+        res = real(batch, u, v, pair_u, pair_v, rng, outcome_rows)
+        if (u, v) != (3, 2):
+            return res
+        width = batch.alive.bit_length() // 4
+        return dataclasses.replace(res, batch=_flip(res.batch, u, 3 * width + 9))  # (-1, -1)
+
+    monkeypatch.setattr(verification, "batch_splice", tampered)
+    failures = []
+    _, bad = verification._check_splice(g, failures)
+    assert bad == 1
+    assert failures == [f"splice base n=4 adj={g.adj} u=3 v=2 outcomes=(-1,-1) col=9: state mismatch"]
+
+
+def _per_site_sweep(max_n, failures):
+    """``run_oracle_sweep(max_n)`` for max_n <= 4, one ``_compare`` call per
+    operation site: each CZ pair, each Z measurement, each merge party and
+    each splice endpoint pair on its own."""
+    V = verification
+    bad = 0
+    for n in range(1, max_n + 1):
+        for g in V._all_graphs(n):
+            batch, base = V._column_batch(g, full_variants=True)
+            width = base.shape[1]
+            gname = f"n={n} adj={g.adj}"
+            for u, v in itertools.combinations(range(n), 2):
+                bad += V._compare(
+                    V._cz_rows(base, n, u, v), [V.batch_cz(batch, u, v)], [0], [(u, v)],
+                    lambda uv: f"{gname} cz({uv[0]},{uv[1]})", failures,
+                )
+            (minus,) = V._branch_rows(1, width)
+            for v in range(n):
+                dense = np.concatenate(V._split(base, n, v), axis=2).reshape(1 << (n - 1), 2 * width)
+                out = V.batch_measure_z(V._tile(batch, 2, width), v, outcome_row=minus).batch
+                bad += V._compare(
+                    dense, [out], [1 << v], (+1, -1), lambda o: f"{gname} mz({v},{o:+d})", failures
+                )
+            for size in range(2, n + 1):
+                k = size - 1
+                outcomes = list(itertools.product((+1, -1), repeat=k))
+                for party in itertools.permutations(range(n), size):
+                    run = V.batch_merge(
+                        V._tile(batch, 1 << k, width), list(party),
+                        outcome_rows=V._branch_rows(k, width),
+                    )
+                    bad += V._compare(
+                        V._replay_merge(base, n, party, run.pivots, width), [run.batch],
+                        [sum(1 << m for m in party[1:])], outcomes,
+                        lambda o: f"{gname} merge{party} outcomes={o}", failures,
+                    )
+    for n in range(1, max_n + 1):
+        for g in V._all_graphs(n):
+            joint = Graph.from_edges(n + 2, list(g.edges()) + [(n, n + 1)])
+            batch, base = V._column_batch(joint, full_variants=False)
+            width = base.shape[1]
+            outcomes = list(itertools.product((+1, -1), repeat=2))
+            for u, v in itertools.permutations(range(n), 2):
+                dense = V._cz_rows(V._cz_rows(base, n + 2, u, n), n + 2, v, n + 1)
+                dense = V._x_branches(V._x_branches(dense, n + 2, n, width), n + 1, n, width)
+                out = V.batch_splice(
+                    V._tile(batch, 4, width), u, v, n, n + 1, outcome_rows=V._branch_rows(2, width)
+                ).batch
+                bad += V._compare(
+                    dense, [out], [0b11 << n], outcomes,
+                    lambda o: f"splice base n={n} adj={g.adj} u={u} v={v} outcomes=({o[0]:+d},{o[1]:+d})",
+                    failures,
+                )
+    return bad
+
+
+@pytest.mark.parametrize(
+    "mutate, mismatches", [(_drop_pivot_frame_spread, 67_200), (_drop_far_half_frame, 101_504)]
+)
+def test_grouped_sweep_equals_a_per_site_sweep_under_mutants(monkeypatch, mutate, mismatches):
+    # one comparison per group must report exactly what one comparison per
+    # site reports: the same mismatching columns, named alike, in the same order
+    monkeypatch.setattr(verification, "_MAX_FAILURES_KEPT", 10**9)
+    mutate(monkeypatch)
+    report = run_oracle_sweep(max_n=4)
+    reference = []
+    assert _per_site_sweep(4, reference) == mismatches
+    assert report.mismatches == mismatches
+    assert list(report.failures) == reference
