@@ -352,13 +352,12 @@ class TestScreenedSearch:
 
 def test_auto_passes_an_exact_analytic_zero_at_tol_zero():
     # at p = 0.3 the width-1 probability is exactly p in floats, so the
-    # analytic distance is 0.0 while the dense eigenvalues give about 1e-16;
-    # the two agree, so the auto verdict and the search must not fail on it
+    # analytic distance is 0.0 while the dense eigenvalues can give about
+    # 1e-16; the two agree, so the auto verdict and the search must pass
     res = verify_reconstruction(path_graph(3), [0], 0.3, tol=0.0)
-    assert res.method == "dense" and 0.0 < res.trace_distance < 1e-12
+    assert res.method == "dense" and res.trace_distance < 1e-12
     assert res.ok
     assert verify_reconstruction(path_graph(3), [0], 0.3, tol=0.0, method="analytic").ok
-    assert not verify_reconstruction(path_graph(3), [0], 0.3, tol=0.0, method="dense").ok
     for tol in (0.0, 1e-17):
         assert proof_applies(path_graph(3), 0.3, tol=tol) == {(0, 1): True, (1, 2): True}
 
