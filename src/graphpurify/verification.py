@@ -4,7 +4,11 @@ Strategy: for a given graph, lay out one column per (z_errors, frame) pattern
 holding the unnormalized state vector of Z^(e XOR f)|graph state> — every
 entry is +-1, so the whole panel lives in exact int64 arithmetic.  Each
 engine operation is replayed on the panel with elementary row operations
-(CZ sign flips, X/Z projections, Hadamard pairs), all unnormalized.
+(CZ sign flips, X/Z projections, Hadamard pairs), all unnormalized.  A
+merge's replay is linear in the panel and depends only on (n, party,
+pivots), not on the graph, so it is replayed once on the 2^n identity into a
+cached integer operator, and all the merge parties of one size are replayed
+by one matmul of their stacked operators with the panel.
 
 The engine side runs on the same columns as one bit-sliced ``FrameBatch``
 (bit c of each qubit's row is column c), built once per graph.  An operation
@@ -40,7 +44,12 @@ scalar is the dense column's first entry).  A claimed-impossible branch (the
 batch drops the column from ``alive``) must correspond to an exactly zero
 column, and vice versa.
 
-Entries stay bounded by 2^(number of projections), far inside int64.
+Entries stay bounded by 2^(number of projections and Hadamards), far inside
+int64.  The merge matmul runs in float64 (an int64 matmul gets no BLAS): each
+operator entry is at most 2^(2k) for k measured qubits and each panel entry
++-1, so every product and partial sum is an integer of magnitude at most
+2^(n+2k) <= 2^16 on the sweep's <= 6 qubits, exact in float64 up to 2^53; the
+bound is checked before each matmul.
 """
 
 from __future__ import annotations
@@ -66,6 +75,14 @@ _MAX_FAILURES_KEPT = 25
 # and sign and row vectors per (n, qubits)
 _DIAGONAL_CACHE_SIZE = 1024
 _SMALL_CACHE_SIZE = 256
+# merge operators per (n, party, pivots): at most 64 x 64 entries each on the
+# sweep's <= 6 qubits, one byte apiece for parties of <= 4 vertices; the
+# 5-vertex sweep builds 872 of them
+_OPERATOR_CACHE_SIZE = 1024
+# float64 holds every integer of magnitude up to 2^53 exactly
+_FLOAT_EXACT = 1 << 53
+# vertices per graph the sweep and check_graph take
+_MAX_VERTICES = 6
 
 # sign of (-1)^popcount(x) for x < 2^16 — plenty for <= 8-qubit panels
 _PARITY = np.zeros(1 << 16, dtype=np.int64)
@@ -281,6 +298,11 @@ def _column_batch(g: Graph, full_variants: bool) -> tuple[FrameBatch, np.ndarray
     return FrameBatch.of_columns(g, cols), _pattern_panel(g, [e ^ f for e, f in cols])
 
 
+def _check_vertices(n: int) -> None:
+    if not 1 <= n <= _MAX_VERTICES:
+        raise ParameterError(f"sweep supports 1..{_MAX_VERTICES} vertices")
+
+
 def check_graph(
     g: Graph,
     *,
@@ -291,10 +313,12 @@ def check_graph(
     """Sweep every operation variant on one graph.
 
     Returns (checks, mismatches); mismatch descriptions go into `failures`.
+    Takes the sweep's 1..6 vertices, else raises ``ParameterError``.
     """
+    n = g.n
+    _check_vertices(n)
     if failures is None:
         failures = []
-    n = g.n
     batch, base = _column_batch(g, full_variants)
     width = base.shape[1]
     checks = 0
@@ -343,10 +367,7 @@ def _check_merge_parties(batch: FrameBatch, base: np.ndarray, parties, gname, fa
     rows = _branch_rows(k, width)
     runs = [batch_merge(tiled, list(party), outcome_rows=rows) for party in parties]
     # the pivots depend only on the graph, so one replay serves every branch
-    dense = np.hstack([
-        _replay_merge(base, batch.graph.n, party, run.pivots, width)
-        for party, run in zip(parties, runs)
-    ])
+    dense = _merge_panel(base, batch.graph.n, parties, [run.pivots for run in runs], gname)
     outcomes = list(itertools.product((+1, -1), repeat=k))
     bad = _compare(
         dense, [run.batch for run in runs],
@@ -355,6 +376,47 @@ def _check_merge_parties(batch: FrameBatch, base: np.ndarray, parties, gname, fa
         lambda po: f"{gname} merge{po[0]} outcomes={po[1]}", failures,
     )
     return len(parties) * width << k, bad
+
+
+def _merge_panel(base: np.ndarray, n: int, parties, pivots, gname: str) -> np.ndarray:
+    """``np.hstack`` of ``_replay_merge`` over parties of one size, as one matmul.
+
+    Every product and partial sum of the float64 matmul is an integer of
+    magnitude at most 2^(n+2k) times the base's largest entry, so it is exact
+    while that stays within 2^53.
+    """
+    k = len(parties[0]) - 1
+    if int(np.abs(base).max()) << n + 2 * k > _FLOAT_EXACT:
+        raise InvariantError(f"{gname}: merge panel entries may exceed {_FLOAT_EXACT} in float64")
+    ops = [_merge_operator(n, party, piv) for party, piv in zip(parties, pivots)]
+    panel = np.concatenate(ops, dtype=np.float64) @ base.astype(np.float64)
+    # rows (party, branch, panel row) to the hstack layout (panel row, party, branch, column)
+    return (
+        panel.reshape(len(ops) << k, 1 << n - k, base.shape[1])
+        .transpose(1, 0, 2)
+        .astype(np.int64, order="C")
+        .reshape(1 << n - k, -1)
+    )
+
+
+@lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _merge_operator(n: int, party: tuple[int, ...], pivots: tuple[int | None, ...]) -> np.ndarray:
+    """``_replay_merge`` as a matrix: row (branch, panel row) of its output is that row times the base.
+
+    The replay is linear in the base panel, so replaying it on the 2^n
+    identity gives every coefficient.  Entries are at most 2^(2k) in absolute
+    value for k measured qubits (each X projection and Hadamard adds two
+    rows), so the matrix is kept in the narrowest signed dtype holding them.
+    """
+    k = len(party) - 1
+    size = 1 << n
+    op = _replay_merge(np.eye(size, dtype=np.int64), n, party, pivots, size)
+    op = op.reshape(size >> k, 1 << k, size).transpose(1, 0, 2).reshape(size, size)
+    peak = int(np.abs(op).max())
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if peak <= np.iinfo(t).max)
+    op = op.astype(dtype)
+    op.flags.writeable = False
+    return op
 
 
 def _replay_merge(base: np.ndarray, n: int, party, pivots, width: int) -> np.ndarray:
@@ -438,8 +500,7 @@ def run_oracle_sweep(
     every base graph on <= 4 vertices, and three-pair merge configurations
     on 6 qubits.  Exact integer comparison throughout.
     """
-    if not 1 <= max_n <= 6:
-        raise ParameterError("sweep supports 1..6 vertices")
+    _check_vertices(max_n)
     t0 = time.perf_counter()
     failures: list[str] = []
     graphs = 0

@@ -3,12 +3,16 @@ just as importantly, must actually catch a broken update rule."""
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphpurify
 from graphpurify.errors import InvariantError, ParameterError
 from graphpurify.graphs import Graph, cycle_graph, path_graph
 from graphpurify.verification import check_graph, run_oracle_sweep
@@ -50,6 +54,16 @@ class TestSweep:
             run_oracle_sweep(max_n=0)
         with pytest.raises(ParameterError):
             run_oracle_sweep(max_n=7)
+
+
+@pytest.mark.parametrize("n", [0, 7])
+def test_check_graph_takes_the_sweeps_vertex_range(n):
+    # one bound for both entry points, and the same message from each
+    with pytest.raises(ParameterError) as sweep:
+        run_oracle_sweep(max_n=n)
+    with pytest.raises(ParameterError) as single:
+        check_graph(Graph.from_edges(n, []))
+    assert str(single.value) == str(sweep.value) == "sweep supports 1..6 vertices"
 
 
 class TestCheckGraph:
@@ -423,3 +437,131 @@ def test_grouped_sweep_equals_a_per_site_sweep_under_mutants(monkeypatch, mutate
     assert _per_site_sweep(4, reference) == mismatches
     assert report.mismatches == mismatches
     assert list(report.failures) == reference
+
+
+def _operator_cases(g, parties):
+    """(n, parties, pivots, base) for one group of merge parties on g."""
+    batch, base = verification._column_batch(g, full_variants=g.n <= 4)
+    width = base.shape[1]
+    k = len(parties[0]) - 1
+    tiled = verification._tile(batch, 1 << k, width)
+    rows = verification._branch_rows(k, width)
+    pivots = [verification.batch_merge(tiled, list(p), outcome_rows=rows).pivots for p in parties]
+    return g.n, parties, pivots, base
+
+
+def _assert_operator_panel_is_the_replay(n, parties, pivots, base):
+    want = np.hstack([
+        verification._replay_merge(base, n, party, piv, base.shape[1])
+        for party, piv in zip(parties, pivots)
+    ])
+    got = verification._merge_panel(base, n, parties, pivots, "case")
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    k = len(parties[0]) - 1
+    for party, piv in zip(parties, pivots):
+        op = verification._merge_operator(n, party, piv)
+        # the stored dtype holds every entry: back in int64 it is the replay
+        # of the identity, with rows (branch, panel row)
+        size = 1 << n
+        eye = verification._replay_merge(np.eye(size, dtype=np.int64), n, party, piv, size)
+        eye = eye.reshape(size >> k, 1 << k, size).transpose(1, 0, 2).reshape(size, size)
+        assert np.array_equal(op.astype(np.int64), eye)
+        assert np.abs(eye).max() <= 1 << 2 * k
+        if k <= 3:
+            assert op.dtype == np.int8
+        assert not op.flags.writeable
+
+
+def test_merge_operator_equals_the_replay_on_small_graphs():
+    # every labelled graph on <= 4 vertices, every party size up to 4
+    pivots_seen = {}
+    for n in range(1, 5):
+        for g in verification._all_graphs(n):
+            for size in range(2, n + 1):
+                case = _operator_cases(g, list(itertools.permutations(range(n), size)))
+                _assert_operator_panel_is_the_replay(*case)
+                for party, piv in zip(case[1], case[2]):
+                    pivots_seen.setdefault((n, party), set()).add(piv)
+    # one party, different pivots: different operators.  A Hadamard commutes
+    # with the projections of other qubits, so (None, 0) and (0, None) may
+    # agree; pivots that Hadamard a different set of qubits an odd number of
+    # times may not
+    def odd(piv):
+        return frozenset(q for q in range(4) if piv.count(q) % 2)
+
+    compared = 0
+    for (n, party), seen in pivots_seen.items():
+        for a, b in itertools.combinations(seen, 2):
+            if odd(a) != odd(b):
+                op_a = verification._merge_operator(n, party, a)
+                assert not np.array_equal(op_a, verification._merge_operator(n, party, b))
+                compared += 1
+    assert compared > 1000
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(0, (1 << 10) - 1))
+def test_merge_operator_equals_the_replay_on_five_vertex_pairs(mask):
+    slots = list(itertools.combinations(range(5), 2))
+    g = Graph.from_edges(5, [slots[i] for i in range(len(slots)) if mask >> i & 1])
+    _assert_operator_panel_is_the_replay(
+        *_operator_cases(g, list(itertools.permutations(range(5), 2)))
+    )
+
+
+def test_merge_operator_equals_the_replay_on_three_pair_merges():
+    g, parties = verification._six_qubit_merge_configs()
+    for _, run in itertools.groupby(parties, key=len):
+        _assert_operator_panel_is_the_replay(*_operator_cases(g, list(run)))
+
+
+def test_operator_cache_changes_no_report(monkeypatch):
+    # a cold cache and a warm one give the same report, failures included
+    _drop_pivot_frame_spread(monkeypatch)
+    verification._merge_operator.cache_clear()
+    cold = run_oracle_sweep(max_n=3)
+    assert verification._merge_operator.cache_info().hits > 0
+    misses = verification._merge_operator.cache_info().misses
+    warm = run_oracle_sweep(max_n=3)
+    assert verification._merge_operator.cache_info().misses == misses
+    assert cold.mismatches == _MUTANT_MISMATCHES[_drop_pivot_frame_spread]
+    assert dataclasses.replace(cold, elapsed_seconds=0) == dataclasses.replace(warm, elapsed_seconds=0)
+
+
+def test_float_exactness_bound_raises(monkeypatch):
+    monkeypatch.setattr(verification, "_FLOAT_EXACT", 1 << 4)
+    with pytest.raises(InvariantError, match="float64"):
+        check_graph(path_graph(3))
+
+
+_FORCED_FLOAT_BOUND = """
+import sys
+import graphpurify.verification as verification
+from graphpurify.errors import InvariantError
+from graphpurify.graphs import path_graph
+
+if __debug__:
+    sys.exit("asserts are live; run this under python -O")
+verification._FLOAT_EXACT = 1 << 4
+try:
+    verification.check_graph(path_graph(3))
+except InvariantError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("check_graph ran a merge matmul past its exactness bound")
+"""
+
+
+def test_float_exactness_bound_survives_optimized_mode():
+    # -O strips asserts from this module too, so a child interpreter checks
+    # that the bound is an error the package raises, not an assert
+    src = os.path.dirname(os.path.dirname(graphpurify.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FORCED_FLOAT_BOUND],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "may exceed 16 in float64" in proc.stdout
