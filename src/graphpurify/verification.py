@@ -401,7 +401,7 @@ def _merge_panel(base: np.ndarray, n: int, parties, pivots, gname: str) -> np.nd
 
 @lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
 def _merge_operator(n: int, party: tuple[int, ...], pivots: tuple[int | None, ...]) -> np.ndarray:
-    """``_replay_merge`` as a matrix: row (branch, panel row) of its output is that row times the base.
+    """``_replay_merge`` as a matrix M: its branch b, panel row r is row b*2^(n-k) + r of M @ base.
 
     The replay is linear in the base panel, so replaying it on the 2^n
     identity gives every coefficient.  Entries are at most 2^(2k) in absolute
