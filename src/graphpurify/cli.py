@@ -218,6 +218,8 @@ def cmd_scan(args) -> int:
         raise ParameterError("give exactly one of --p-grid or --T-grid")
     temps = None
     if args.p_grid is not None:
+        if args.B is not None:
+            raise ParameterError("--B applies to --T-grid only, not to --p-grid")
         grid = _parse_grid(args.p_grid, "p")
         b_val = None
     else:

@@ -59,9 +59,6 @@ class Graph:
 
     # -- basic queries -----------------------------------------------------
 
-    def neighbors(self, v: int) -> int:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 

@@ -37,7 +37,7 @@ import numpy as np
 from . import dense
 from .errors import CapacityError, InvariantError, ParameterError
 from .graphs import Graph, _bits
-from .pattern import PatternState, merge_local
+from .pattern import FrameBatch, batch_merge
 
 __all__ = [
     "MAX_RECONSTRUCTION_QUBITS",
@@ -150,7 +150,10 @@ def candidate_flip_probs(g: Graph, side_a, p: float) -> tuple[float, ...]:
     """Per-vertex flip probability of the canonical candidate.
 
     Independent across vertices; width = number of pair halves XORed into
-    the vertex qubit, i.e. max(1, cross degree).
+    the vertex qubit, i.e. max(1, cross degree).  Width 1 gives exactly p,
+    not the closed form (1 - (1-2p)^w)/2, which rounds off p in floats
+    (0.09999999999999998 at p = 0.1) and would make an exact split miss at
+    tol 0.
     """
     _check_p(p)
     return _flip_probs(g, _side_mask(g, side_a), p)
@@ -160,9 +163,8 @@ def _flip_probs(g: Graph, amask: int, p: float) -> tuple[float, ...]:
     """``candidate_flip_probs`` for the side given as a vertex bitset."""
     probs = []
     for v in range(g.n):
-        other = g.adj[v] & (~amask if amask >> v & 1 else amask)
-        width = max(1, other.bit_count())
-        probs.append((1.0 - (1.0 - 2.0 * p) ** width) / 2.0)
+        width = (g.adj[v] & (~amask if amask >> v & 1 else amask)).bit_count()
+        probs.append(p if width <= 1 else (1.0 - (1.0 - 2.0 * p) ** width) / 2.0)
     return tuple(probs)
 
 
@@ -188,8 +190,9 @@ def build_reconstruction(g: Graph, side_a, p: float) -> np.ndarray:
 def _assemble(plan: Reconstruction, p: float) -> np.ndarray:
     """Every initial qubit starts as a Z-noisy plus state; pair CZs, folds
     and internal CZs follow the plan, all real, so the build is float64.
-    Fold corrections are read off a clean run of the pattern engine, branch
-    by branch, so this build shares no arithmetic with the analytic model."""
+    Fold corrections are read off a clean run of the pattern engine on two
+    columns, one per branch, so this build shares no arithmetic with the
+    analytic model."""
     _check_p(p)
     g = plan.graph
     n_tot = g.n + len(plan.merges)
@@ -204,16 +207,10 @@ def _assemble(plan: Reconstruction, p: float) -> np.ndarray:
     # at fold i slot q sits at row q below the extras and at row q - i above
     probe_graph = Graph.from_edges(n_tot, list(plan.copy_slots))
     for i, (kappa, extra) in enumerate(plan.merges):
-        probes = [
-            merge_local(PatternState(probe_graph), [kappa, extra], forced_outcomes=[1 - 2 * b])
-            for b in (0, 1)
-        ]
-        if probes[0].state.graph != probes[1].state.graph:
-            raise InvariantError("fold rewiring depends on the outcome")
-        steps = [(s.measured, s.pivot) for s in probes[0].steps]
-        if steps != [(st.measured, st.pivot) for st in probes[1].steps]:
-            raise InvariantError("fold pivot depends on the outcome")
-        (_, pivot) = steps[0]
+        # column b reads outcome b, so bit b of a frame row is branch b's Z
+        clean = FrameBatch.of_columns(probe_graph, [(0, 0), (0, 0)])
+        run = batch_merge(clean, [kappa, extra], outcome_rows=(0b10,))
+        (pivot,) = run.pivots
         if pivot is None:
             raise InvariantError("folded pair half has no twin to pivot on")
 
@@ -226,11 +223,12 @@ def _assemble(plan: Reconstruction, p: float) -> np.ndarray:
         for b in (0, 1):
             br = dense.project_rho(rho, "X", m_row, b)
             br = dense.apply_unitary_rho(br, dense.H, (row(pivot),))
-            for q in _bits(probes[b].state.correction_frame):
-                br = dense.apply_unitary_rho(br, dense.Z, (row(q),))
+            for q, frame in enumerate(run.batch.frame_rows):
+                if frame >> b & 1:
+                    br = dense.apply_unitary_rho(br, dense.Z, (row(q),))
             acc = br if acc is None else acc + br
         rho = dense.partial_trace(acc, [q for q in range(n_tot - i) if q != m_row])
-        probe_graph = probes[0].state.graph
+        probe_graph = run.batch.graph
 
     return _cz_layer(rho, g.n, plan.internal_edges)
 
@@ -272,22 +270,15 @@ def _check_tol(tol: float) -> None:
         raise ParameterError(f"--tol must be finite and non-negative, got {tol!r}")
 
 
-def verify_reconstruction(
-    g: Graph,
-    side_a,
-    p: float,
-    tol: float = 1e-9,
-    method: str = "auto",
-) -> VerifyResult:
+def verify_reconstruction(g: Graph, side_a, p: float, tol: float = 1e-9) -> VerifyResult:
     """Does the canonical candidate reproduce the thermal state exactly?
 
-    method: "dense" demands the circuit-level build and oracle comparison,
-    "analytic" uses the flip-distribution model alone, "auto" runs the dense
-    route whenever it fits, cross-checks the two against each other and
-    passes when either distance is within tol.
+    The circuit-level build is compared with the dense thermal state
+    whenever both fit the dense caps; it must agree with the analytic
+    flip-distribution model (else ``InvariantError``), and the split passes
+    when either distance is within tol.  Past the caps the analytic model
+    decides alone.
     """
-    if method not in ("auto", "dense", "analytic"):
-        raise ParameterError(f"unknown method {method!r}")
     _check_tol(tol)
     plan = reconstruction_plan(g, side_a)
     if plan is None:
@@ -295,7 +286,7 @@ def verify_reconstruction(
     analytic = _analytic_trace_distance(
         candidate_flip_probs(g, side_a, p), _product_flip_vector((p,) * g.n)
     )
-    return _verify(plan, p, analytic, tol, method)
+    return _verify(plan, p, analytic, tol)
 
 
 def _verify(
@@ -303,25 +294,21 @@ def _verify(
     p: float,
     analytic: float,
     tol: float,
-    method: str,
     target: np.ndarray | None = None,
 ) -> VerifyResult:
     """Judge one plan; ``target`` is ``dense.thermal_state_from_p(g, p)`` when
     the caller already has it."""
     g = plan.graph
     n_tot = g.n + len(plan.merges)
-    dense_ok = n_tot <= dense.MAX_DENSE_QUBITS and g.n <= dense.MAX_THERMAL_QUBITS
-    if method == "dense" and not dense_ok:
-        raise CapacityError("dense verification does not fit the qubit cap")
-    if method != "analytic" and dense_ok:
+    if n_tot <= dense.MAX_DENSE_QUBITS and g.n <= dense.MAX_THERMAL_QUBITS:
         if target is None:
             target = dense.thermal_state_from_p(g, p)
         dist = dense.trace_distance(_assemble(plan, p), target)
         if abs(dist - analytic) > _AGREEMENT:
             raise InvariantError("dense circuit disagrees with the analytic flip model")
-        # once they agree, "auto" passes when either does: at tol 0 an exact
+        # once they agree, either one within tol passes: at tol 0 an exact
         # analytic 0.0 must not fail on the eigenvalues' float noise
-        ok = dist <= tol or (method == "auto" and analytic <= tol)
+        ok = dist <= tol or analytic <= tol
         return VerifyResult(ok=ok, trace_distance=dist, method="dense")
     return VerifyResult(ok=analytic <= tol, trace_distance=analytic, method="analytic")
 
@@ -365,7 +352,7 @@ def proof_applies(g: Graph, p: float = 0.1, tol: float = 1e-9) -> dict:
                 continue
             if thermal is None:
                 thermal = dense.thermal_state_from_p(g, p)
-            if not _verify(plan, p, analytic, tol, "auto", thermal).ok:
+            if not _verify(plan, p, analytic, tol, thermal).ok:
                 raise InvariantError("analytic success must survive the dense check")
             found = True
             break

@@ -18,8 +18,7 @@ Stable labels.  A measured qubit keeps its index: the rule cuts its bonds
 and clears its error and frame bits, which leaves it an isolated, error-free
 |+> (the Pauli-measurement graph rules of Hein, Eisert & Briegel, PRA 69,
 062311, 2004, are stated this way).  So every index into and out of the
-engine is an input index, and ``z_map`` is square with zero rows on the
-measured qubits.
+engine is an input index.
 
 Bit-sliced batches.  The graph rewiring of every rule depends only on the
 graph, and the error and frame updates are GF(2)-linear row operations, so
@@ -35,18 +34,15 @@ mask instead of raising.
 The single-pattern API (``measure_z``, ``merge_local``, ``apply_cz_via_pair``
 on a ``PatternState``) runs the same rules on a width-1 batch, with a forced
 outcome of +1 or -1 as the row 0 or 1, and raises ``ParameterError`` when
-its one column dies.  Their results expose the
-Z-error update as ``z_map`` (bit j of ``z_map[i]``: input qubit j's Z error
-lands on output qubit i), which is the same rule run on the identity batch,
-one column per input qubit.
+its one column dies.  The rest of the package calls the batch rules
+directly.  A rule's Z-error map (where each input qubit's Z error lands) is
+the rule run on a batch with one lone-error column per input qubit.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from dataclasses import dataclass
 
 from .errors import ParameterError
 from .graphs import Graph, _bits, _make
@@ -118,13 +114,6 @@ class FrameBatch:
                 f[q] |= 1 << c
         return FrameBatch(graph, tuple(z), tuple(f), (1 << len(columns)) - 1)
 
-    @staticmethod
-    def identity(graph: Graph) -> "FrameBatch":
-        """Column j is a lone Z error on qubit j, with an empty frame."""
-        return FrameBatch(
-            graph, tuple(1 << q for q in range(graph.n)), (0,) * graph.n, (1 << graph.n) - 1
-        )
-
     def column(self, c: int) -> PatternState:
         e = 0
         f = 0
@@ -159,24 +148,12 @@ class MergeResult:
     state: PatternState
     outcomes: tuple[int, ...]  # +-1 per measured qubit, in order
     steps: tuple[MergeStep, ...]
-    _on_identity: Callable[[], BatchResult] = field(repr=False, compare=False)
-
-    @cached_property
-    def z_map(self) -> tuple[int, ...]:
-        """Bit j of ``z_map[i]``: input qubit j's Z error lands on output qubit i."""
-        return self._on_identity().batch.z_rows
 
 
 @dataclass(frozen=True)
 class PairSpliceResult:
     state: PatternState
     outcomes: tuple[int, int]  # +-1 for the two consumed halves, in order
-    _on_identity: Callable[[], BatchResult] = field(repr=False, compare=False)
-
-    @cached_property
-    def z_map(self) -> tuple[int, ...]:
-        """Bit j of ``z_map[i]``: input qubit j's Z error lands on output qubit i."""
-        return self._on_identity().batch.z_rows
 
 
 def ideal_state(g: Graph) -> PatternState:
@@ -425,16 +402,11 @@ def merge_local(
     The result carries, per measured qubit, its outcome and pivot.
     """
     run = batch_merge(_width1(state), party_qubits, rng, _width1_rows(forced_outcomes))
-    post = _survivor(run)
     outcomes = tuple(1 - 2 * o for o in run.outcomes)
-    g, party = state.graph, tuple(party_qubits)
     return MergeResult(
-        state=post,
+        state=_survivor(run),
         outcomes=outcomes,
-        steps=tuple(MergeStep(*s) for s in zip(party[1:], outcomes, run.pivots)),
-        _on_identity=lambda: batch_merge(
-            FrameBatch.identity(g), party, outcome_rows=(0,) * (len(party) - 1)
-        ),
+        steps=tuple(MergeStep(*s) for s in zip(party_qubits[1:], outcomes, run.pivots)),
     )
 
 
@@ -498,11 +470,6 @@ def apply_cz_via_pair(
 ) -> PairSpliceResult:
     """``batch_splice`` on the one pattern of ``state``."""
     run = batch_splice(_width1(state), u, v, pair_u, pair_v, rng, _width1_rows(forced_outcomes))
-    g = state.graph
     return PairSpliceResult(
-        state=_survivor(run),
-        outcomes=tuple(1 - 2 * o for o in run.outcomes),
-        _on_identity=lambda: batch_splice(
-            FrameBatch.identity(g), u, v, pair_u, pair_v, outcome_rows=(0, 0)
-        ),
+        state=_survivor(run), outcomes=tuple(1 - 2 * o for o in run.outcomes)
     )

@@ -41,14 +41,7 @@ from functools import lru_cache
 from .errors import CapacityError, InvariantError, ParameterError
 from .graphs import MAX_VERTICES, Graph, family_parts, grid_sides
 from .pairs import composite_r2, distill_trace, from_z_noise
-from .pattern import (
-    FrameBatch,
-    batch_merge,
-    batch_splice,
-    ideal_state,
-    is_ideal,
-    measure_z,
-)
+from .pattern import FrameBatch, batch_measure_z, batch_merge, batch_splice, is_ideal
 from .rng import derive_rng, derive_seed
 from .thermal import purifiable_at
 
@@ -181,24 +174,18 @@ class RateReport:
     r_psi_upper: float
 
 
-def rate_report(
-    g: Graph,
-    p: float,
-    family_hint: str | None = None,
-    r2_estimator=None,
-) -> RateReport:
+def rate_report(g: Graph, p: float, family_hint: str | None = None) -> RateReport:
     """Bell-pair rate and the graph-state rate it brackets.
 
     The output-state rate R is sandwiched as r2/n_geo <= R <= r2, with n_geo
     the planner's round count (at least 1 to keep the bound meaningful for
     edgeless graphs).
     """
-    return _rates(plan_extraction(g), p, family_hint, r2_estimator)
+    return _rates(plan_extraction(g), p, family_hint)
 
 
-def _rates(plan: ExtractionPlan, p: float, family_hint, r2_estimator) -> RateReport:
-    estimator = r2_estimator if r2_estimator is not None else composite_r2
-    r2 = estimator(from_z_noise(p))
+def _rates(plan: ExtractionPlan, p: float, family_hint) -> RateReport:
+    r2 = composite_r2(from_z_noise(p))
     formula = n_geo_formula(family_hint) if family_hint is not None else None
     n_geo = plan.n_geo
     return RateReport(n_geo, formula, r2, r2 / (n_geo or 1), r2)
@@ -247,12 +234,12 @@ def _check_extraction(g: Graph, plan: ExtractionPlan) -> None:
     on the error-free state with forced outcomes covers every shot.
     """
     for items in plan.rounds:
-        st = ideal_state(g)
+        copy = FrameBatch.of_columns(g, [(0, 0)])
         for q in sorted({q for pe in items for q in pe.z_measure_set}):
-            st = measure_z(st, q, forced_outcome=+1).state
+            copy = batch_measure_z(copy, q, outcome_row=0).batch
         for pe in items:
             u, v = pe.edge
-            if st.graph.adj[u] != 1 << v or st.graph.adj[v] != 1 << u:
+            if copy.graph.adj[u] != 1 << v or copy.graph.adj[v] != 1 << u:
                 raise InvariantError(f"extracted pair {pe.edge} is not isolated")
 
 
@@ -441,7 +428,6 @@ def run_drpp(
     seed: int = 0,
     workers: int = 1,
     family_hint: str | None = None,
-    max_rounds: int = 64,
 ) -> ProtocolResult:
     """Monte Carlo estimate of the protocol's output fidelity.
 
@@ -452,9 +438,9 @@ def run_drpp(
         raise ParameterError("shots must be >= 1")
     if workers < 1:
         raise ParameterError("workers must be >= 1")
-    trace = distill_trace(from_z_noise(p), pair_target_fidelity, max_rounds)
+    trace = distill_trace(from_z_noise(p), pair_target_fidelity)
     plan = plan_extraction(g)
-    rates = _rates(plan, p, family_hint, None)
+    rates = _rates(plan, p, family_hint)
     common = dict(
         graph=_graph_record(g),
         p=p,

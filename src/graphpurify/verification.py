@@ -484,13 +484,7 @@ def _six_qubit_merge_configs():
     return g, sorted(parties)
 
 
-def run_oracle_sweep(
-    max_n: int = 5,
-    *,
-    include_splice: bool = True,
-    include_six_qubit_merges: bool = True,
-    progress=None,
-) -> SweepReport:
+def run_oracle_sweep(max_n: int = 5, *, progress=None) -> SweepReport:
     """Exhaustively validate engine ops against dense replay.
 
     Covers every labeled graph on 1..max_n vertices, every error pattern
@@ -519,15 +513,14 @@ def run_oracle_sweep(
             bad += b
         if progress is not None:
             progress(f"graphs on {n} vertices done ({time.perf_counter() - t0:.1f}s)")
-    if include_splice:
-        for n in range(1, min(max_n, 4) + 1):
-            for g in _all_graphs(n):
-                c, b = _check_splice(g, failures)
-                checks += c
-                bad += b
-        if progress is not None:
-            progress(f"pair splices done ({time.perf_counter() - t0:.1f}s)")
-    if include_six_qubit_merges and max_n >= 5:
+    for n in range(1, min(max_n, 4) + 1):
+        for g in _all_graphs(n):
+            c, b = _check_splice(g, failures)
+            checks += c
+            bad += b
+    if progress is not None:
+        progress(f"pair splices done ({time.perf_counter() - t0:.1f}s)")
+    if max_n >= 5:
         g, parties = _six_qubit_merge_configs()
         batch, base = _column_batch(g, full_variants=False)
         # sorted order mixes sizes: each maximal run of one size is one group,

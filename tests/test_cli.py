@@ -234,6 +234,16 @@ class TestScan:
         )
         assert rc == 2
 
+    def test_field_scale_with_a_p_grid_is_a_usage_error(self, capsys):
+        # --B sets only how temperatures map to p; a p grid would drop it
+        # silently (as "B": null), so it is refused like rates --p --B
+        rc, out, err = run_cli(
+            capsys, "scan", "--graph", "path:3", "--p-grid", "0.1",
+            "--B", "2", "--shots", "10", "--json",
+        )
+        assert rc == 2
+        assert "--B" in err and out == ""
+
     def test_exactly_one_grid(self, capsys):
         rc, _, _ = run_cli(
             capsys, "scan", "--graph", "path:3", "--p-grid", "0.1",

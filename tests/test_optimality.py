@@ -142,12 +142,13 @@ class TestVerifyReconstruction:
             assert res.method == "dense"
 
     def test_analytic_and_dense_report_the_same_distance(self):
+        target = _product_flip_vector((0.1,) * 3)
         for side in ([0], [1]):
-            a = verify_reconstruction(cycle_graph(3), side, 0.1, method="analytic")
-            d = verify_reconstruction(cycle_graph(3), side, 0.1, method="dense")
-            assert a.method == "analytic" and d.method == "dense"
-            assert a.trace_distance == pytest.approx(d.trace_distance, abs=1e-9)
-            assert a.ok == d.ok
+            a = _analytic_trace_distance(candidate_flip_probs(cycle_graph(3), side, 0.1), target)
+            d = verify_reconstruction(cycle_graph(3), side, 0.1)
+            assert d.method == "dense"
+            assert a == pytest.approx(d.trace_distance, abs=1e-9)
+            assert (a <= 1e-9) == d.ok
 
     def test_two_fold_chain_passes_the_internal_cross_check(self):
         # three cross edges in a row: two folds chained through extras; the
@@ -166,7 +167,7 @@ class TestVerifyReconstruction:
         g = star_graph(8)
         side = list(range(1, 8))
         with pytest.raises(CapacityError):
-            verify_reconstruction(g, side, 0.1, method="dense")
+            build_reconstruction(g, side, 0.1)
         res = verify_reconstruction(g, side, 0.1)
         assert res.method == "analytic"
         assert not res.ok
@@ -180,10 +181,6 @@ class TestVerifyReconstruction:
             cols = [np.array([1.0 - q, q]) for q in probs]
             want = reduce(np.kron, reversed(cols)) if cols else np.ones(1)
             assert np.array_equal(_product_flip_vector(probs), want), n
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ParameterError):
-            verify_reconstruction(path_graph(3), [0], 0.1, method="magic")
 
 
 class TestBuildReconstruction:
@@ -233,7 +230,8 @@ class TestProofApplies:
 def _reference_first_splits(g: Graph, p: float, tol: float) -> dict:
     """The search without any screen: plan every split separating the edge,
     take the full flip-vector total variation, and the first split that has
-    a wiring and passes wins (None when none does)."""
+    a wiring and passes wins (None when none does).  Width 1 flips with
+    exactly p, as in the program."""
     target = _product_flip_vector((p,) * g.n)
     first = {}
     for u, v in sorted(g.edges()):
@@ -247,7 +245,7 @@ def _reference_first_splits(g: Graph, p: float, tol: float) -> dict:
             probs = []
             for x in range(g.n):
                 cross = (g.adj[x] & (~amask if amask >> x & 1 else amask)).bit_count()
-                probs.append((1.0 - (1.0 - 2.0 * p) ** max(1, cross)) / 2.0)
+                probs.append(p if cross <= 1 else (1.0 - (1.0 - 2.0 * p) ** cross) / 2.0)
             if 0.5 * float(np.abs(_product_flip_vector(tuple(probs)) - target).sum()) <= tol:
                 first[(u, v)] = frozenset(side)
                 break
@@ -342,22 +340,27 @@ class TestScreenedSearch:
         assert _analytic_trace_distance(probs, target) == 0.0
         assert _screened_distance(probs, p, tol, target) == 0.0
 
-    def test_width_one_probs_are_not_always_p_in_floats(self):
-        # (1 - (1 - 2p)) / 2 rounds away from p at p = 0.1, so all cross
-        # degrees <= 1 does not mean distance 0.0: at tol 0 the flip-vector
-        # distance (about 5e-17) rejects every split
-        assert candidate_flip_probs(path_graph(3), [0], 0.1) != (0.1, 0.1, 0.1)
-        assert proof_applies(path_graph(3), 0.1, tol=0.0) == {(0, 1): False, (1, 2): False}
+    def test_zero_tol_gives_the_default_tol_verdicts(self):
+        # width 1 flips with exactly p, so an exact split has distance 0.0
+        # in floats too; (1 - (1 - 2p)) / 2 rounds off p at p = 0.1 and
+        # made every split of path:2 miss at tol 0
+        graphs = [*_labelled_graphs(4), *(load_graph(name) for name in _BENCH_GRAPHS)]
+        for p in (0.1, 0.3, 1e-6):
+            assert candidate_flip_probs(path_graph(3), [0], p) == (p, p, p)
+            assert proof_applies(path_graph(2), p, tol=0.0) == {(0, 1): True}
+            for g in graphs:
+                assert proof_applies(g, p, tol=0.0) == proof_applies(g, p), (g.adj, p)
 
 
 def test_auto_passes_an_exact_analytic_zero_at_tol_zero():
-    # at p = 0.3 the width-1 probability is exactly p in floats, so the
-    # analytic distance is 0.0 while the dense eigenvalues can give about
-    # 1e-16; the two agree, so the auto verdict and the search must pass
+    # the width-1 probability is exactly p, so the analytic distance is 0.0
+    # while the dense eigenvalues can give about 1e-16; the two agree, so
+    # the verdict and the search must pass
     res = verify_reconstruction(path_graph(3), [0], 0.3, tol=0.0)
     assert res.method == "dense" and res.trace_distance < 1e-12
     assert res.ok
-    assert verify_reconstruction(path_graph(3), [0], 0.3, tol=0.0, method="analytic").ok
+    probs = candidate_flip_probs(path_graph(3), [0], 0.3)
+    assert _analytic_trace_distance(probs, _product_flip_vector((0.3,) * 3)) == 0.0
     for tol in (0.0, 1e-17):
         assert proof_applies(path_graph(3), 0.3, tol=tol) == {(0, 1): True, (1, 2): True}
 

@@ -318,6 +318,16 @@ def _xor_rows(rows, mask: int) -> int:
     return out
 
 
+def _z_map(g: Graph, rule, n_outcomes: int) -> tuple[int, ...]:
+    """Bit j of entry i: input qubit j's Z error lands on output qubit i.
+
+    The rule run on the identity batch (column j a lone error on qubit j),
+    every outcome +1.
+    """
+    identity = FrameBatch.of_columns(g, [(1 << q, 0) for q in range(g.n)])
+    return rule(identity, (0,) * n_outcomes).batch.z_rows
+
+
 def _check_z_map(g: Graph, op, rule, n_outcomes: int, columns, rng) -> None:
     """The map of one error-free run reproduces the engine on every column
     and forced-outcome branch: the Z errors exactly, the frame up to a
@@ -327,10 +337,9 @@ def _check_z_map(g: Graph, op, rule, n_outcomes: int, columns, rng) -> None:
     ``rule`` runs once, on the columns tiled once per branch (block b takes
     branch b of ``itertools.product``), and the map is applied to its input
     rows, so every column of every branch is checked at once.  ``op``, the
-    width-1 wrapper, gives the map and is cross-checked on two sampled
-    (branch, column) pairs.
+    width-1 wrapper, is cross-checked on two sampled (branch, column) pairs.
     """
-    z_map = op(PatternState(g), None).z_map
+    z_map = _z_map(g, rule, n_outcomes)
     branches = list(itertools.product((+1, -1), repeat=n_outcomes))
     width, block = len(columns), (1 << len(columns)) - 1
     batch = FrameBatch.of_columns(g, columns * len(branches))
@@ -402,11 +411,11 @@ class TestZMap:
         # fusing one half of each of two pairs: the measured half's error
         # reaches the pivot's old neighbors, the pivot's reaches the kept half
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        res = merge_local(ideal_state(g), [1, 2], forced_outcomes=[+1])
-        assert res.z_map == (0b0001, 0b1010, 0, 0b0100)
+        z_map = _z_map(g, lambda b, rows: batch_merge(b, [1, 2], outcome_rows=rows), 1)
+        assert z_map == (0b0001, 0b1010, 0, 0b0100)
 
     def test_worked_example_splice(self):
         g = Graph.from_edges(4, [(2, 3)])
-        res = apply_cz_via_pair(ideal_state(g), 0, 1, 2, 3, forced_outcomes=(+1, +1))
+        z_map = _z_map(g, lambda b, rows: batch_splice(b, 0, 1, 2, 3, outcome_rows=rows), 2)
         # the far half's error lands on each endpoint; the halves are cleared
-        assert res.z_map == (0b1001, 0b0110, 0, 0)
+        assert z_map == (0b1001, 0b0110, 0, 0)

@@ -22,7 +22,7 @@ import graphpurify
 from graphpurify import protocol
 from graphpurify.errors import CapacityError, InvariantError, ParameterError
 from graphpurify.graphs import Graph, cycle_graph, grid_graph, parse_family, path_graph, star_graph
-from graphpurify.pairs import distill_trace, from_z_noise
+from graphpurify.pairs import composite_r2, distill_trace, from_z_noise
 from graphpurify.pattern import PatternState, measure_z
 from graphpurify.protocol import (
     CHUNK_SHOTS,
@@ -509,10 +509,11 @@ class TestRateReport:
         assert rep.n_geo_plan == 0
         assert rep.r_psi_lower == rep.r2  # divisor floored at 1
 
-    def test_custom_estimator_hook(self):
-        rep = rate_report(path_graph(3), 0.1, r2_estimator=lambda bd: 0.5)
-        assert rep.r2 == 0.5
-        assert rep.r_psi_lower == 0.25
+    def test_state_rate_lower_bound_divides_by_planned_rounds(self):
+        rep = rate_report(path_graph(3), 0.1)
+        assert rep.n_geo_plan == 2
+        assert rep.r2 == composite_r2(from_z_noise(0.1)) > 0.0
+        assert rep.r_psi_lower == rep.r2 / rep.n_geo_plan
 
 
 class TestThresholdScan:

@@ -22,6 +22,7 @@ from graphpurify.errors import InvariantError, ParameterError
 from graphpurify.graphs import Graph, _bits, path_graph, star_graph
 from graphpurify.optimality import (
     build_reconstruction,
+    candidate_flip_probs,
     proof_applies,
     reconstruction_plan,
     verify_reconstruction,
@@ -194,15 +195,16 @@ def test_a_build_missing_one_internal_cz_trips_the_cross_check(monkeypatch):
 def _per_split_analytic_distance(g: Graph, side_a, p: float) -> float:
     """The analytic distance as computed split by split before the search
     screened splits: candidate probabilities and both flip vectors rebuilt
-    on every call."""
+    on every call.  A vertex of cross degree <= 1 flips with exactly p (the
+    closed form rounds off p at width 1)."""
     amask = 0
     for v in side_a:
         amask |= 1 << v
     probs = []
     for v in range(g.n):
         other = g.adj[v] & (~amask if amask >> v & 1 else amask)
-        width = max(1, other.bit_count())
-        probs.append((1.0 - (1.0 - 2.0 * p) ** width) / 2.0)
+        width = other.bit_count()
+        probs.append(p if width <= 1 else (1.0 - (1.0 - 2.0 * p) ** width) / 2.0)
     cand = optimality._product_flip_vector(tuple(probs))
     target = optimality._product_flip_vector(tuple([p] * g.n))
     return 0.5 * float(np.abs(cand - target).sum())
@@ -213,13 +215,16 @@ def test_analytic_distance_equals_the_per_split_form_on_five_vertices():
     for g in _CLASSES_5:
         for mask in range(1 << g.n):
             side = [v for v in range(g.n) if mask >> v & 1]
-            # width-1 probabilities round away from p at 0.1 and 1e-6, not at 0.3
+            # the closed form rounds width-1 probabilities off p at 0.1 and
+            # 1e-6, not at 0.3
             for p in (0.1, 0.3, 1e-6):
-                res = verify_reconstruction(g, side, p, method="analytic")
                 if reconstruction_plan(g, side) is None:
-                    assert res.method == "no-canonical-wiring"
+                    assert verify_reconstruction(g, side, p).method == "no-canonical-wiring"
                     continue
-                assert res.trace_distance == _per_split_analytic_distance(g, side, p), (g, side, p)
+                got = optimality._analytic_trace_distance(
+                    candidate_flip_probs(g, side, p), optimality._product_flip_vector((p,) * g.n)
+                )
+                assert got == _per_split_analytic_distance(g, side, p), (g, side, p)
             splits += 1
     assert splits == 1 * 2 + 2 * 4 + 4 * 8 + 11 * 16 + 34 * 32
 

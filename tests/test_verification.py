@@ -31,9 +31,7 @@ class TestSweep:
         assert report.elapsed_seconds >= 0.0
 
     def test_three_vertex_sweep_clean(self):
-        report = run_oracle_sweep(
-            max_n=3, include_splice=False, include_six_qubit_merges=False
-        )
+        report = run_oracle_sweep(max_n=3)
         assert report.ok
         assert report.graphs == 11
 
@@ -44,10 +42,15 @@ class TestSweep:
         assert all(isinstance(s, str) for s in seen)
 
     def test_splice_toggle_changes_check_count(self):
-        with_splice = run_oracle_sweep(max_n=2)
-        without = run_oracle_sweep(max_n=2, include_splice=False)
-        assert with_splice.checks > without.checks
-        assert with_splice.ok and without.ok
+        # below five vertices the sweep is check_graph on every graph plus
+        # the splices on every base graph, nothing else
+        report = run_oracle_sweep(max_n=2)
+        graphs = [Graph.from_edges(1, []), Graph.from_edges(2, []), path_graph(2)]
+        per_graph = [check_graph(g, max_party=g.n, full_variants=True) for g in graphs]
+        splices = [verification._check_splice(g, []) for g in graphs]
+        assert sum(c for c, _ in per_graph) < report.checks
+        assert report.checks == sum(c for c, _ in per_graph + splices)
+        assert report.ok and not any(b for _, b in per_graph + splices)
 
     def test_max_n_validated(self):
         with pytest.raises(ParameterError):
