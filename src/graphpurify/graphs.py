@@ -280,15 +280,24 @@ def read_edge_list(text: str) -> Graph:
         n = int(lines[0])
     except ValueError as exc:
         raise ParameterError(f"bad vertex count line {lines[0]!r}") from exc
+    if n < 0:
+        raise ParameterError(f"vertex count {n} is negative")
     edges = []
+    seen = set()
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise ParameterError(f"bad edge line {line!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ParameterError(f"bad edge line {line!r}") from exc
+        # two CZs on one pair cancel, so a repeat leaves the graph ambiguous
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ParameterError(f"edge line {line!r} repeats an earlier edge")
+        seen.add(key)
+        edges.append((u, v))
     return Graph.from_edges(n, edges)
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from . import dense
 from .errors import CapacityError, InvariantError, ParameterError
 from .graphs import Graph, _bits
-from .pattern import FrameBatch, batch_merge
+from .pattern import FrameBatch, merge_local
 
 __all__ = [
     "MAX_RECONSTRUCTION_QUBITS",
@@ -209,7 +209,7 @@ def _assemble(plan: Reconstruction, p: float) -> np.ndarray:
     for i, (kappa, extra) in enumerate(plan.merges):
         # column b reads outcome b, so bit b of a frame row is branch b's Z
         clean = FrameBatch.of_columns(probe_graph, [(0, 0), (0, 0)])
-        run = batch_merge(clean, [kappa, extra], outcome_rows=(0b10,))
+        run = merge_local(clean, [kappa, extra], outcome_rows=(0b10,))
         (pivot,) = run.pivots
         if pivot is None:
             raise InvariantError("folded pair half has no twin to pivot on")

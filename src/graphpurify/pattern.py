@@ -1,42 +1,40 @@
-"""Bit-packed trajectory simulation of noisy graph states.
+"""Bit-sliced trajectory simulation of noisy graph states.
 
-A state is (graph, z_errors, correction_frame): physically Z^(e XOR f) applied
-to the ideal graph state, where e = z_errors is the trajectory's actual
-(unknown to the protocol) error pattern and f = correction_frame is the
-accumulated record of outcome-conditioned Z-byproducts the protocol knows
-about and will undo.  The state is ideal for the protocol exactly when e = 0.
+A state is a ``FrameBatch``: one graph and many (z_errors, correction_frame)
+columns on it.  A column stands for Z^(e XOR f) applied to the ideal graph
+state, where e = z_errors is the trajectory's actual (unknown to the
+protocol) error pattern and f = correction_frame is the accumulated record
+of outcome-conditioned Z-byproducts the protocol knows about and will undo.
+A column is ideal for the protocol exactly when e = 0.  The columns are
+stored bit-sliced, one int per qubit whose bit c is column c's bit (the
+Pauli-frame layout of samplers such as Stim, Gidney, Quantum 5, 497, 2021).
 
-Every rule here has a single correctness contract: exact agreement with dense
-simulation on every (graph, pattern, outcome) triple at small size, enforced
-by the exhaustive sweep in the verification module.  The X-measurement update
-inside a merge rewires the measured qubit's neighborhood through a pivot
-neighbor and applies a compensating single-qubit Hadamard there as part of
-the channel, which keeps every intermediate state in graph form with Z-type
-residuals only.
+Four rules act on a batch, the Pauli-measurement graph rules of Hein,
+Eisert & Briegel (PRA 69, 062311, 2004): ``apply_cz``, ``measure_z`` (the
+extraction), and ``merge_local`` and ``apply_cz_via_pair`` (the rebuild).
+The graph rewiring of every rule depends only on the graph, and the error
+and frame updates are GF(2)-linear row operations, so a rule rewires the
+graph once and XORs whole rows.  The X-measurement update inside a merge
+rewires the measured qubit's neighborhood through a pivot neighbor and
+applies a compensating single-qubit Hadamard there as part of the channel,
+which keeps every intermediate state in graph form with Z-type residuals
+only.
+
+Outcomes.  An outcome is a row too (bit c set when column c reads -1),
+drawn from an rng or given per column: a batch tiled once per outcome
+branch runs every branch of a rule in one call.  A given outcome that has
+probability zero for some columns clears them from the batch's ``alive``
+mask instead of raising.  A rule's Z-error map (where each input qubit's Z
+error lands) is the rule run on a batch with one lone-error column per
+input qubit.
 
 Stable labels.  A measured qubit keeps its index: the rule cuts its bonds
 and clears its error and frame bits, which leaves it an isolated, error-free
-|+> (the Pauli-measurement graph rules of Hein, Eisert & Briegel, PRA 69,
-062311, 2004, are stated this way).  So every index into and out of the
-engine is an input index.
+|+>.  So every index into and out of the engine is an input index.
 
-Bit-sliced batches.  The graph rewiring of every rule depends only on the
-graph, and the error and frame updates are GF(2)-linear row operations, so
-each rule is written once over a ``FrameBatch``: many (error, frame) columns
-on one graph, stored as one int per qubit whose bit c is column c's bit (the
-layout of Pauli-frame samplers such as Stim).  A rule rewires the graph once
-and XORs whole rows.  An outcome is a row too (bit c set when column c reads
--1), drawn from an rng or given per column: a batch tiled once per outcome
-branch runs every branch of a rule in one call.  A given outcome that has
-probability zero for some columns clears them from the batch's ``alive``
-mask instead of raising.
-
-The single-pattern API (``measure_z``, ``merge_local``, ``apply_cz_via_pair``
-on a ``PatternState``) runs the same rules on a width-1 batch, with a forced
-outcome of +1 or -1 as the row 0 or 1, and raises ``ParameterError`` when
-its one column dies.  The rest of the package calls the batch rules
-directly.  A rule's Z-error map (where each input qubit's Z error lands) is
-the rule run on a batch with one lone-error column per input qubit.
+Every rule has a single correctness contract: exact agreement with dense
+simulation on every (graph, pattern, outcome) triple at small size, enforced
+by the exhaustive sweep in the verification module.
 """
 
 from __future__ import annotations
@@ -48,43 +46,15 @@ from .errors import ParameterError
 from .graphs import Graph, _bits, _make
 
 __all__ = [
-    "PatternState",
     "FrameBatch",
     "BatchResult",
-    "ZMeasurement",
-    "MergeResult",
-    "MergeStep",
-    "PairSpliceResult",
-    "ideal_state",
     "sample_thermal",
+    "is_ideal",
     "apply_cz",
     "measure_z",
     "merge_local",
     "apply_cz_via_pair",
-    "is_ideal",
-    "batch_cz",
-    "batch_measure_z",
-    "batch_merge",
-    "batch_splice",
 ]
-
-
-@dataclass(frozen=True)
-class PatternState:
-    graph: Graph
-    z_errors: int = 0
-    correction_frame: int = 0
-
-    def __post_init__(self) -> None:
-        full = (1 << self.graph.n) - 1
-        if self.z_errors & ~full or self.z_errors < 0:
-            raise ParameterError("z_errors bits outside vertex range")
-        if self.correction_frame & ~full or self.correction_frame < 0:
-            raise ParameterError("correction_frame bits outside vertex range")
-
-    def physical_pattern(self) -> int:
-        """Combined Z pattern actually applied to the ideal graph state."""
-        return self.z_errors ^ self.correction_frame
 
 
 @dataclass(frozen=True)
@@ -114,14 +84,6 @@ class FrameBatch:
                 f[q] |= 1 << c
         return FrameBatch(graph, tuple(z), tuple(f), (1 << len(columns)) - 1)
 
-    def column(self, c: int) -> PatternState:
-        e = 0
-        f = 0
-        for q, (zr, fr) in enumerate(zip(self.z_rows, self.frame_rows)):
-            e |= (zr >> c & 1) << q
-            f |= (fr >> c & 1) << q
-        return PatternState(self.graph, e, f)
-
 
 @dataclass(frozen=True)
 class BatchResult:
@@ -130,71 +92,27 @@ class BatchResult:
     pivots: tuple[int | None, ...] = ()  # merges: each step's pivot
 
 
-@dataclass(frozen=True)
-class ZMeasurement:
-    outcome: int  # +1 or -1
-    state: PatternState
+def is_ideal(batch: FrameBatch) -> int:
+    """Row of the live columns with no unknown Z error once the frame is
+    accounted for."""
+    errors = 0
+    for row in batch.z_rows:
+        errors |= row
+    return batch.alive & ~errors
 
 
-@dataclass(frozen=True)
-class MergeStep:
-    measured: int
-    outcome: int  # +1 or -1
-    pivot: int | None  # None when the measured qubit had no neighbor
-
-
-@dataclass(frozen=True)
-class MergeResult:
-    state: PatternState
-    outcomes: tuple[int, ...]  # +-1 per measured qubit, in order
-    steps: tuple[MergeStep, ...]
-
-
-@dataclass(frozen=True)
-class PairSpliceResult:
-    state: PatternState
-    outcomes: tuple[int, int]  # +-1 for the two consumed halves, in order
-
-
-def ideal_state(g: Graph) -> PatternState:
-    return PatternState(g, 0, 0)
-
-
-def is_ideal(state: PatternState) -> bool:
-    """True iff no unknown Z error remains once the frame is accounted for."""
-    return state.z_errors == 0
-
-
-def sample_thermal(g: Graph, p: float, rng: random.Random) -> PatternState:
-    """Independent Bernoulli(p) Z error on every vertex; empty frame."""
+def sample_thermal(g: Graph, p: float, rng: random.Random) -> FrameBatch:
+    """One column: an independent Bernoulli(p) Z error on every vertex, in
+    vertex order, and an empty frame."""
     if not 0.0 <= p <= 0.5:
         raise ParameterError("flip probability must lie in [0, 0.5]")
-    e = 0
-    for v in range(g.n):
-        if rng.random() < p:
-            e |= 1 << v
-    return PatternState(g, e, 0)
+    z = tuple(int(rng.random() < p) for _ in range(g.n))
+    return FrameBatch(g, z, (0,) * g.n, 1)
 
 
-def apply_cz(state: PatternState, u: int, v: int) -> PatternState:
-    """Toggle edge {u,v}; Z patterns commute through and are untouched."""
-    g = state.graph.toggle_edge(u, v)
-    return PatternState(g, state.z_errors, state.correction_frame)
-
-
-def batch_cz(batch: FrameBatch, u: int, v: int) -> FrameBatch:
-    """``apply_cz`` on every column: only the graph changes."""
+def apply_cz(batch: FrameBatch, u: int, v: int) -> FrameBatch:
+    """Toggle edge {u,v}; Z patterns commute through, so only the graph changes."""
     return FrameBatch(batch.graph.toggle_edge(u, v), batch.z_rows, batch.frame_rows, batch.alive)
-
-
-def _width1(state: PatternState) -> FrameBatch:
-    return FrameBatch.of_columns(state.graph, [(state.z_errors, state.correction_frame)])
-
-
-def _survivor(run: BatchResult) -> PatternState:
-    if not run.batch.alive:
-        raise ParameterError("forced outcome has probability zero")
-    return run.batch.column(0)
 
 
 def _outcome_row(row: int | None, rng: random.Random | None, alive: int) -> int:
@@ -208,15 +126,6 @@ def _outcome_row(row: int | None, rng: random.Random | None, alive: int) -> int:
     return row & alive
 
 
-def _width1_rows(outcomes) -> tuple[int, ...] | None:
-    """+-1 per measured qubit as the outcome rows of a width-1 batch."""
-    if outcomes is None:
-        return None
-    if any(o not in (+1, -1) for o in outcomes):
-        raise ParameterError("forced outcome must be +1 or -1")
-    return tuple((1 - o) // 2 for o in outcomes)
-
-
 def _cut(adj: list[int], v: int) -> None:
     """Isolate v in place: clear its bonds on both sides."""
     for x in _bits(adj[v]):
@@ -224,7 +133,7 @@ def _cut(adj: list[int], v: int) -> None:
     adj[v] = 0
 
 
-def batch_measure_z(
+def measure_z(
     batch: FrameBatch,
     v: int,
     rng: random.Random | None = None,
@@ -251,18 +160,6 @@ def batch_measure_z(
     adj = list(g.adj)
     _cut(adj, v)
     return BatchResult(FrameBatch(_make(g.n, adj), tuple(z), tuple(f), batch.alive), (o,))
-
-
-def measure_z(
-    state: PatternState,
-    v: int,
-    rng: random.Random | None = None,
-    forced_outcome: int | None = None,
-) -> ZMeasurement:
-    """``batch_measure_z`` on the one pattern of ``state``."""
-    row = None if forced_outcome is None else _width1_rows((forced_outcome,))[0]
-    run = batch_measure_z(_width1(state), v, rng, row)
-    return ZMeasurement(outcome=1 - 2 * run.outcomes[0], state=_survivor(run))
 
 
 def _measure_x(
@@ -344,7 +241,7 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def batch_merge(
+def merge_local(
     batch: FrameBatch,
     party_qubits,
     rng: random.Random | None = None,
@@ -390,27 +287,7 @@ def batch_merge(
     return BatchResult(FrameBatch(g, tuple(z), tuple(f), alive), tuple(outcomes), tuple(pivots))
 
 
-def merge_local(
-    state: PatternState,
-    party_qubits: list[int],
-    rng: random.Random | None = None,
-    forced_outcomes: list[int] | None = None,
-) -> MergeResult:
-    """``batch_merge`` on the one pattern of ``state``; forcing a
-    zero-probability branch raises ``ParameterError``.
-
-    The result carries, per measured qubit, its outcome and pivot.
-    """
-    run = batch_merge(_width1(state), party_qubits, rng, _width1_rows(forced_outcomes))
-    outcomes = tuple(1 - 2 * o for o in run.outcomes)
-    return MergeResult(
-        state=_survivor(run),
-        outcomes=outcomes,
-        steps=tuple(MergeStep(*s) for s in zip(party_qubits[1:], outcomes, run.pivots)),
-    )
-
-
-def batch_splice(
+def apply_cz_via_pair(
     batch: FrameBatch,
     u: int,
     v: int,
@@ -457,19 +334,3 @@ def batch_splice(
     adj[u] ^= 1 << v
     adj[v] ^= 1 << u
     return BatchResult(FrameBatch(_make(g.n, adj), tuple(z), tuple(f), batch.alive), (s1, s2))
-
-
-def apply_cz_via_pair(
-    state: PatternState,
-    u: int,
-    v: int,
-    pair_u: int,
-    pair_v: int,
-    rng: random.Random | None = None,
-    forced_outcomes: tuple[int, int] | None = None,
-) -> PairSpliceResult:
-    """``batch_splice`` on the one pattern of ``state``."""
-    run = batch_splice(_width1(state), u, v, pair_u, pair_v, rng, _width1_rows(forced_outcomes))
-    return PairSpliceResult(
-        state=_survivor(run), outcomes=tuple(1 - 2 * o for o in run.outcomes)
-    )

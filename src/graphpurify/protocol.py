@@ -41,7 +41,7 @@ from functools import lru_cache
 from .errors import CapacityError, InvariantError, ParameterError
 from .graphs import MAX_VERTICES, Graph, family_parts, grid_sides
 from .pairs import composite_r2, distill_trace, from_z_noise
-from .pattern import FrameBatch, batch_measure_z, batch_merge, batch_splice, is_ideal
+from .pattern import FrameBatch, apply_cz_via_pair, is_ideal, measure_z, merge_local
 from .rng import derive_rng, derive_seed
 from .thermal import purifiable_at
 
@@ -236,7 +236,7 @@ def _check_extraction(g: Graph, plan: ExtractionPlan) -> None:
     for items in plan.rounds:
         copy = FrameBatch.of_columns(g, [(0, 0)])
         for q in sorted({q for pe in items for q in pe.z_measure_set}):
-            copy = batch_measure_z(copy, q, outcome_row=0).batch
+            copy = measure_z(copy, q, outcome_row=0).batch
         for pe in items:
             u, v = pe.edge
             if copy.graph.adj[u] != 1 << v or copy.graph.adj[v] != 1 << u:
@@ -348,10 +348,10 @@ def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
                 party = [parent_half[v]] + child_halves.get(v, [])
             kept[v] = party[0]
             if len(party) > 1:
-                state = batch_merge(state, party, rng).batch
+                state = merge_local(state, party, rng).batch
 
     for u, v in nontree:
-        state = batch_splice(state, kept[u], kept[v], near[(u, v)], far[(u, v)], rng).batch
+        state = apply_cz_via_pair(state, kept[u], kept[v], near[(u, v)], far[(u, v)], rng).batch
 
     measured = set(range(nq)) - set(kept.values())
     if any(state.graph.adj[a] or state.z_rows[a] or state.frame_rows[a] for a in measured):
@@ -362,12 +362,11 @@ def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
                 raise InvariantError("rebuilt graph differs from the target")
     halves = (1 << nq) - 1
     checks = tuple(state.z_rows[kept[v]] & halves for v in range(n))
-    residual = state.column(nq)
     for v in range(n):
-        if residual.z_errors >> kept[v] & 1 != (checks[v] & x).bit_count() & 1:
+        if state.z_rows[kept[v]] >> nq & 1 != (checks[v] & x).bit_count() & 1:
             raise InvariantError("composed Z-error map disagrees with the engine")
     return _Rebuild(
-        ideal=is_ideal(residual),
+        ideal=bool(is_ideal(state) >> nq & 1),
         class_masks=tuple(class_mask[e] for e in edges),
         checks=checks,
     )

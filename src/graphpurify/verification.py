@@ -65,7 +65,7 @@ import numpy as np
 from .dense import cz_diagonal
 from .errors import InvariantError, ParameterError
 from .graphs import Graph, _bits
-from .pattern import FrameBatch, batch_cz, batch_measure_z, batch_merge, batch_splice
+from .pattern import FrameBatch, apply_cz, apply_cz_via_pair, measure_z, merge_local
 
 __all__ = ["SweepReport", "run_oracle_sweep", "check_graph"]
 
@@ -328,7 +328,7 @@ def check_graph(
     pairs = list(itertools.combinations(range(n), 2))
     if pairs:
         dense = np.hstack([_cz_rows(base, n, u, v) for u, v in pairs])
-        outs = [batch_cz(batch, u, v) for u, v in pairs]
+        outs = [apply_cz(batch, u, v) for u, v in pairs]
         checks += width * len(pairs)
         bad += _compare(
             dense, outs, [0] * len(pairs), pairs,
@@ -342,7 +342,7 @@ def check_graph(
         np.concatenate(_split(base, n, v), axis=2).reshape(1 << (n - 1), 2 * width)
         for v in range(n)
     ])
-    outs = [batch_measure_z(both, v, outcome_row=minus).batch for v in range(n)]
+    outs = [measure_z(both, v, outcome_row=minus).batch for v in range(n)]
     checks += 2 * width * n
     bad += _compare(
         dense, outs, [1 << v for v in range(n)], [(v, o) for v in range(n) for o in (+1, -1)],
@@ -365,7 +365,7 @@ def _check_merge_parties(batch: FrameBatch, base: np.ndarray, parties, gname, fa
     k = len(parties[0]) - 1
     tiled = _tile(batch, 1 << k, width)
     rows = _branch_rows(k, width)
-    runs = [batch_merge(tiled, list(party), outcome_rows=rows) for party in parties]
+    runs = [merge_local(tiled, list(party), outcome_rows=rows) for party in parties]
     # the pivots depend only on the graph, so one replay serves every branch
     dense = _merge_panel(base, batch.graph.n, parties, [run.pivots for run in runs], gname)
     outcomes = list(itertools.product((+1, -1), repeat=k))
@@ -456,7 +456,7 @@ def _check_splice(base_graph: Graph, failures: list[str]) -> tuple[int, int]:
         # the two X projections commute; measuring qubit n first gives (o1, o2) order
         dense = _x_branches(dense, n + 2, n, width)
         panels.append(_x_branches(dense, n + 1, n, width))
-    outs = [batch_splice(tiled, u, v, n, n + 1, outcome_rows=rows).batch for u, v in pairs]
+    outs = [apply_cz_via_pair(tiled, u, v, n, n + 1, outcome_rows=rows).batch for u, v in pairs]
     bad = _compare(
         np.hstack(panels), outs, [0b11 << n] * len(pairs),
         [(u, v, o) for u, v in pairs for o in branches],

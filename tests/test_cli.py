@@ -312,6 +312,15 @@ class TestRatesAndPlan:
         rc, _, _ = run_cli(capsys, "plan", "--graph", "no/such/file.edges")
         assert rc == 2
 
+    def test_negative_vertex_count_is_a_usage_error(self, capsys, tmp_path):
+        # a bad file is the user's input, not a capacity limit (exit 3)
+        f = tmp_path / "negative.edges"
+        f.write_text("-1\n")
+        rc, out, err = run_cli(capsys, "simulate", "--graph", str(f), "--p", "0.1", "--shots", "10")
+        assert rc == 2
+        assert out == ""
+        assert "vertex count -1 is negative" in err
+
 
 class TestVerifyOracle:
     def test_small_sweep_passes(self, capsys):

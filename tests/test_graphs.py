@@ -138,3 +138,9 @@ class TestSerialization:
 
     def test_comments_and_blanks_ignored(self):
         assert read_edge_list("# a graph\n3\n\n0 1\n# middle\n1 2\n") == path_graph(3)
+
+    def test_repeated_edge_rejected(self):
+        # two CZs on one pair cancel, so a repeated edge leaves the graph ambiguous
+        for text, line in (("3\n0 1\n0 1\n", "0 1"), ("3\n0 1\n1 2\n1 0\n", "1 0")):
+            with pytest.raises(ParameterError, match=f"edge line '{line}' repeats"):
+                read_edge_list(text)

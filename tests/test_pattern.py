@@ -6,6 +6,7 @@ independently coded float replay (projectors and gates from the dense
 backend), plus hand-worked examples and contract tests.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,13 +17,8 @@ from graphpurify.errors import ParameterError
 from graphpurify.graphs import Graph, path_graph, star_graph
 from graphpurify.pattern import (
     FrameBatch,
-    MergeStep,
-    PatternState,
     apply_cz,
     apply_cz_via_pair,
-    batch_merge,
-    batch_splice,
-    ideal_state,
     is_ideal,
     measure_z,
     merge_local,
@@ -31,12 +27,26 @@ from graphpurify.pattern import (
 from graphpurify.rng import derive_rng
 
 
-def _dense_of(state: PatternState) -> np.ndarray:
-    """Z^(e XOR f) |graph state> as a dense vector."""
-    psi = graph_state_vector(state.graph)
-    pat = state.physical_pattern()
-    for q in range(state.graph.n):
-        if pat >> q & 1:
+def _one(g: Graph, e: int = 0, f: int = 0) -> FrameBatch:
+    """A width-1 batch: the one (z_errors, correction_frame) column (e, f)."""
+    return FrameBatch.of_columns(g, [(e, f)])
+
+
+def _column(batch: FrameBatch, c: int = 0) -> tuple[int, int]:
+    """Column c of a batch as its (z_errors, correction_frame) pair."""
+    e = f = 0
+    for q, (zr, fr) in enumerate(zip(batch.z_rows, batch.frame_rows)):
+        e |= (zr >> c & 1) << q
+        f |= (fr >> c & 1) << q
+    return e, f
+
+
+def _dense_of(batch: FrameBatch) -> np.ndarray:
+    """Z^(e XOR f) |graph state> as a dense vector, for column 0."""
+    psi = graph_state_vector(batch.graph)
+    e, f = _column(batch)
+    for q in range(batch.graph.n):
+        if (e ^ f) >> q & 1:
             psi = apply_unitary_vec(psi, Z, (q,))
     return psi
 
@@ -67,23 +77,14 @@ def _collapse_x(psi: np.ndarray, n: int, v: int, bit: int) -> np.ndarray:
     return _plus_at(r[:, 0, :] + (1.0 - 2.0 * bit) * r[:, 1, :])
 
 
-class TestPatternState:
-    def test_bits_outside_range_rejected(self):
-        g = path_graph(2)
-        with pytest.raises(ParameterError):
-            PatternState(g, z_errors=0b100)
-        with pytest.raises(ParameterError):
-            PatternState(g, correction_frame=-1)
-
-    def test_physical_pattern_is_xor(self):
-        st = PatternState(path_graph(3), z_errors=0b011, correction_frame=0b110)
-        assert st.physical_pattern() == 0b101
-
+class TestIsIdeal:
     def test_ideal_means_no_unknown_error(self):
         g = path_graph(3)
-        assert is_ideal(ideal_state(g))
-        assert is_ideal(PatternState(g, 0, 0b010))  # frame alone is fine
-        assert not is_ideal(PatternState(g, 0b001, 0b001))
+        assert is_ideal(_one(g)) == 1
+        batch = FrameBatch.of_columns(g, [(0, 0), (0, 0b010), (0b001, 0b001), (0b100, 0)])
+        assert is_ideal(batch) == 0b0011  # a frame alone is fine
+        # a dead column is never ideal
+        assert is_ideal(dataclasses.replace(batch, alive=0b1110)) == 0b0010
 
 
 class TestSampleThermal:
@@ -92,13 +93,14 @@ class TestSampleThermal:
         a = sample_thermal(g, 0.3, derive_rng(11, "t"))
         b = sample_thermal(g, 0.3, derive_rng(11, "t"))
         assert a == b
-        assert a.correction_frame == 0
+        assert a.frame_rows == (0,) * g.n
         assert a.graph == g
+        assert a.alive == 1
 
     def test_p_zero_is_ideal(self):
         rng = derive_rng(0, "t0")
         for _ in range(20):
-            assert sample_thermal(path_graph(4), 0.0, rng).z_errors == 0
+            assert sample_thermal(path_graph(4), 0.0, rng).z_rows == (0,) * 4
 
     def test_p_out_of_range_rejected(self):
         with pytest.raises(ParameterError):
@@ -108,75 +110,77 @@ class TestSampleThermal:
         # deterministic given the seed, so the bound cannot flake
         g = path_graph(1)
         rng = derive_rng(2024, "rate")
-        hits = sum(sample_thermal(g, 0.3, rng).z_errors for _ in range(4000))
+        hits = sum(sample_thermal(g, 0.3, rng).z_rows[0] for _ in range(4000))
         assert abs(hits / 4000 - 0.3) < 0.03
 
 
 class TestApplyCz:
     def test_toggle_involution(self):
-        st = PatternState(path_graph(3), 0b101, 0b010)
+        st = _one(path_graph(3), 0b101, 0b010)
         once = apply_cz(st, 0, 2)
         assert once.graph.adj[0] >> 2 & 1
         assert apply_cz(once, 0, 2) == st
 
     def test_patterns_untouched(self):
-        st = PatternState(path_graph(3), 0b101, 0b010)
+        st = _one(path_graph(3), 0b101, 0b010)
         out = apply_cz(st, 0, 1)
-        assert (out.z_errors, out.correction_frame) == (0b101, 0b010)
+        assert _column(out) == (0b101, 0b010)
+        assert out.alive == 1
 
 
 class TestMeasureZ:
     def test_worked_example_middle_of_path(self):
-        st = ideal_state(path_graph(3))
-        plus = measure_z(st, 1, forced_outcome=+1)
-        assert plus.outcome == +1
+        st = _one(path_graph(3))
+        plus = measure_z(st, 1, outcome_row=0)
+        assert plus.outcomes == (0,)
         # the measured qubit keeps its index as a bare, error-free |+>
-        assert plus.state == PatternState(Graph.from_edges(3, []), 0, 0)
+        assert plus.batch == _one(Graph.from_edges(3, []))
 
-        minus = measure_z(st, 1, forced_outcome=-1)
+        minus = measure_z(st, 1, outcome_row=1)
         # the -1 branch leaves a known Z byproduct on both old neighbours
-        assert minus.outcome == -1
-        assert minus.state.correction_frame == 0b101
-        assert minus.state.z_errors == 0
+        assert minus.outcomes == (1,)
+        assert _column(minus.batch) == (0, 0b101)
+        assert minus.batch.alive == 1
 
     def test_error_bit_flips_the_sampled_outcome(self):
         g = path_graph(3)
         for trial in range(10):
-            clean = measure_z(ideal_state(g), 1, rng=derive_rng(trial, "mz"))
-            dirty = measure_z(
-                PatternState(g, 0b010, 0), 1, rng=derive_rng(trial, "mz")
-            )
-            assert clean.outcome == -dirty.outcome
+            clean = measure_z(_one(g), 1, rng=derive_rng(trial, "mz"))
+            dirty = measure_z(_one(g, 0b010), 1, rng=derive_rng(trial, "mz"))
+            assert clean.outcomes == (1 - dirty.outcomes[0],)
 
     def test_matches_dense_on_all_three_vertex_graphs(self):
         slots = [(0, 1), (0, 2), (1, 2)]
         for mask in range(8):
             g = Graph.from_edges(3, [slots[i] for i in range(3) if mask >> i & 1])
             for e in range(8):
-                st = PatternState(g, e, 0)
+                st = _one(g, e)
                 psi = _dense_of(st)
                 for v in range(3):
-                    for outcome in (+1, -1):
-                        res = measure_z(st, v, forced_outcome=outcome)
-                        branch = _drop_z(psi, 3, v, (1 - outcome) // 2)
-                        assert _same_ray(branch, _dense_of(res.state))
-                        assert res.state.graph.adj[v] == 0
-                        assert not (res.state.z_errors | res.state.correction_frame) >> v & 1
+                    for bit in (0, 1):
+                        res = measure_z(st, v, outcome_row=bit)
+                        assert res.outcomes == (bit,)
+                        assert res.batch.alive == 1
+                        branch = _drop_z(psi, 3, v, bit)
+                        assert _same_ray(branch, _dense_of(res.batch))
+                        assert res.batch.graph.adj[v] == 0
+                        assert res.batch.z_rows[v] == res.batch.frame_rows[v] == 0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ParameterError):
-            measure_z(ideal_state(path_graph(2)), 2, forced_outcome=+1)
+            measure_z(_one(path_graph(2)), 2, outcome_row=0)
 
 
-def _replay_merge(pre: PatternState, party, structure, outcomes) -> np.ndarray:
-    """Dense replay of a merge given its (measured, pivot) structure."""
+def _replay_merge(pre: FrameBatch, party, structure, outcomes) -> np.ndarray:
+    """Dense replay of a merge given its (measured, pivot) structure; an
+    outcome is the bit of its row (1 for -1)."""
     n = pre.graph.n
     psi = _dense_of(pre)
     kappa = party[0]
     for m in party[1:]:
         psi = apply_unitary_vec(psi, CZ, (kappa, m))
-    for (measured, pivot), outcome in zip(structure, outcomes):
-        psi = _collapse_x(psi, n, measured, (1 - outcome) // 2)
+    for (measured, pivot), bit in zip(structure, outcomes):
+        psi = _collapse_x(psi, n, measured, bit)
         if pivot is not None:
             psi = apply_unitary_vec(psi, H, (pivot,))
     return psi
@@ -186,10 +190,11 @@ class TestMergeLocal:
     def test_worked_example_fuse_two_pairs(self):
         # two fresh pairs; joining one half of each leaves a three-vertex chain
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        res = merge_local(ideal_state(g), [1, 2], forced_outcomes=[+1])
+        res = merge_local(_one(g), [1, 2], outcome_rows=(0,))
         # a three-vertex chain 0-1-3, the measured half 2 left bare
-        assert res.state.graph == Graph.from_edges(4, [(0, 1), (1, 3)])
-        assert res.steps == (MergeStep(measured=2, outcome=+1, pivot=3),)
+        assert res.batch.graph == Graph.from_edges(4, [(0, 1), (1, 3)])
+        assert res.batch.alive == 1
+        assert (res.outcomes, res.pivots) == ((0,), (3,))
 
     @pytest.mark.parametrize(
         "g, party",
@@ -204,64 +209,62 @@ class TestMergeLocal:
         ids=["path-ends", "path-mid", "path-trio", "pairs-inner", "pairs-outer", "star-leaves"],
     )
     def test_matches_dense(self, g, party):
-        probe = merge_local(ideal_state(g), party, rng=derive_rng(0, "probe"))
-        structure = [(s.measured, s.pivot) for s in probe.steps]
+        probe = merge_local(_one(g), party, rng=derive_rng(0, "probe"))
+        structure = list(zip(party[1:], probe.pivots))
         n_meas = len(party) - 1
-        for outcomes in itertools.product((+1, -1), repeat=n_meas):
+        for outcomes in itertools.product((0, 1), repeat=n_meas):
             for e in range(1 << g.n):
-                st = PatternState(g, e, 0)
-                try:
-                    res = merge_local(st, party, forced_outcomes=list(outcomes))
-                except ParameterError:
-                    replay = _replay_merge(st, party, structure, outcomes)
+                st = _one(g, e)
+                res = merge_local(st, party, outcome_rows=outcomes)
+                assert list(zip(party[1:], res.pivots)) == structure
+                replay = _replay_merge(st, party, structure, outcomes)
+                if not res.batch.alive:
                     assert np.linalg.norm(replay) < 1e-9
                     continue
-                assert [(s.measured, s.pivot) for s in res.steps] == structure
+                assert res.batch.alive == 1
                 assert res.outcomes == outcomes
-                replay = _replay_merge(st, party, structure, outcomes)
-                assert _same_ray(replay, _dense_of(res.state))
+                assert _same_ray(replay, _dense_of(res.batch))
 
     def test_impossible_branch_refused(self):
         # CZ between already-bonded halves cuts the bond: the X outcome on a
-        # bare qubit is deterministic, so the other branch must be refused
+        # bare qubit is deterministic, so the other branch's column dies
         g = Graph.from_edges(2, [(0, 1)])
-        ok = merge_local(ideal_state(g), [0, 1], forced_outcomes=[+1])
-        assert ok.state.graph == Graph.from_edges(2, [])
-        with pytest.raises(ParameterError):
-            merge_local(ideal_state(g), [0, 1], forced_outcomes=[-1])
+        ok = merge_local(_one(g), [0, 1], outcome_rows=(0,))
+        assert ok.batch.graph == Graph.from_edges(2, [])
+        assert ok.batch.alive == 1
+        assert merge_local(_one(g), [0, 1], outcome_rows=(1,)).batch.alive == 0
         # an unknown error bit flips which branch is possible
-        dirty = PatternState(g, 0b10, 0)
-        with pytest.raises(ParameterError):
-            merge_local(dirty, [0, 1], forced_outcomes=[+1])
+        assert merge_local(_one(g, 0b10), [0, 1], outcome_rows=(0,)).batch.alive == 0
+        assert merge_local(_one(g, 0b10), [0, 1], outcome_rows=(1,)).batch.alive == 1
 
     def test_party_validation(self):
-        st = ideal_state(path_graph(3))
+        st = _one(path_graph(3))
         with pytest.raises(ParameterError):
             merge_local(st, [])
         with pytest.raises(ParameterError):
-            merge_local(st, [1, 1], forced_outcomes=[+1])
+            merge_local(st, [1, 1], outcome_rows=(0,))
         with pytest.raises(ParameterError):
-            merge_local(st, [0, 3], forced_outcomes=[+1])
+            merge_local(st, [0, 3], outcome_rows=(0,))
         with pytest.raises(ParameterError):
-            merge_local(st, [0, 1], forced_outcomes=[+1, -1])
+            merge_local(st, [0, 1], outcome_rows=(0, 1))
 
     def test_outcomes_must_be_signs_and_rows_non_negative(self):
-        st = ideal_state(path_graph(3))
+        # an outcome is a row of bits (1 for -1), so a negative row is refused
+        st = _one(path_graph(3))
         with pytest.raises(ParameterError):
-            merge_local(st, [0, 1], forced_outcomes=[0])
+            merge_local(st, [0, 1], outcome_rows=(-1,))
         with pytest.raises(ParameterError):
-            measure_z(st, 1, forced_outcome=2)
-        batch = FrameBatch.of_columns(st.graph, [(0, 0)])
+            measure_z(st, 1, outcome_row=-1)
+        pair = _one(Graph.from_edges(4, [(2, 3)]))
         with pytest.raises(ParameterError):
-            batch_merge(batch, [0, 1], outcome_rows=(-1,))
-        pair = FrameBatch.of_columns(Graph.from_edges(4, [(2, 3)]), [(0, 0)])
+            apply_cz_via_pair(pair, 0, 1, 2, 3, outcome_rows=(0, -1))
         with pytest.raises(ParameterError):
-            batch_splice(pair, 0, 1, 2, 3, outcome_rows=(0,))
+            apply_cz_via_pair(pair, 0, 1, 2, 3, outcome_rows=(0,))
 
     def test_rng_route_reproducible(self):
         g = star_graph(4)
-        a = merge_local(ideal_state(g), [1, 2, 3], rng=derive_rng(5, "m"))
-        b = merge_local(ideal_state(g), [1, 2, 3], rng=derive_rng(5, "m"))
+        a = merge_local(_one(g), [1, 2, 3], rng=derive_rng(5, "m"))
+        b = merge_local(_one(g), [1, 2, 3], rng=derive_rng(5, "m"))
         assert a == b
 
 
@@ -270,36 +273,37 @@ class TestApplyCzViaPair:
         for base_edges in ([], [(0, 1)]):
             g = Graph.from_edges(4, base_edges + [(2, 3)])
             for e in range(16):
-                st = PatternState(g, e, 0)
-                for o1, o2 in itertools.product((+1, -1), repeat=2):
-                    res = apply_cz_via_pair(st, 0, 1, 2, 3, forced_outcomes=(o1, o2))
+                st = _one(g, e)
+                for o1, o2 in itertools.product((0, 1), repeat=2):
+                    res = apply_cz_via_pair(st, 0, 1, 2, 3, outcome_rows=(o1, o2))
                     psi = _dense_of(st)
                     psi = apply_unitary_vec(psi, CZ, (0, 2))
                     psi = apply_unitary_vec(psi, CZ, (1, 3))
-                    psi = _collapse_x(psi, 4, 3, (1 - o2) // 2)
-                    psi = _collapse_x(psi, 4, 2, (1 - o1) // 2)
+                    psi = _collapse_x(psi, 4, 3, o2)
+                    psi = _collapse_x(psi, 4, 2, o1)
                     assert res.outcomes == (o1, o2)
-                    assert _same_ray(psi, _dense_of(res.state))
+                    assert res.batch.alive == 1
+                    assert _same_ray(psi, _dense_of(res.batch))
 
     def test_edge_toggled_pair_consumed(self):
         g = Graph.from_edges(4, [(2, 3)])
-        res = apply_cz_via_pair(ideal_state(g), 0, 1, 2, 3, forced_outcomes=(+1, +1))
-        assert res.state.graph == Graph.from_edges(4, [(0, 1)])
+        res = apply_cz_via_pair(_one(g), 0, 1, 2, 3, outcome_rows=(0, 0))
+        assert res.batch.graph == Graph.from_edges(4, [(0, 1)])
 
     def test_pair_must_be_isolated_edge(self):
         g = Graph.from_edges(4, [(1, 2), (2, 3)])
         with pytest.raises(ParameterError):
-            apply_cz_via_pair(ideal_state(g), 0, 1, 2, 3, forced_outcomes=(+1, +1))
+            apply_cz_via_pair(_one(g), 0, 1, 2, 3, outcome_rows=(0, 0))
 
     def test_endpoints_must_be_distinct_from_pair(self):
         g = Graph.from_edges(4, [(2, 3)])
         with pytest.raises(ParameterError):
-            apply_cz_via_pair(ideal_state(g), 0, 2, 2, 3, forced_outcomes=(+1, +1))
+            apply_cz_via_pair(_one(g), 0, 2, 2, 3, outcome_rows=(0, 0))
 
     def test_rng_route_reproducible(self):
         g = Graph.from_edges(4, [(2, 3)])
-        a = apply_cz_via_pair(ideal_state(g), 0, 1, 2, 3, rng=derive_rng(9, "sp"))
-        b = apply_cz_via_pair(ideal_state(g), 0, 1, 2, 3, rng=derive_rng(9, "sp"))
+        a = apply_cz_via_pair(_one(g), 0, 1, 2, 3, rng=derive_rng(9, "sp"))
+        b = apply_cz_via_pair(_one(g), 0, 1, 2, 3, rng=derive_rng(9, "sp"))
         assert a == b
 
 
@@ -328,7 +332,7 @@ def _z_map(g: Graph, rule, n_outcomes: int) -> tuple[int, ...]:
     return rule(identity, (0,) * n_outcomes).batch.z_rows
 
 
-def _check_z_map(g: Graph, op, rule, n_outcomes: int, columns, rng) -> None:
+def _check_z_map(g: Graph, rule, n_outcomes: int, columns, rng) -> None:
     """The map of one error-free run reproduces the engine on every column
     and forced-outcome branch: the Z errors exactly, the frame up to a
     byproduct that depends on the outcomes only.  That one map serving every
@@ -336,15 +340,16 @@ def _check_z_map(g: Graph, op, rule, n_outcomes: int, columns, rng) -> None:
 
     ``rule`` runs once, on the columns tiled once per branch (block b takes
     branch b of ``itertools.product``), and the map is applied to its input
-    rows, so every column of every branch is checked at once.  ``op``, the
-    width-1 wrapper, is cross-checked on two sampled (branch, column) pairs.
+    rows, so every column of every branch is checked at once.  Two sampled
+    (branch, column) pairs are cross-checked against the rule run on that
+    column alone.
     """
     z_map = _z_map(g, rule, n_outcomes)
-    branches = list(itertools.product((+1, -1), repeat=n_outcomes))
+    branches = list(itertools.product((0, 1), repeat=n_outcomes))
     width, block = len(columns), (1 << len(columns)) - 1
     batch = FrameBatch.of_columns(g, columns * len(branches))
     rows = tuple(
-        sum(block << b * width for b, o in enumerate(branches) if o[i] == -1)
+        sum(block << b * width for b, o in enumerate(branches) if o[i])
         for i in range(n_outcomes)
     )
     out = rule(batch, rows).batch
@@ -358,12 +363,11 @@ def _check_z_map(g: Graph, op, rule, n_outcomes: int, columns, rng) -> None:
     for _ in range(2):
         b, c = rng.randrange(len(branches)), rng.randrange(width)
         e, f = columns[c]
-        try:
-            res = op(PatternState(g, e, f), branches[b])
-        except ParameterError:
-            assert not alive >> (b * width + c) & 1, (g, e, f, branches[b])
-            continue
-        assert res.state == out.column(b * width + c), (g, e, f, branches[b])
+        alone = rule(_one(g, e, f), branches[b]).batch
+        assert alone.alive == alive >> (b * width + c) & 1, (g, e, f, branches[b])
+        if alone.alive:
+            assert alone.graph == out.graph, (g, e, f, branches[b])
+            assert _column(alone) == _column(out, b * width + c), (g, e, f, branches[b])
 
 
 class TestZMap:
@@ -383,8 +387,7 @@ class TestZMap:
                 for party in itertools.permutations(range(n), size):
                     _check_z_map(
                         g,
-                        lambda st, outs: merge_local(st, list(party), rng, outs),
-                        lambda b, rows: batch_merge(b, party, outcome_rows=rows),
+                        lambda b, rows: merge_local(b, party, outcome_rows=rows),
                         size - 1,
                         cols,
                         rng,
@@ -400,8 +403,7 @@ class TestZMap:
             for u, v in itertools.permutations(range(n), 2):
                 _check_z_map(
                     joint,
-                    lambda st, outs: apply_cz_via_pair(st, u, v, n, n + 1, rng, outs),
-                    lambda b, rows: batch_splice(b, u, v, n, n + 1, outcome_rows=rows),
+                    lambda b, rows: apply_cz_via_pair(b, u, v, n, n + 1, outcome_rows=rows),
                     2,
                     cols,
                     rng,
@@ -411,11 +413,11 @@ class TestZMap:
         # fusing one half of each of two pairs: the measured half's error
         # reaches the pivot's old neighbors, the pivot's reaches the kept half
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        z_map = _z_map(g, lambda b, rows: batch_merge(b, [1, 2], outcome_rows=rows), 1)
+        z_map = _z_map(g, lambda b, rows: merge_local(b, [1, 2], outcome_rows=rows), 1)
         assert z_map == (0b0001, 0b1010, 0, 0b0100)
 
     def test_worked_example_splice(self):
         g = Graph.from_edges(4, [(2, 3)])
-        z_map = _z_map(g, lambda b, rows: batch_splice(b, 0, 1, 2, 3, outcome_rows=rows), 2)
+        z_map = _z_map(g, lambda b, rows: apply_cz_via_pair(b, 0, 1, 2, 3, outcome_rows=rows), 2)
         # the far half's error lands on each endpoint; the halves are cleared
         assert z_map == (0b1001, 0b0110, 0, 0)

@@ -6,8 +6,8 @@ draw larger and less regular cases.  Every batched rule must act on each
 column exactly as a width-1 run on that column alone, its Z-error rows must
 be XOR-linear in the input errors, and a measured qubit must come out as an
 isolated qubit with zero rows.  A batch tiled into column blocks, each block
-given its own outcome branch, must give in every block what the width-1
-wrappers give with the matching +-1 outcomes.  The planner must put each
+given its own outcome branch, must give in every block what width-1 runs
+give with the matching outcome bits.  The planner must put each
 edge in exactly one round on graphs far past the sweep's size, and the
 compiled run must pass every structural check there.  The recurrence's one-round kernel must give
 exactly (``==``) what a slow reference over validated ``BellDiagonal``s
@@ -31,17 +31,7 @@ from graphpurify.pairs import (
     recurrence_pairing,
     recurrence_step,
 )
-from graphpurify.errors import ParameterError
-from graphpurify.pattern import (
-    FrameBatch,
-    PatternState,
-    apply_cz_via_pair,
-    batch_measure_z,
-    batch_merge,
-    batch_splice,
-    measure_z,
-    merge_local,
-)
+from graphpurify.pattern import FrameBatch, apply_cz_via_pair, measure_z, merge_local
 from graphpurify.protocol import _compile, plan_extraction
 
 _SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
@@ -62,45 +52,35 @@ def _columns(draw, n: int) -> list[tuple[int, int]]:
     return draw(st.lists(st.tuples(pattern, pattern), min_size=1, max_size=12))
 
 
-# A rule case is (graph, columns, measured qubits, rule, wrapper).  ``rule``
-# runs the batched rule with one outcome row per measured qubit; ``wrapper``
-# runs the width-1 API on one PatternState with +-1 outcomes and returns
-# (state, outcomes, pivots).
+def _column(batch: FrameBatch, c: int) -> tuple[int, int]:
+    """Column c of a batch as its (z_errors, correction_frame) pair."""
+    e = f = 0
+    for q, (zr, fr) in enumerate(zip(batch.z_rows, batch.frame_rows)):
+        e |= (zr >> c & 1) << q
+        f |= (fr >> c & 1) << q
+    return e, f
+
+
+# A rule case is (graph, columns, measured qubits, rule).  ``rule`` runs the
+# batched rule with one outcome row per measured qubit.
 
 
 @st.composite
 def _z_measurements(draw):
     g = draw(_graphs(7))
     v = draw(st.integers(0, g.n - 1))
-
-    def wrapper(state, outcomes):
-        res = measure_z(state, v, forced_outcome=outcomes[0])
-        return res.state, (res.outcome,), ()
-
-    return (
-        g,
-        _columns(draw, g.n),
-        (v,),
-        lambda b, rows: batch_measure_z(b, v, outcome_row=rows[0]),
-        wrapper,
-    )
+    return g, _columns(draw, g.n), (v,), lambda b, rows: measure_z(b, v, outcome_row=rows[0])
 
 
 @st.composite
 def _merges(draw):
     g = draw(_graphs(7))
     party = draw(st.permutations(range(g.n)))[: draw(st.integers(1, g.n))]
-
-    def wrapper(state, outcomes):
-        res = merge_local(state, party, forced_outcomes=list(outcomes))
-        return res.state, res.outcomes, tuple(s.pivot for s in res.steps)
-
     return (
         g,
         _columns(draw, g.n),
         tuple(party[1:]),
-        lambda b, rows: batch_merge(b, party, outcome_rows=rows),
-        wrapper,
+        lambda b, rows: merge_local(b, party, outcome_rows=rows),
     )
 
 
@@ -110,17 +90,11 @@ def _splices(draw):
     n = base.n
     g = Graph.from_edges(n + 2, base.edges() + [(n, n + 1)])
     u, v = draw(st.permutations(range(n)))[:2]
-
-    def wrapper(state, outcomes):
-        res = apply_cz_via_pair(state, u, v, n, n + 1, forced_outcomes=tuple(outcomes))
-        return res.state, res.outcomes, ()
-
     return (
         g,
         _columns(draw, g.n),
         (n, n + 1),
-        lambda b, rows: batch_splice(b, u, v, n, n + 1, outcome_rows=rows),
-        wrapper,
+        lambda b, rows: apply_cz_via_pair(b, u, v, n, n + 1, outcome_rows=rows),
     )
 
 
@@ -130,7 +104,7 @@ _RULES = st.one_of(_z_measurements(), _merges(), _splices())
 @_SETTINGS
 @given(_RULES, st.data())
 def test_every_column_matches_its_width_one_run(case, data):
-    g, columns, measured, rule, _ = case
+    g, columns, measured, rule = case
     row = st.integers(0, (1 << len(columns)) - 1)
     rows = tuple(data.draw(row) for _ in measured)
     run = rule(FrameBatch.of_columns(g, columns), rows)
@@ -140,7 +114,7 @@ def test_every_column_matches_its_width_one_run(case, data):
         assert alone.batch.alive == run.batch.alive >> c & 1
         assert alone.pivots == run.pivots
         if alone.batch.alive:
-            assert alone.batch.column(0) == run.batch.column(c)
+            assert _column(alone.batch, 0) == _column(run.batch, c)
             assert alone.outcomes == tuple(o >> c & 1 for o in run.outcomes)
 
 
@@ -148,37 +122,35 @@ def test_every_column_matches_its_width_one_run(case, data):
 @given(_RULES, st.data())
 def test_tiled_blocks_match_the_width_one_wrappers(case, data):
     # the oracle's one-call shape: the columns repeated once per block, each
-    # block on its own outcome branch
-    g, columns, measured, rule, wrapper = case
+    # block on its own outcome branch, against a width-1 run per column
+    g, columns, measured, rule = case
     blocks = data.draw(
-        st.lists(st.tuples(*(st.sampled_from((+1, -1)) for _ in measured)), min_size=1, max_size=4)
+        st.lists(st.tuples(*(st.sampled_from((0, 1)) for _ in measured)), min_size=1, max_size=4)
     )
     width = len(columns)
     tiled = FrameBatch.of_columns(g, columns * len(blocks))
     rows = tuple(
-        sum(((1 << width) - 1) << b * width for b, o in enumerate(blocks) if o[i] == -1)
+        sum(((1 << width) - 1) << b * width for b, o in enumerate(blocks) if o[i])
         for i in range(len(measured))
     )
     run = rule(tiled, rows)
     for b, outcomes in enumerate(blocks):
-        for c, (e, f) in enumerate(columns):
+        for c, column in enumerate(columns):
             bit = b * width + c
-            try:
-                state, outs, pivots = wrapper(PatternState(g, e, f), outcomes)
-            except ParameterError:
-                assert not run.batch.alive >> bit & 1
+            alone = rule(FrameBatch.of_columns(g, [column]), outcomes)
+            assert alone.batch.alive == run.batch.alive >> bit & 1
+            if not alone.batch.alive:
                 continue
-            assert run.batch.alive >> bit & 1
-            assert state.graph == run.batch.graph
-            assert state == run.batch.column(bit)
-            assert pivots == run.pivots
-            assert outs == tuple(1 - 2 * (o >> bit & 1) for o in run.outcomes)
+            assert alone.batch.graph == run.batch.graph
+            assert _column(alone.batch, 0) == _column(run.batch, bit)
+            assert alone.pivots == run.pivots
+            assert alone.outcomes == tuple(o >> bit & 1 for o in run.outcomes)
 
 
 @_SETTINGS
 @given(_RULES, st.data())
 def test_error_rows_are_xor_linear(case, data):
-    g, _, measured, rule, _ = case
+    g, _, measured, rule = case
     pattern = st.integers(0, (1 << g.n) - 1)
     a, b = data.draw(pattern), data.draw(pattern)
     rows = tuple(data.draw(st.integers(0, 0b111)) for _ in measured)
@@ -190,7 +162,7 @@ def test_error_rows_are_xor_linear(case, data):
 @_SETTINGS
 @given(_RULES, st.data())
 def test_measured_qubits_come_out_isolated_with_zero_rows(case, data):
-    g, columns, measured, rule, _ = case
+    g, columns, measured, rule = case
     rows = tuple(data.draw(st.integers(0, (1 << len(columns)) - 1)) for _ in measured)
     out = rule(FrameBatch.of_columns(g, columns), rows).batch
     assert out.graph.n == g.n

@@ -23,7 +23,7 @@ from graphpurify import protocol
 from graphpurify.errors import CapacityError, InvariantError, ParameterError
 from graphpurify.graphs import Graph, cycle_graph, grid_graph, parse_family, path_graph, star_graph
 from graphpurify.pairs import composite_r2, distill_trace, from_z_noise
-from graphpurify.pattern import PatternState, measure_z
+from graphpurify.pattern import FrameBatch, measure_z
 from graphpurify.protocol import (
     CHUNK_SHOTS,
     ExtractionPlan,
@@ -160,12 +160,13 @@ def _extracted_pair_distribution(g: Graph, edge, p: float):
         w = 1.0
         for q in range(g.n):
             w *= p if e >> q & 1 else 1.0 - p
-        for outs in itertools.product((+1, -1), repeat=len(boundary)):
-            st = PatternState(g, e, 0)
+        for outs in itertools.product((0, 1), repeat=len(boundary)):
+            st = FrameBatch.of_columns(g, [(e, 0)])
             for q, o in zip(boundary, outs):
-                st = measure_z(st, q, forced_outcome=o).state
+                st = measure_z(st, q, outcome_row=o).batch
             assert st.graph.adj[u] == 1 << v
-            cls = (st.z_errors >> u & 1) | (st.z_errors >> v & 1) << 1
+            assert st.alive == 1
+            cls = st.z_rows[u] | st.z_rows[v] << 1
             dist[cls] += w * 0.5 ** len(boundary)
     return dist
 
@@ -203,14 +204,14 @@ class TestExtractionStatistics:
             w = 1.0
             for q in range(g.n):
                 w *= p if e >> q & 1 else 1.0 - p
-            for outs in itertools.product((+1, -1), repeat=len(boundary)):
-                st = PatternState(g, e, 0)
+            for outs in itertools.product((0, 1), repeat=len(boundary)):
+                st = FrameBatch.of_columns(g, [(e, 0)])
                 for q, o in zip(boundary, outs):
-                    st = measure_z(st, q, forced_outcome=o).state
+                    st = measure_z(st, q, outcome_row=o).batch
                 key = []
                 for pe in round0:
                     u, v = pe.edge
-                    key.append((st.z_errors >> u & 1) | (st.z_errors >> v & 1) << 1)
+                    key.append(st.z_rows[u] | st.z_rows[v] << 1)
                 key = tuple(key)
                 joint[key] = joint.get(key, 0.0) + w * 0.5 ** len(boundary)
         want = from_z_noise(p).probs
@@ -326,7 +327,7 @@ from graphpurify.graphs import path_graph
 
 if __debug__:
     sys.exit("asserts are live; run this under python -O")
-real = protocol.batch_merge
+real = protocol.merge_local
 
 def dropping_an_edge(batch, party, rng=None, outcome_rows=None):
     res = real(batch, party, rng, outcome_rows)
@@ -335,7 +336,7 @@ def dropping_an_edge(batch, party, rng=None, outcome_rows=None):
     broken = dataclasses.replace(res.batch, graph=g.toggle_edge(u, v))
     return dataclasses.replace(res, batch=broken)
 
-protocol.batch_merge = dropping_an_edge
+protocol.merge_local = dropping_an_edge
 try:
     protocol.run_drpp(path_graph(3), 0.1, shots=10, seed=0)
 except InvariantError as exc:
@@ -354,7 +355,7 @@ class TestCompileMemo:
 
     def test_corrupt_rebuild_raises_on_every_call(self, monkeypatch):
         # a failed compile is never cached, so every call re-runs the checks
-        real = protocol.batch_merge
+        real = protocol.merge_local
 
         def dropping_an_edge(batch, party, rng=None, outcome_rows=None):
             res = real(batch, party, rng, outcome_rows)
@@ -364,7 +365,7 @@ class TestCompileMemo:
             return dataclasses.replace(res, batch=broken)
 
         _compile.cache_clear()
-        monkeypatch.setattr(protocol, "batch_merge", dropping_an_edge)
+        monkeypatch.setattr(protocol, "merge_local", dropping_an_edge)
         for _ in range(2):
             with pytest.raises(InvariantError, match="rebuilt graph differs"):
                 run_drpp(path_graph(3), 0.1, shots=10, seed=0)

@@ -27,7 +27,7 @@ from graphpurify.optimality import (
     reconstruction_plan,
     verify_reconstruction,
 )
-from graphpurify.pattern import PatternState, merge_local
+from graphpurify.pattern import FrameBatch, merge_local
 from graphpurify.thermal import ThermalModel
 
 def _gate_by_gate(g: Graph, side_a, p: float) -> np.ndarray:
@@ -40,11 +40,10 @@ def _gate_by_gate(g: Graph, side_a, p: float) -> np.ndarray:
         rho = dense.apply_unitary_rho(rho, dense.CZ, (a, b))
     probe_graph = Graph.from_edges(n_tot, list(plan.copy_slots))
     for i, (kappa, extra) in enumerate(plan.merges):
-        probes = [
-            merge_local(PatternState(probe_graph), [kappa, extra], forced_outcomes=[1 - 2 * b])
-            for b in (0, 1)
-        ]
-        pivot = probes[0].steps[0].pivot
+        clean = FrameBatch.of_columns(probe_graph, [(0, 0)])
+        probes = [merge_local(clean, [kappa, extra], outcome_rows=(b,)) for b in (0, 1)]
+        assert [pr.batch.alive for pr in probes] == [1, 1]
+        pivot = probes[0].pivots[0]
 
         def row(q: int) -> int:
             return q if q < g.n else q - i
@@ -55,11 +54,12 @@ def _gate_by_gate(g: Graph, side_a, p: float) -> np.ndarray:
         for b in (0, 1):
             br = dense.project_rho(rho, "X", m_row, b)
             br = dense.apply_unitary_rho(br, dense.H, (row(pivot),))
-            for q in _bits(probes[b].state.correction_frame):
-                br = dense.apply_unitary_rho(br, dense.Z, (row(q),))
+            for q, frame in enumerate(probes[b].batch.frame_rows):
+                if frame:
+                    br = dense.apply_unitary_rho(br, dense.Z, (row(q),))
             acc = acc + br
         rho = dense.partial_trace(acc, [q for q in range(n_tot - i) if q != m_row])
-        probe_graph = probes[0].state.graph
+        probe_graph = probes[0].batch.graph
     for u, v in plan.internal_edges:
         rho = dense.apply_unitary_rho(rho, dense.CZ, (u, v))
     return rho

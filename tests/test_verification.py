@@ -80,7 +80,7 @@ class TestCheckGraph:
     def test_tampered_measurement_is_caught(self, monkeypatch):
         # flip one frame bit in every Z-measurement result: the sweep must
         # notice, otherwise it proves nothing
-        real = verification.batch_measure_z
+        real = verification.measure_z
 
         def tampered(batch, v, rng=None, outcome_row=None):
             res = real(batch, v, rng=rng, outcome_row=outcome_row)
@@ -90,7 +90,7 @@ class TestCheckGraph:
             frame = (out.frame_rows[0] ^ out.alive,) + out.frame_rows[1:]
             return dataclasses.replace(res, batch=dataclasses.replace(out, frame_rows=frame))
 
-        monkeypatch.setattr(verification, "batch_measure_z", tampered)
+        monkeypatch.setattr(verification, "measure_z", tampered)
         failures = []
         _, bad = check_graph(path_graph(3), failures=failures)
         assert bad > 0
@@ -98,7 +98,7 @@ class TestCheckGraph:
 
     def test_tampered_graph_rewiring_is_caught(self, monkeypatch):
         # make every merge claim an extra edge in its output graph
-        real = verification.batch_merge
+        real = verification.merge_local
 
         def tampered(batch, party, rng=None, outcome_rows=None):
             res = real(batch, party, rng=rng, outcome_rows=outcome_rows)
@@ -108,7 +108,7 @@ class TestCheckGraph:
             wrong = dataclasses.replace(res.batch, graph=g.toggle_edge(0, 1))
             return dataclasses.replace(res, batch=wrong)
 
-        monkeypatch.setattr(verification, "batch_merge", tampered)
+        monkeypatch.setattr(verification, "merge_local", tampered)
         _, bad = check_graph(Graph.from_edges(3, [(0, 1), (1, 2)]), failures=[])
         assert bad > 0
 
@@ -116,13 +116,13 @@ class TestCheckGraph:
 def test_rows_past_the_batch_width_raise(monkeypatch):
     # branches share one wide row with branch b at bit b*width, so a stray
     # high bit would land in the next branch's columns; it must raise instead
-    real = verification.batch_cz
+    real = verification.apply_cz
 
     def spilling(batch, u, v):
         out = real(batch, u, v)
         return dataclasses.replace(out, alive=out.alive | 1 << out.alive.bit_length())
 
-    monkeypatch.setattr(verification, "batch_cz", spilling)
+    monkeypatch.setattr(verification, "apply_cz", spilling)
     with pytest.raises(InvariantError, match="past column"):
         check_graph(path_graph(3))
 
@@ -147,7 +147,7 @@ def _drop_pivot_frame_spread(monkeypatch):
 
 def _drop_far_half_frame(monkeypatch):
     # splice: the far half's frame row is no longer XORed onto endpoint u
-    real = verification.batch_splice
+    real = verification.apply_cz_via_pair
 
     def mutant(batch, u, v, pair_u, pair_v, rng=None, outcome_rows=None):
         res = real(batch, u, v, pair_u, pair_v, rng, outcome_rows)
@@ -156,7 +156,7 @@ def _drop_far_half_frame(monkeypatch):
         wrong = dataclasses.replace(res.batch, frame_rows=tuple(frame))
         return dataclasses.replace(res, batch=wrong)
 
-    monkeypatch.setattr(verification, "batch_splice", mutant)
+    monkeypatch.setattr(verification, "apply_cz_via_pair", mutant)
 
 
 # mismatching columns each mutant leaves in run_oracle_sweep(max_n=3)
@@ -181,7 +181,7 @@ def test_tamper_on_one_merge_branch_names_that_branch(monkeypatch):
     g = cycle_graph(4)
     party, hit, col = (0, 1, 2), (-1, 1), 2
     branches = list(itertools.product((+1, -1), repeat=len(party) - 1))
-    real = verification.batch_merge
+    real = verification.merge_local
 
     def tampered(batch, party_qubits, rng=None, outcome_rows=None):
         res = real(batch, party_qubits, rng=rng, outcome_rows=outcome_rows)
@@ -195,7 +195,7 @@ def test_tamper_on_one_merge_branch_names_that_branch(monkeypatch):
         wrong = dataclasses.replace(res.batch, frame_rows=tuple(frame))
         return dataclasses.replace(res, batch=wrong)
 
-    monkeypatch.setattr(verification, "batch_merge", tampered)
+    monkeypatch.setattr(verification, "merge_local", tampered)
     failures = []
     _, bad = check_graph(g, failures=failures)
     assert bad == 1
@@ -216,8 +216,8 @@ def test_failure_labels_read_as_the_eager_formats(monkeypatch):
     path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     joint = Graph.from_edges(4, [(0, 1), (2, 3)])  # splice base path:2 plus its pair
 
-    real_cz, real_mz = verification.batch_cz, verification.batch_measure_z
-    real_merge, real_splice = verification.batch_merge, verification.batch_splice
+    real_cz, real_mz = verification.apply_cz, verification.measure_z
+    real_merge, real_splice = verification.merge_local, verification.apply_cz_via_pair
 
     def cz(batch, u, v):
         out = real_cz(batch, u, v)
@@ -244,8 +244,8 @@ def test_failure_labels_read_as_the_eager_formats(monkeypatch):
         width = batch.alive.bit_length() // 4
         return dataclasses.replace(res, batch=_flip(res.batch, u, width + 6))  # branch (+1, -1)
 
-    for name, fake in (("batch_cz", cz), ("batch_measure_z", mz),
-                       ("batch_merge", merge), ("batch_splice", splice)):
+    for name, fake in (("apply_cz", cz), ("measure_z", mz),
+                       ("merge_local", merge), ("apply_cz_via_pair", splice)):
         monkeypatch.setattr(verification, name, fake)
     report = run_oracle_sweep(max_n=3)
     g, u, v, o = path3, 0, 2, -1
@@ -275,14 +275,14 @@ def test_columns_equals_a_per_bit_loop(case):
 def test_the_engine_runs_once_per_merge_party(monkeypatch):
     # every outcome branch of a party rides in one tiled call
     g = cycle_graph(4)
-    real = verification.batch_merge
+    real = verification.merge_local
     seen = []
 
     def counting(batch, party_qubits, rng=None, outcome_rows=None):
         seen.append(tuple(party_qubits))
         return real(batch, party_qubits, rng=rng, outcome_rows=outcome_rows)
 
-    monkeypatch.setattr(verification, "batch_merge", counting)
+    monkeypatch.setattr(verification, "merge_local", counting)
     check_graph(g)
     parties = [p for size in (2, 3, 4) for p in itertools.permutations(range(4), size)]
     assert sorted(seen) == sorted(parties)
@@ -315,7 +315,7 @@ def test_one_comparison_per_group_of_sites(monkeypatch):
 
 def test_tamper_on_the_last_z_measurement_names_that_site(monkeypatch):
     g = cycle_graph(4)
-    real = verification.batch_measure_z
+    real = verification.measure_z
 
     def tampered(batch, v, rng=None, outcome_row=None):
         res = real(batch, v, rng=rng, outcome_row=outcome_row)
@@ -324,7 +324,7 @@ def test_tamper_on_the_last_z_measurement_names_that_site(monkeypatch):
         width = batch.alive.bit_length() // 2
         return dataclasses.replace(res, batch=_flip(res.batch, 0, width + 7))  # branch -1
 
-    monkeypatch.setattr(verification, "batch_measure_z", tampered)
+    monkeypatch.setattr(verification, "measure_z", tampered)
     failures = []
     _, bad = check_graph(g, failures=failures)
     assert bad == 1
@@ -336,7 +336,7 @@ def test_tamper_on_the_last_party_of_a_size_names_that_party(monkeypatch):
     party, hit, col = (3, 2, 1), (-1, 1), 5
     assert list(itertools.permutations(range(4), 3))[-1] == party
     branches = list(itertools.product((+1, -1), repeat=2))
-    real = verification.batch_merge
+    real = verification.merge_local
 
     def tampered(batch, party_qubits, rng=None, outcome_rows=None):
         res = real(batch, party_qubits, rng=rng, outcome_rows=outcome_rows)
@@ -346,7 +346,7 @@ def test_tamper_on_the_last_party_of_a_size_names_that_party(monkeypatch):
         bit = branches.index(hit) * width + col
         return dataclasses.replace(res, batch=_flip(res.batch, party[0], bit))
 
-    monkeypatch.setattr(verification, "batch_merge", tampered)
+    monkeypatch.setattr(verification, "merge_local", tampered)
     failures = []
     _, bad = check_graph(g, failures=failures)
     assert bad == 1
@@ -355,7 +355,7 @@ def test_tamper_on_the_last_party_of_a_size_names_that_party(monkeypatch):
 
 def test_tamper_on_the_last_splice_pair_names_that_pair(monkeypatch):
     g = cycle_graph(4)
-    real = verification.batch_splice
+    real = verification.apply_cz_via_pair
 
     def tampered(batch, u, v, pair_u, pair_v, rng=None, outcome_rows=None):
         res = real(batch, u, v, pair_u, pair_v, rng, outcome_rows)
@@ -364,7 +364,7 @@ def test_tamper_on_the_last_splice_pair_names_that_pair(monkeypatch):
         width = batch.alive.bit_length() // 4
         return dataclasses.replace(res, batch=_flip(res.batch, u, 3 * width + 9))  # (-1, -1)
 
-    monkeypatch.setattr(verification, "batch_splice", tampered)
+    monkeypatch.setattr(verification, "apply_cz_via_pair", tampered)
     failures = []
     _, bad = verification._check_splice(g, failures)
     assert bad == 1
@@ -384,13 +384,13 @@ def _per_site_sweep(max_n, failures):
             gname = f"n={n} adj={g.adj}"
             for u, v in itertools.combinations(range(n), 2):
                 bad += V._compare(
-                    V._cz_rows(base, n, u, v), [V.batch_cz(batch, u, v)], [0], [(u, v)],
+                    V._cz_rows(base, n, u, v), [V.apply_cz(batch, u, v)], [0], [(u, v)],
                     lambda uv: f"{gname} cz({uv[0]},{uv[1]})", failures,
                 )
             (minus,) = V._branch_rows(1, width)
             for v in range(n):
                 dense = np.concatenate(V._split(base, n, v), axis=2).reshape(1 << (n - 1), 2 * width)
-                out = V.batch_measure_z(V._tile(batch, 2, width), v, outcome_row=minus).batch
+                out = V.measure_z(V._tile(batch, 2, width), v, outcome_row=minus).batch
                 bad += V._compare(
                     dense, [out], [1 << v], (+1, -1), lambda o: f"{gname} mz({v},{o:+d})", failures
                 )
@@ -398,7 +398,7 @@ def _per_site_sweep(max_n, failures):
                 k = size - 1
                 outcomes = list(itertools.product((+1, -1), repeat=k))
                 for party in itertools.permutations(range(n), size):
-                    run = V.batch_merge(
+                    run = V.merge_local(
                         V._tile(batch, 1 << k, width), list(party),
                         outcome_rows=V._branch_rows(k, width),
                     )
@@ -416,7 +416,7 @@ def _per_site_sweep(max_n, failures):
             for u, v in itertools.permutations(range(n), 2):
                 dense = V._cz_rows(V._cz_rows(base, n + 2, u, n), n + 2, v, n + 1)
                 dense = V._x_branches(V._x_branches(dense, n + 2, n, width), n + 1, n, width)
-                out = V.batch_splice(
+                out = V.apply_cz_via_pair(
                     V._tile(batch, 4, width), u, v, n, n + 1, outcome_rows=V._branch_rows(2, width)
                 ).batch
                 bad += V._compare(
@@ -449,7 +449,7 @@ def _operator_cases(g, parties):
     k = len(parties[0]) - 1
     tiled = verification._tile(batch, 1 << k, width)
     rows = verification._branch_rows(k, width)
-    pivots = [verification.batch_merge(tiled, list(p), outcome_rows=rows).pivots for p in parties]
+    pivots = [verification.merge_local(tiled, list(p), outcome_rows=rows).pivots for p in parties]
     return g.n, parties, pivots, base
 
 
