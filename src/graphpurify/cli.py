@@ -20,15 +20,9 @@ from functools import lru_cache
 
 from . import __version__
 from .errors import CapacityError, InvariantError, ParameterError
-from .graphs import Graph, load_graph, parse_family
+from .graphs import Graph, family_parts, grid_sides, load_graph, parse_family
 from .optimality import proof_applies
-from .protocol import (
-    n_geo_formula,
-    plan_extraction,
-    rate_report,
-    run_drpp,
-    threshold_scan,
-)
+from .protocol import plan_extraction, rate_report, run_drpp, threshold_scan
 from .thermal import P_STAR, ThermalModel, critical_temperature, purifiable_at
 from .verification import run_oracle_sweep
 
@@ -58,13 +52,41 @@ class RunConfig:
 
 
 def _load(source: str) -> tuple[Graph, str | None]:
-    """Graph plus the family hint when the argument is a family string."""
+    """Graph plus the argument itself when it is a family string, else None."""
     g = load_graph(source)
     try:
         parse_family(source)
     except ParameterError:
         return g, None
     return g, source
+
+
+def n_geo_formula(family: str | None) -> int | None:
+    """Analytic round count for known families; None for an edge-list file
+    (no family) or when no formula applies.
+
+    path -> 3; cluster:d -> 3*d*d (grid:...xN counts its nontrivial axes the
+    same way); star/ghz:N -> N-1.  ``simulate``, ``rates`` and ``plan``
+    report it as ``n_geo_formula`` beside the planner's ``n_geo_plan``.
+    """
+    if family is None:
+        return None
+    name, arg = family_parts(family)
+    try:
+        if name == "path":
+            return 3
+        if name in ("star", "ghz"):
+            size = int(arg)
+            return size - 1 if size >= 2 else None
+        if name == "cluster":
+            d = int(arg)
+        elif name == "grid":
+            d = sum(1 for s in grid_sides(arg) if s >= 2)
+        else:
+            return None
+    except ValueError:
+        return None
+    return 3 * d * d if d >= 1 else None
 
 
 def _resolve_seed(args) -> int:
@@ -168,7 +190,6 @@ def cmd_simulate(args) -> int:
         pair_target_fidelity=args.target,
         seed=seed,
         workers=args.workers,
-        family_hint=family,
     )
     cfg = RunConfig(
         command="simulate",
@@ -182,7 +203,7 @@ def cmd_simulate(args) -> int:
         out=args.out,
         json_output=args.json,
     )
-    _emit(cfg, asdict(res))
+    _emit(cfg, {**asdict(res), "n_geo_formula": n_geo_formula(family)})
     if res.converged:
         lo, hi = res.ci95
         lines = [
@@ -272,7 +293,8 @@ def cmd_rates(args) -> int:
     if args.family is not None and family is None:
         raise ParameterError(f"--family expects a family string, got {source!r}")
     p, b_val, t_val = _resolve_noise(args)
-    report = rate_report(g, p, family_hint=family)
+    report = rate_report(g, p)
+    formula = n_geo_formula(family)
     cfg = RunConfig(
         command="rates",
         graph=source,
@@ -282,17 +304,13 @@ def cmd_rates(args) -> int:
         out=args.out,
         json_output=args.json,
     )
-    _emit(cfg, asdict(report))
+    _emit(cfg, {**asdict(report), "n_geo_formula": formula})
     lines = [
         f"graph {source}, p = {p:.6f}",
         f"pair rate r2 = {report.r2:.6f}",
         f"state rate bounds: {report.r_psi_lower:.6f} <= R <= {report.r_psi_upper:.6f}",
         f"rounds: planned = {report.n_geo_plan}"
-        + (
-            f", formula = {report.n_geo_formula}"
-            if report.n_geo_formula is not None
-            else ""
-        ),
+        + (f", formula = {formula}" if formula is not None else ""),
     ]
     _say(cfg, lines)
     return 0
@@ -301,7 +319,7 @@ def cmd_rates(args) -> int:
 def cmd_plan(args) -> int:
     g, family = _load(args.graph)
     plan = plan_extraction(g)
-    formula = n_geo_formula(family) if family is not None else None
+    formula = n_geo_formula(family)
     cfg = RunConfig(command="plan", graph=args.graph, out=args.out, json_output=args.json)
     results = {
         "n_geo_plan": plan.n_geo,

@@ -1,4 +1,8 @@
-"""Dense state-vector / density-matrix simulation used as a reference oracle.
+"""Dense density-matrix simulation: the exact oracle for small systems.
+
+``optimality`` runs it to build reconstruction candidates and their thermal
+targets, and ``verification`` reads graph-state signs from ``cz_diagonal``;
+nothing else in the package calls it.
 
 Conventions, fixed across the whole package:
 
@@ -7,11 +11,11 @@ Conventions, fixed across the whole package:
   significant bit of the gate's own index.
 * Everything is capped at ``MAX_DENSE_QUBITS`` to keep memory bounded; this
   module is an oracle for small instances, not a production simulator.
-* Real gates (I2, X, Z, H, CZ, CNOT) are float64, so circuits built from
-  them stay real, and so does ``thermal_state_from_p``.  A layer of CZs is
-  diagonal: ``cz_layer_diagonal`` gives its +-1 entries s (``cz_diagonal``
-  for every edge of a graph), and conjugating rho by it is
-  ``rho * outer(s, s)``.
+* The gates are I2, X, Y and Z (the Pauli projectors' axes) and H.  A layer
+  of CZs is diagonal: ``cz_layer_diagonal`` gives its +-1 entries s
+  (``cz_diagonal`` for every edge of a graph), and conjugating rho by it is
+  ``rho * outer(s, s)``.  Apart from Y these are real, so circuits built
+  from them stay float64, and so does ``thermal_state_from_p``.
 """
 
 from __future__ import annotations
@@ -22,32 +26,15 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .graphs import Graph
-from .thermal import ThermalModel
 
 MAX_DENSE_QUBITS = 12
 MAX_THERMAL_QUBITS = 10
-
-_SQ2 = math.sqrt(2.0)
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-H = np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQ2
-S = np.array([[1, 0], [0, 1j]], dtype=complex)
-SDG = S.conj().T
-# quarter turn about X: exp(-i pi X / 4)
-RX90 = np.array([[1, -1j], [-1j, 1]], dtype=complex) / _SQ2
-
-CZ = np.diag([1.0, 1.0, 1.0, -1.0])
-# targets (control, target): control is gate bit 0
-CNOT = np.array(
-    [[1, 0, 0, 0],
-     [0, 0, 0, 1],
-     [0, 0, 1, 0],
-     [0, 1, 0, 0]],
-    dtype=np.float64,
-)
+H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 PAULIS = {"X": X, "Y": Y, "Z": Z}
 
@@ -80,11 +67,6 @@ def _apply_front(mat: np.ndarray, U: np.ndarray, targets: tuple[int, ...], n: in
     moved = np.transpose(src, perm).reshape(2**k, -1)
     out = (U @ moved).reshape([2] * n + [m])
     return np.transpose(out, np.argsort(perm)).reshape(2**n, m)
-
-
-def apply_unitary_vec(psi: np.ndarray, U: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    n = _nqubits(psi.shape[0])
-    return _apply_front(psi.reshape(-1, 1), U, targets, n).reshape(-1)
 
 
 def apply_unitary_rho(rho: np.ndarray, U: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
@@ -124,39 +106,13 @@ def partial_trace(rho: np.ndarray, keep: list[int]) -> np.ndarray:
     return cur
 
 
-def fidelity_vec(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ParameterError("zero vector has no fidelity")
-    return float(abs(np.vdot(a, b)) ** 2 / (na * nb) ** 2)
-
-
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1/2 ||A - B||_1 for density matrices, exact pure formula for vectors."""
-    if a.ndim == 1 and b.ndim == 1:
-        f = fidelity_vec(a, b)
-        return math.sqrt(max(0.0, 1.0 - f))
-    if a.ndim == 1:
-        a = _as_rho(a)
-    if b.ndim == 1:
-        b = _as_rho(b)
+    """1/2 ||A - B||_1 for density matrices."""
     w = np.linalg.eigvalsh(a - b)
     return float(np.sum(np.abs(w)) / 2.0)
 
 
-def _as_rho(psi: np.ndarray) -> np.ndarray:
-    v = psi / np.linalg.norm(psi)
-    return np.outer(v, v.conj())
-
-
-# -- graph states and their thermal mixtures -----------------------------------
-
-
-def _bit_parity(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.int64).copy()
-    for s in (32, 16, 8, 4, 2, 1):
-        x ^= x >> s
-    return x & 1
+# -- graph states under independent Z flips -----------------------------------
 
 
 def cz_diagonal(g: Graph) -> np.ndarray:
@@ -172,39 +128,6 @@ def cz_layer_diagonal(n: int, edges) -> np.ndarray:
     for u, v in edges:
         sign *= 1 - 2 * ((idx >> u & 1) & (idx >> v & 1))
     return sign
-
-
-def graph_state_vector(g: Graph) -> np.ndarray:
-    """CZ-entangled all-plus state: amplitudes are +-1 / sqrt(2**n)."""
-    return (cz_diagonal(g) / math.sqrt(1 << g.n)).astype(complex)
-
-
-def graph_hamiltonian(g: Graph, B: float) -> np.ndarray:
-    """-(B/2) * sum of vertex stabilizers X_v Z_{N(v)} as a dense matrix."""
-    _check_cap(g.n)
-    if not (B > 0 and math.isfinite(B)):
-        raise ParameterError("field strength B must be positive and finite")
-    dim = 1 << g.n
-    idx = np.arange(dim, dtype=np.int64)
-    Hm = np.zeros((dim, dim), dtype=np.float64)
-    for v in range(g.n):
-        sign = 1.0 - 2.0 * _bit_parity(idx & g.adj[v])
-        Hm[idx ^ (1 << v), idx] += -(B / 2.0) * sign
-    return Hm
-
-
-def thermal_state(g: Graph, model: ThermalModel) -> np.ndarray:
-    """Gibbs state of the stabilizer Hamiltonian via dense diagonalization."""
-    if g.n > MAX_THERMAL_QUBITS:
-        raise CapacityError(f"{g.n} qubits exceeds thermal cap {MAX_THERMAL_QUBITS}")
-    Hm = graph_hamiltonian(g, model.B)
-    w, V = np.linalg.eigh(Hm)
-    if model.T == 0.0:
-        weights = (w <= w[0] + 1e-12).astype(np.float64)
-    else:
-        weights = np.exp(-(w - w[0]) / model.T)
-    weights /= weights.sum()
-    return (V * weights) @ V.conj().T
 
 
 def flip_damping(n: int, p: float) -> np.ndarray:
@@ -243,19 +166,3 @@ def thermal_state_from_p(g: Graph, p: float) -> np.ndarray:
     psi = cz_diagonal(g) / math.sqrt(1 << g.n)
     return np.outer(psi, psi) * flip_damping(g.n, p)
 
-
-# -- state-validity contracts ---------------------------------------------------
-
-
-def check_density_matrix(rho: np.ndarray, atol: float = 1e-12,
-                         eig_floor: float = -1e-10) -> None:
-    """Raise unless rho is Hermitian, trace one, and PSD up to eig_floor."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ParameterError("density matrix must be square")
-    _nqubits(rho.shape[0])
-    if not np.allclose(rho, rho.conj().T, atol=atol):
-        raise ParameterError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol:
-        raise ParameterError("density matrix trace is not one")
-    if np.linalg.eigvalsh(rho).min() < eig_floor:
-        raise ParameterError("density matrix has a significantly negative eigenvalue")

@@ -1,13 +1,15 @@
 """Simple undirected graphs on vertices 0..n-1, stored as bitmask adjacency.
 
 All protocol code manipulates neighborhoods as Python ints used as bitsets
-(bit v set <=> vertex v present).  Vertex labels are stable: the pattern
-engine leaves a measured vertex in place with no bonds instead of deleting
-it, and the dense oracle reads measured qubits as basis rows where they are
-0, so nothing in the package calls ``delete_vertex`` (which renumbers); it
-stays a public graph edit that ``perfbench``'s tracer spans.  Python ints
-are unbounded, but a graph costs about n^2/2 bits, so vertex counts are
-capped at ``MAX_VERTICES``.
+(bit v set <=> vertex v present).  ``Graph.spanning_forest`` is the one
+spanning-forest walk: the rebuild merges pair halves along its edges, and
+the reconstruction plan folds pair halves along them.  Vertex labels are
+stable: the pattern engine leaves a measured vertex in place with no bonds
+instead of deleting it, and the dense oracle reads measured qubits as basis
+rows where they are 0, so nothing in the package calls ``delete_vertex``
+(which renumbers); it stays a public graph edit that ``perfbench``'s tracer
+spans.  Python ints are unbounded, but a graph costs about n^2/2 bits, so
+vertex counts are capped at ``MAX_VERTICES``.
 """
 
 from __future__ import annotations
@@ -72,9 +74,6 @@ class Graph:
             out.extend((v, u) for u in _bits(higher))
         return out
 
-    def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
-
     # -- edits (return new graphs) ------------------------------------------
 
     def toggle_edge(self, u: int, v: int) -> "Graph":
@@ -102,40 +101,26 @@ class Graph:
 
     # -- traversal -----------------------------------------------------------
 
-    def components(self) -> list[int]:
-        """Connected components as vertex bitsets, ordered by smallest member."""
+    def spanning_forest(self) -> list[list[tuple[int, int]]]:
+        """(parent, child) edges of a BFS spanning tree of each component
+        that has an edge, rooted at its lowest vertex; components in order of
+        their roots, edges in BFS order, so a child's parent edge comes before
+        every edge to its own children."""
         seen = 0
-        out = []
-        for s in range(self.n):
-            if seen >> s & 1:
+        forest = []
+        for root in range(self.n):
+            if seen >> root & 1 or not self.adj[root]:
                 continue
-            comp = 1 << s
-            frontier = 1 << s
-            while frontier:
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= self.adj[v]
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
-            out.append(comp)
-        return out
-
-    def bfs_tree_edges(self, root: int) -> list[tuple[int, int]]:
-        """(parent, child) edges of a BFS spanning tree of root's component."""
-        seen = 1 << root
-        order = [root]
-        edges: list[tuple[int, int]] = []
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for u in _bits(self.adj[v] & ~seen):
-                seen |= 1 << u
-                order.append(u)
-                edges.append((v, u))
-        return edges
-
+            seen |= 1 << root
+            order = [root]
+            tree: list[tuple[int, int]] = []
+            for v in order:
+                for u in _bits(self.adj[v] & ~seen):
+                    seen |= 1 << u
+                    order.append(u)
+                    tree.append((v, u))
+            forest.append(tree)
+        return forest
 
 def _make(n: int, adj: list[int]) -> Graph:
     """Construct bypassing validation (inputs already consistent)."""
@@ -299,12 +284,6 @@ def read_edge_list(text: str) -> Graph:
         seen.add(key)
         edges.append((u, v))
     return Graph.from_edges(n, edges)
-
-
-def write_edge_list(g: Graph) -> str:
-    out = [str(g.n)]
-    out += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(out) + "\n"
 
 
 def _need(ok: bool, msg: str) -> None:

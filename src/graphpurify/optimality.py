@@ -45,7 +45,6 @@ __all__ = [
     "VerifyResult",
     "reconstruction_plan",
     "build_reconstruction",
-    "candidate_flip_probs",
     "verify_reconstruction",
     "proof_applies",
 ]
@@ -65,8 +64,10 @@ _AGREEMENT = 1e-9
 class Reconstruction:
     """Structure of one canonical-family assembly (noise level comes later).
 
-    Qubit slots: vertex v sits at slot v for the whole build; extra pair
-    halves occupy slots n, n+1, ... in merge order and are measured away.
+    Qubit slots: vertex v sits at slot v for the whole build; the extra
+    pair half of merge i sits at slot n_tot - 1 - i (n_tot = n + number of
+    merges), so the merges fold extras from the top down and each fold
+    traces out the current top qubit.
     """
 
     graph: Graph
@@ -115,26 +116,20 @@ def reconstruction_plan(g: Graph, side_a) -> Reconstruction | None:
         else:
             internal.append((u, v))
 
-    xg = Graph.from_edges(g.n, cross)
+    forest = Graph.from_edges(g.n, cross).spanning_forest()
+    forest_edges = sum(len(tree) for tree in forest)
+    if forest_edges < len(cross):
+        return None  # cross edges contain a cycle: no clean fold order
+    top = g.n + forest_edges - len(forest)  # n_tot: one extra per non-root edge
     copy_slots: list[tuple[int, int]] = []
     merges: list[tuple[int, int]] = []
-    next_extra = g.n
-    for comp in xg.components():
-        size = comp.bit_count()
-        if size == 1:
-            continue
-        comp_edges = sum((xg.adj[v] & comp).bit_count() for v in range(g.n) if comp >> v & 1) // 2
-        if comp_edges != size - 1:
-            return None  # cross edges contain a cycle: no clean fold order
-        root = (comp & -comp).bit_length() - 1
-        te = xg.bfs_tree_edges(root)
-        a0, b0 = te[0]
-        copy_slots.append((a0, b0))
-        for parent, child in te[1:]:
+    for tree in forest:
+        copy_slots.append(tree[0])
+        for parent, child in tree[1:]:
             # pair half at the child, the parent side folds the other half in
-            copy_slots.append((next_extra, child))
-            merges.append((parent, next_extra))
-            next_extra += 1
+            top -= 1
+            copy_slots.append((top, child))
+            merges.append((parent, top))
     return Reconstruction(
         graph=g,
         side_a=tuple(sorted(set(side_a))),
@@ -146,8 +141,9 @@ def reconstruction_plan(g: Graph, side_a) -> Reconstruction | None:
     )
 
 
-def candidate_flip_probs(g: Graph, side_a, p: float) -> tuple[float, ...]:
-    """Per-vertex flip probability of the canonical candidate.
+def _flip_probs(g: Graph, amask: int, p: float) -> tuple[float, ...]:
+    """Per-vertex flip probability of the canonical candidate for the side
+    given as a vertex bitset.
 
     Independent across vertices; width = number of pair halves XORed into
     the vertex qubit, i.e. max(1, cross degree).  Width 1 gives exactly p,
@@ -155,12 +151,6 @@ def candidate_flip_probs(g: Graph, side_a, p: float) -> tuple[float, ...]:
     (0.09999999999999998 at p = 0.1) and would make an exact split miss at
     tol 0.
     """
-    _check_p(p)
-    return _flip_probs(g, _side_mask(g, side_a), p)
-
-
-def _flip_probs(g: Graph, amask: int, p: float) -> tuple[float, ...]:
-    """``candidate_flip_probs`` for the side given as a vertex bitset."""
     probs = []
     for v in range(g.n):
         width = (g.adj[v] & (~amask if amask >> v & 1 else amask)).bit_count()
@@ -203,8 +193,7 @@ def _assemble(plan: Reconstruction, p: float) -> np.ndarray:
     rho = dense.flip_damping(n_tot, p) / (1 << n_tot)  # noisy |+> on every qubit
     rho = _cz_layer(rho, n_tot, plan.copy_slots)
 
-    # extras are folded in slot order and the dense state drops each one, so
-    # at fold i slot q sits at row q below the extras and at row q - i above
+    # merge i folds the extra at slot n_tot - 1 - i, the top qubit left
     probe_graph = Graph.from_edges(n_tot, list(plan.copy_slots))
     for i, (kappa, extra) in enumerate(plan.merges):
         # column b reads outcome b, so bit b of a frame row is branch b's Z
@@ -213,21 +202,16 @@ def _assemble(plan: Reconstruction, p: float) -> np.ndarray:
         (pivot,) = run.pivots
         if pivot is None:
             raise InvariantError("folded pair half has no twin to pivot on")
-
-        def row(q: int) -> int:
-            return q if q < g.n else q - i
-
-        m_row = row(extra)
-        rho = _cz_layer(rho, n_tot - i, [(kappa, m_row)])
+        rho = _cz_layer(rho, n_tot - i, [(kappa, extra)])
         acc = None
         for b in (0, 1):
-            br = dense.project_rho(rho, "X", m_row, b)
-            br = dense.apply_unitary_rho(br, dense.H, (row(pivot),))
+            br = dense.project_rho(rho, "X", extra, b)
+            br = dense.apply_unitary_rho(br, dense.H, (pivot,))
             for q, frame in enumerate(run.batch.frame_rows):
                 if frame >> b & 1:
-                    br = dense.apply_unitary_rho(br, dense.Z, (row(q),))
+                    br = dense.apply_unitary_rho(br, dense.Z, (q,))
             acc = br if acc is None else acc + br
-        rho = dense.partial_trace(acc, [q for q in range(n_tot - i) if q != m_row])
+        rho = dense.partial_trace(acc, list(range(extra)))
         probe_graph = run.batch.graph
 
     return _cz_layer(rho, g.n, plan.internal_edges)
@@ -283,8 +267,9 @@ def verify_reconstruction(g: Graph, side_a, p: float, tol: float = 1e-9) -> Veri
     plan = reconstruction_plan(g, side_a)
     if plan is None:
         return VerifyResult(ok=False, trace_distance=math.inf, method="no-canonical-wiring")
+    _check_p(p)
     analytic = _analytic_trace_distance(
-        candidate_flip_probs(g, side_a, p), _product_flip_vector((p,) * g.n)
+        _flip_probs(g, _side_mask(g, side_a), p), _product_flip_vector((p,) * g.n)
     )
     return _verify(plan, p, analytic, tol)
 
@@ -300,7 +285,7 @@ def _verify(
     the caller already has it."""
     g = plan.graph
     n_tot = g.n + len(plan.merges)
-    if n_tot <= dense.MAX_DENSE_QUBITS and g.n <= dense.MAX_THERMAL_QUBITS:
+    if n_tot <= dense.MAX_DENSE_QUBITS:
         if target is None:
             target = dense.thermal_state_from_p(g, p)
         dist = dense.trace_distance(_assemble(plan, p), target)

@@ -11,9 +11,10 @@ pre-rotation is chosen greedily each round to maximize the output fidelity.
 
 One kernel, ``_round``, runs every round: it works on plain 4-tuples, scores
 the three pre-rotations by output fidelity alone and builds the full output
-for the winner only.  ``recurrence_pairing``, ``recurrence_step``,
-``distill_trace`` and ``composite_r2`` all call it, and only what they hand
-back is wrapped in a validated ``BellDiagonal``.
+for the winner only.  ``distill_trace`` (the protocol's recurrence) and
+``composite_r2`` (the rate grids) call it, and so does ``recurrence_step``,
+the single-round form the tests and the benchmark tracer use; only what
+they hand back is wrapped in a validated ``BellDiagonal``.
 
 All formulas are validated against dense two-pair circuit simulation in the
 test suite; nothing here depends on the dense layer.
@@ -30,10 +31,8 @@ __all__ = [
     "BellDiagonal",
     "DistillTrace",
     "from_z_noise",
-    "recurrence_pairing",
     "recurrence_step",
     "distill_trace",
-    "hashing_yield",
     "composite_r2",
     "PAIRING_GATES",
 ]
@@ -117,15 +116,6 @@ def _round(q: tuple[float, float, float, float]) -> tuple[tuple[float, float, fl
     return kept, n, best
 
 
-def recurrence_pairing(bd: BellDiagonal) -> int:
-    """Error class routed into the coincidence-detected slot this round.
-
-    Greedy: the choice (1, 2 or 3) whose one-round output fidelity is
-    largest, ties to the smallest index.  Deterministic by construction.
-    """
-    return _round(bd.probs)[2]
-
-
 def recurrence_step(bd: BellDiagonal) -> tuple[BellDiagonal, float]:
     """One two-copy round with the greedy pre-rotation; returns the kept
     pair's distribution and the coincidence (success) probability."""
@@ -176,11 +166,6 @@ def distill_trace(
         success_probs=tuple(probs),
         pairings=tuple(pairings),
     )
-
-
-def hashing_yield(bd: BellDiagonal) -> float:
-    """max(0, 1 - H2(probs)): asymptotic Bell pairs per input pair."""
-    return _hashing_yield(bd.probs)
 
 
 def _hashing_yield(probs: tuple[float, ...]) -> float:

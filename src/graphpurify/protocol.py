@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapacityError, InvariantError, ParameterError
-from .graphs import MAX_VERTICES, Graph, family_parts, grid_sides
+from .graphs import MAX_VERTICES, Graph
 from .pairs import composite_r2, distill_trace, from_z_noise
 from .pattern import FrameBatch, apply_cz_via_pair, is_ideal, measure_z, merge_local
 from .rng import derive_rng, derive_seed
@@ -52,7 +52,6 @@ __all__ = [
     "ProtocolResult",
     "ScanRow",
     "plan_extraction",
-    "n_geo_formula",
     "rate_report",
     "run_drpp",
     "threshold_scan",
@@ -137,30 +136,6 @@ def plan_extraction(g: Graph) -> ExtractionPlan:
     return ExtractionPlan(rounds=tuple(built))
 
 
-def n_geo_formula(family: str) -> int | None:
-    """Analytic round count for known families; None when no formula applies.
-
-    path -> 3; cluster:d -> 3*d*d (grid:...xN counts its nontrivial axes the
-    same way); star/ghz:N -> N-1.
-    """
-    name, arg = family_parts(family)
-    try:
-        if name == "path":
-            return 3
-        if name in ("star", "ghz"):
-            size = int(arg)
-            return size - 1 if size >= 2 else None
-        if name == "cluster":
-            d = int(arg)
-        elif name == "grid":
-            d = sum(1 for s in grid_sides(arg) if s >= 2)
-        else:
-            return None
-    except ValueError:
-        return None
-    return 3 * d * d if d >= 1 else None
-
-
 # ---------------------------------------------------------------------------
 # rate accounting
 
@@ -168,27 +143,25 @@ def n_geo_formula(family: str) -> int | None:
 @dataclass(frozen=True, slots=True)
 class RateReport:
     n_geo_plan: int
-    n_geo_formula: int | None
     r2: float
     r_psi_lower: float
     r_psi_upper: float
 
 
-def rate_report(g: Graph, p: float, family_hint: str | None = None) -> RateReport:
+def rate_report(g: Graph, p: float) -> RateReport:
     """Bell-pair rate and the graph-state rate it brackets.
 
     The output-state rate R is sandwiched as r2/n_geo <= R <= r2, with n_geo
     the planner's round count (at least 1 to keep the bound meaningful for
     edgeless graphs).
     """
-    return _rates(plan_extraction(g), p, family_hint)
+    return _rates(plan_extraction(g), p)
 
 
-def _rates(plan: ExtractionPlan, p: float, family_hint) -> RateReport:
+def _rates(plan: ExtractionPlan, p: float) -> RateReport:
     r2 = composite_r2(from_z_noise(p))
-    formula = n_geo_formula(family_hint) if family_hint is not None else None
     n_geo = plan.n_geo
-    return RateReport(n_geo, formula, r2, r2 / (n_geo or 1), r2)
+    return RateReport(n_geo, r2, r2 / (n_geo or 1), r2)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +182,6 @@ class ProtocolResult:
     ideal_shots: int | None
     copies_consumed: float | None
     n_geo_plan: int
-    n_geo_formula: int | None
     r2: float
     r_psi_bounds: tuple[float, float]
 
@@ -281,14 +253,8 @@ def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
     carrying the class errors, whose residual must equal M·x.
     """
     n = g.n
-    forest: list[list[tuple[int, int]]] = []
-    tree_set: set[frozenset] = set()
-    for comp in g.components():
-        root = (comp & -comp).bit_length() - 1
-        te = g.bfs_tree_edges(root)
-        if te:
-            forest.append(te)
-            tree_set.update(frozenset(e) for e in te)
+    forest = [e for tree in g.spanning_forest() for e in tree]
+    tree_set = {frozenset(e) for e in forest}
     edges = sorted(g.edges())
     nontree = [e for e in edges if frozenset(e) not in tree_set]
     isolated = [v for v in range(n) if g.degree(v) == 0]
@@ -296,31 +262,30 @@ def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
 
     edges_built: list[tuple[int, int]] = []
     nq = 0
-    near: dict[tuple[int, int], int] = {}  # oriented edge -> half at its first vertex
-    far: dict[tuple[int, int], int] = {}
     class_mask: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 
-    def alloc_pair(oriented: tuple[int, int]) -> None:
+    def alloc_pair(u: int, v: int) -> tuple[int, int]:
+        """A fresh pair for edge u-v: (half at u, half at v)."""
         nonlocal nq
-        hx, hy = nq, nq + 1
+        hu, hv = nq, nq + 1
         nq += 2
-        edges_built.append((hx, hy))
-        lo_first = oriented[0] < oriented[1]
-        a_bit = 1 << (hx if lo_first else hy)  # class labels attach to the low vertex's half
-        b_bit = 1 << (hy if lo_first else hx)
-        class_mask[tuple(sorted(oriented))] = (0, a_bit, b_bit, a_bit | b_bit)
-        near[oriented] = hx
-        far[oriented] = hy
+        edges_built.append((hu, hv))
+        a_bit = 1 << (hu if u < v else hv)  # class labels attach to the low vertex's half
+        b_bit = 1 << (hv if u < v else hu)
+        class_mask[(min(u, v), max(u, v))] = (0, a_bit, b_bit, a_bit | b_bit)
+        return hu, hv
 
-    for te in forest:
-        for e in te:
-            alloc_pair(e)
+    # each vertex's merge party; BFS order puts the parent's half first
+    halves_at: dict[int, list[int]] = {}
+    for a, b in forest:
+        ha, hb = alloc_pair(a, b)
+        halves_at.setdefault(a, []).append(ha)
+        halves_at.setdefault(b, []).append(hb)
     kept: dict[int, int] = {}
     for v in isolated:
         kept[v] = nq
         nq += 1
-    for e in nontree:
-        alloc_pair(e)
+    splices = [(u, v, *alloc_pair(u, v)) for u, v in nontree]
 
     x = 0
     for e in edges:
@@ -334,24 +299,14 @@ def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
         (2 << nq) - 1,
     )
 
-    for te in forest:
-        child_halves: dict[int, list[int]] = {}
-        parent_half: dict[int, int] = {}
-        for a, b in te:
-            child_halves.setdefault(a, []).append(near[(a, b)])
-            parent_half[b] = far[(a, b)]
-        root = te[0][0]
-        for v in [root] + [b for _, b in te]:
-            if v == root:
-                party = child_halves[v]  # leads with the lowest child edge
-            else:
-                party = [parent_half[v]] + child_halves.get(v, [])
-            kept[v] = party[0]
-            if len(party) > 1:
-                state = merge_local(state, party, rng).batch
+    # tree by tree: the root, then the other vertices in BFS order
+    for v, party in halves_at.items():
+        kept[v] = party[0]
+        if len(party) > 1:
+            state = merge_local(state, party, rng).batch
 
-    for u, v in nontree:
-        state = apply_cz_via_pair(state, kept[u], kept[v], near[(u, v)], far[(u, v)], rng).batch
+    for u, v, hu, hv in splices:
+        state = apply_cz_via_pair(state, kept[u], kept[v], hu, hv, rng).batch
 
     measured = set(range(nq)) - set(kept.values())
     if any(state.graph.adj[a] or state.z_rows[a] or state.frame_rows[a] for a in measured):
@@ -426,7 +381,6 @@ def run_drpp(
     pair_target_fidelity: float = 0.999,
     seed: int = 0,
     workers: int = 1,
-    family_hint: str | None = None,
 ) -> ProtocolResult:
     """Monte Carlo estimate of the protocol's output fidelity.
 
@@ -439,7 +393,7 @@ def run_drpp(
         raise ParameterError("workers must be >= 1")
     trace = distill_trace(from_z_noise(p), pair_target_fidelity)
     plan = plan_extraction(g)
-    rates = _rates(plan, p, family_hint)
+    rates = _rates(plan, p)
     common = dict(
         graph=_graph_record(g),
         p=p,
@@ -448,7 +402,6 @@ def run_drpp(
         achieved_pair_fidelity=trace.final.fidelity,
         rounds=trace.rounds,
         n_geo_plan=rates.n_geo_plan,
-        n_geo_formula=rates.n_geo_formula,
         r2=rates.r2,
         r_psi_bounds=(rates.r_psi_lower, rates.r_psi_upper),
     )
@@ -474,7 +427,9 @@ def run_drpp(
     if workers == 1 or len(specs) == 1:
         counts = [_simulate_chunk(s) for s in specs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork-started pool launches all its processes at the first submit,
+        # so it gets no more workers than there are chunks
+        with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
             counts = list(pool.map(_simulate_chunk, specs))
     hits = sum(counts)
     return ProtocolResult(

@@ -56,11 +56,3 @@ def purifiable_at(p: float) -> bool:
         raise ParameterError("flip probability must lie in [0, 1]")
     return (1.0 - p) ** 2 > 0.5
 
-
-def temperature_for_p(B: float, p: float) -> float:
-    """Invert error_prob: the temperature giving flip probability p."""
-    if not (B > 0 and math.isfinite(B)):
-        raise ParameterError("field strength B must be positive and finite")
-    if not (0.0 < p < 0.5):
-        raise ParameterError("flip probability must lie in (0, 0.5)")
-    return B / math.log((1.0 - p) / p)

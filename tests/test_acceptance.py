@@ -15,20 +15,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from graphpurify.cli import main
+from graphpurify.cli import main, n_geo_formula
 from graphpurify.dense import (
-    CNOT,
     H,
     I2,
-    RX90,
-    SDG,
     Z,
     apply_unitary_rho,
-    apply_unitary_vec,
-    graph_state_vector,
     partial_trace,
     project_rho,
-    thermal_state,
     thermal_state_from_p,
     trace_distance,
 )
@@ -40,15 +34,19 @@ from graphpurify.graphs import (
     star_graph,
 )
 from graphpurify.optimality import reconstruction_plan, verify_reconstruction
-from graphpurify.pairs import (
-    PAIRING_GATES,
-    from_z_noise,
-    recurrence_pairing,
-    recurrence_step,
-)
-from graphpurify.protocol import n_geo_formula, plan_extraction, rate_report, threshold_scan
+from graphpurify.pairs import PAIRING_GATES, from_z_noise, recurrence_step
+from graphpurify.protocol import plan_extraction, rate_report, threshold_scan
 from graphpurify.thermal import P_STAR, ThermalModel
 from graphpurify.verification import run_oracle_sweep
+from oracles import (
+    CNOT,
+    RX90,
+    SDG,
+    apply_unitary_vec,
+    graph_state_vector,
+    recurrence_pairing,
+    thermal_state,
+)
 
 
 @contextmanager

@@ -13,7 +13,8 @@ import sys
 import pytest
 
 from graphpurify.cli import SEED_ENV_VAR, build_parser, main
-from graphpurify.graphs import path_graph, write_edge_list
+from graphpurify.graphs import path_graph
+from oracles import write_edge_list
 
 
 def run_cli(capsys, *args):
@@ -267,6 +268,24 @@ class TestRatesAndPlan:
         assert res["r_psi_lower"] == pytest.approx(res["r2"] / 4)
         assert res["r_psi_lower"] <= res["r_psi_upper"] <= res["r2"]
 
+    def test_rates_formula_does_not_depend_on_noise(self, capsys):
+        for p in ("0.0", "0.05", "0.15", "0.25"):
+            rc, out, _ = run_cli(capsys, "rates", "--family", "star:4", "--p", p, "--json")
+            assert rc == 0
+            res = envelope(out)["results"]
+            assert res["n_geo_formula"] == 3
+            assert res["r_psi_lower"] == pytest.approx(res["r2"] / res["n_geo_plan"])
+
+    def test_simulate_reports_the_family_formula(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "simulate", "--graph", "star:5", "--p", "0.05", "--shots", "10",
+            "--seed", "0", "--json",
+        )
+        assert rc == 0
+        res = envelope(out)["results"]
+        assert res["n_geo_formula"] == 4
+        assert res["n_geo_plan"] == 4
+
     def test_rates_requires_one_source(self, capsys):
         rc, _, _ = run_cli(
             capsys, "rates", "--graph", "path:3", "--family", "path:3", "--p", "0.1"
@@ -413,6 +432,40 @@ class TestCheckOptimality:
         rc, out, _ = run_cli(capsys, "check-optimality", "--graph", graph, "--p", "0.1", "--json")
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self._JSON_SHA256[graph]
+
+
+class TestPinnedOutput:
+    # SHA-256 of stdout as printed before the CLI took over the round
+    # formula (n_geo_formula) and the rebuild and the reconstruction plan
+    # shared one spanning-forest walk
+    _JSON_SHA256 = {
+        "simulate --graph icosahedron --p 0.1 --shots 20000 --seed 11 --json":
+            "e986e27d9ccb425bc6dd61f49068b37396bf0077197a60a672d261834370d487",
+        "simulate --graph grid:4x4 --p 0.1 --shots 20000 --seed 11 --json":
+            "0be1b2821b9017953f17cef56c786e6a7143dec1f4e9925fc5c41997cc3c90dd",
+        "simulate --graph path:6 --T 0.6 --B 1 --shots 20000 --seed 11 --json":
+            "6953e00571cffef1af8cf726fe91daa815ef7abc55fd22fff524243826b01138",
+        "rates --family grid:3x3 --p 0.1 --json":
+            "e1866cd372f75539b7d95871eafc523c17a518faff8c6531509e143d8eb9b1cb",
+        "rates --graph path:6 --p 0.2 --json":
+            "24c54873d51c9aec1df3c1466ecd4f3e656a90dd05ad56d48bf3116e3d5e4bb2",
+        "plan --graph cluster:2 --json":
+            "10d14fc3e196a60bf3e0c37459575f7ad82733c3dac80a82a39b960140b9826f",
+        "scan --graph star:4 --p-grid 0.1,0.28,0.3 --shots 4000 --seed 5 --json":
+            "76a794bdb5b045aa0fef2332c475b0d31bbe785eef6f95904c08cb38624a6313",
+    }
+
+    @pytest.mark.parametrize("command", sorted(_JSON_SHA256))
+    def test_json_is_unchanged(self, capsys, command):
+        rc, out, _ = run_cli(capsys, *command.split())
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self._JSON_SHA256[command]
+
+    def test_two_workers_print_the_same_bytes(self, capsys):
+        command = "simulate --graph icosahedron --p 0.1 --shots 20000 --seed 11 --json"
+        rc, out, _ = run_cli(capsys, *command.split(), "--workers", "2")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self._JSON_SHA256[command]
 
 
 class TestOutputFile:

@@ -13,23 +13,16 @@ import pytest
 
 from graphpurify import dense
 from graphpurify.dense import (
-    CNOT,
-    CZ,
     H,
     MAX_DENSE_QUBITS,
     MAX_THERMAL_QUBITS,
     X,
     Z,
     apply_unitary_rho,
-    apply_unitary_vec,
-    check_density_matrix,
     cz_diagonal,
-    graph_hamiltonian,
-    graph_state_vector,
     partial_trace,
     pauli_projector,
     project_rho,
-    thermal_state,
     thermal_state_from_p,
     trace_distance,
 )
@@ -42,6 +35,15 @@ from graphpurify.graphs import (
     star_graph,
 )
 from graphpurify.thermal import ThermalModel
+from oracles import (
+    CNOT,
+    CZ,
+    apply_unitary_vec,
+    check_density_matrix,
+    graph_hamiltonian,
+    graph_state_vector,
+    thermal_state,
+)
 
 
 def _basis(n: int, index: int) -> np.ndarray:

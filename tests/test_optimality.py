@@ -24,17 +24,12 @@ from hypothesis import strategies as st
 import graphpurify
 from graphpurify import optimality
 
-from graphpurify.dense import (
-    check_density_matrix,
-    thermal_state_from_p,
-    trace_distance,
-)
+from graphpurify.dense import thermal_state_from_p, trace_distance
 from graphpurify.errors import CapacityError, ParameterError
 from graphpurify.graphs import Graph, cycle_graph, load_graph, path_graph, star_graph
 from graphpurify.optimality import (
     MAX_RECONSTRUCTION_QUBITS,
     build_reconstruction,
-    candidate_flip_probs,
     proof_applies,
     reconstruction_plan,
     verify_reconstruction,
@@ -46,6 +41,7 @@ from graphpurify.optimality import (
     _product_flip_vector,
     _screened_distance,
 )
+from oracles import candidate_flip_probs, check_density_matrix
 
 
 class TestReconstructionPlan:

@@ -12,19 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from graphpurify.dense import (
-    CNOT,
-    H,
-    I2,
-    RX90,
-    SDG,
-    Z,
-    apply_unitary_rho,
-    apply_unitary_vec,
-    graph_state_vector,
-    partial_trace,
-    project_rho,
-)
+from graphpurify.dense import H, I2, Z, apply_unitary_rho, partial_trace, project_rho
 from graphpurify.errors import ParameterError
 from graphpurify.graphs import Graph
 from graphpurify.pairs import (
@@ -33,12 +21,19 @@ from graphpurify.pairs import (
     composite_r2,
     distill_trace,
     from_z_noise,
-    hashing_yield,
-    recurrence_pairing,
     recurrence_step,
 )
 from graphpurify.rng import derive_rng
 from graphpurify.thermal import P_STAR
+from oracles import (
+    CNOT,
+    RX90,
+    SDG,
+    apply_unitary_vec,
+    graph_state_vector,
+    hashing_yield,
+    recurrence_pairing,
+)
 
 _GATE = {"identity": I2, "hadamard": H, "rx90": RX90, "s_dagger": SDG}
 

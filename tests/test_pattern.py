@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from graphpurify.dense import CZ, H, Z, apply_unitary_vec, graph_state_vector
+from graphpurify.dense import H, Z
 from graphpurify.errors import ParameterError
 from graphpurify.graphs import Graph, path_graph, star_graph
 from graphpurify.pattern import (
@@ -25,6 +25,7 @@ from graphpurify.pattern import (
     sample_thermal,
 )
 from graphpurify.rng import derive_rng
+from oracles import CZ, apply_unitary_vec, graph_state_vector
 
 
 def _one(g: Graph, e: int = 0, f: int = 0) -> FrameBatch:

@@ -20,6 +20,7 @@ import pytest
 
 import graphpurify
 from graphpurify import protocol
+from graphpurify.cli import n_geo_formula
 from graphpurify.errors import CapacityError, InvariantError, ParameterError
 from graphpurify.graphs import Graph, cycle_graph, grid_graph, parse_family, path_graph, star_graph
 from graphpurify.pairs import composite_r2, distill_trace, from_z_noise
@@ -27,7 +28,6 @@ from graphpurify.pattern import FrameBatch, measure_z
 from graphpurify.protocol import (
     CHUNK_SHOTS,
     ExtractionPlan,
-    n_geo_formula,
     plan_extraction,
     rate_report,
     run_drpp,
@@ -36,6 +36,7 @@ from graphpurify.protocol import (
 from graphpurify.protocol import _compile, _rebuild  # white-box: rebuild and its map
 from graphpurify.rng import derive_rng
 from graphpurify.thermal import P_STAR
+from oracles import edge_count
 
 
 def _closed(g: Graph, u: int, v: int) -> int:
@@ -65,7 +66,7 @@ _PLAN_GRAPHS = [
 
 
 class TestPlanExtraction:
-    @pytest.mark.parametrize("g", _PLAN_GRAPHS, ids=lambda g: f"n{g.n}e{g.edge_count()}")
+    @pytest.mark.parametrize("g", _PLAN_GRAPHS, ids=lambda g: f"n{g.n}e{edge_count(g)}")
     def test_plan_is_valid(self, g):
         plan = plan_extraction(g)
         rounds_of: dict[tuple[int, int], list[int]] = {}
@@ -147,6 +148,7 @@ class TestNGeoFormula:
         assert n_geo_formula("cluster:0") is None
         assert n_geo_formula("star:1") is None
         assert n_geo_formula("") is None
+        assert n_geo_formula(None) is None  # an edge-list file names no family
 
 
 def _extracted_pair_distribution(g: Graph, edge, p: float):
@@ -474,15 +476,34 @@ class TestRunDrpp:
         b = run_drpp(path_graph(3), 0.1, shots=shots, seed=7, workers=3)
         assert a == b
 
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        # a fork-started pool launches all max_workers processes at its first
+        # submit; this fake records the size asked for and runs serially
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(protocol, "ProcessPoolExecutor", SerialPool)
+        shots = CHUNK_SHOTS + 700  # two chunks
+        pooled = run_drpp(path_graph(3), 0.1, shots=shots, seed=7, workers=50)
+        assert sizes == [2]
+        assert pooled == run_drpp(path_graph(3), 0.1, shots=shots, seed=7, workers=1)
+
     def test_graph_record_shape(self):
         res = run_drpp(path_graph(3), 0.05, shots=10, seed=0)
         assert res.graph == {"n": 3, "edges": [[0, 1], [1, 2]]}
         assert res.p == 0.05 and res.shots == 10
-
-    def test_family_hint_flows_to_formula(self):
-        res = run_drpp(star_graph(5), 0.05, shots=10, seed=0, family_hint="star:5")
-        assert res.n_geo_formula == 4
-        assert res.n_geo_plan == 4
 
     def test_input_validation(self):
         with pytest.raises(ParameterError):
@@ -494,10 +515,9 @@ class TestRunDrpp:
 class TestRateReport:
     def test_bounds_are_ordered(self):
         for p in (0.0, 0.05, 0.15, 0.25):
-            rep = rate_report(star_graph(4), p, family_hint="star:4")
+            rep = rate_report(star_graph(4), p)
             assert rep.r2 >= rep.r_psi_upper >= rep.r_psi_lower
             assert rep.r_psi_lower == pytest.approx(rep.r2 / rep.n_geo_plan)
-            assert rep.n_geo_formula == 3
 
     def test_rate_endpoints(self):
         assert rate_report(path_graph(4), 0.0).r2 == 1.0

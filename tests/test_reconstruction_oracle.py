@@ -22,13 +22,13 @@ from graphpurify.errors import InvariantError, ParameterError
 from graphpurify.graphs import Graph, _bits, path_graph, star_graph
 from graphpurify.optimality import (
     build_reconstruction,
-    candidate_flip_probs,
     proof_applies,
     reconstruction_plan,
     verify_reconstruction,
 )
 from graphpurify.pattern import FrameBatch, merge_local
 from graphpurify.thermal import ThermalModel
+from oracles import CZ, apply_unitary_vec, candidate_flip_probs, graph_state_vector, thermal_state
 
 def _gate_by_gate(g: Graph, side_a, p: float) -> np.ndarray:
     """The candidate built one gate at a time, every CZ its own 4x4 unitary."""
@@ -37,31 +37,28 @@ def _gate_by_gate(g: Graph, side_a, p: float) -> np.ndarray:
     plus = np.array([[0.5, 0.5 - p], [0.5 - p, 0.5]])
     rho = reduce(np.kron, [plus] * n_tot, np.ones((1, 1)))
     for a, b in plan.copy_slots:
-        rho = dense.apply_unitary_rho(rho, dense.CZ, (a, b))
+        rho = dense.apply_unitary_rho(rho, CZ, (a, b))
     probe_graph = Graph.from_edges(n_tot, list(plan.copy_slots))
     for i, (kappa, extra) in enumerate(plan.merges):
         clean = FrameBatch.of_columns(probe_graph, [(0, 0)])
         probes = [merge_local(clean, [kappa, extra], outcome_rows=(b,)) for b in (0, 1)]
         assert [pr.batch.alive for pr in probes] == [1, 1]
         pivot = probes[0].pivots[0]
-
-        def row(q: int) -> int:
-            return q if q < g.n else q - i
-
-        m_row = row(extra)
-        rho = dense.apply_unitary_rho(rho, dense.CZ, (kappa, m_row))
+        # extras fold from the top down, so every slot is its own dense row
+        assert extra == n_tot - 1 - i
+        rho = dense.apply_unitary_rho(rho, CZ, (kappa, extra))
         acc = 0
         for b in (0, 1):
-            br = dense.project_rho(rho, "X", m_row, b)
-            br = dense.apply_unitary_rho(br, dense.H, (row(pivot),))
+            br = dense.project_rho(rho, "X", extra, b)
+            br = dense.apply_unitary_rho(br, dense.H, (pivot,))
             for q, frame in enumerate(probes[b].batch.frame_rows):
                 if frame:
-                    br = dense.apply_unitary_rho(br, dense.Z, (row(q),))
+                    br = dense.apply_unitary_rho(br, dense.Z, (q,))
             acc = acc + br
-        rho = dense.partial_trace(acc, [q for q in range(n_tot - i) if q != m_row])
+        rho = dense.partial_trace(acc, [q for q in range(n_tot - i) if q != extra])
         probe_graph = probes[0].batch.graph
     for u, v in plan.internal_edges:
-        rho = dense.apply_unitary_rho(rho, dense.CZ, (u, v))
+        rho = dense.apply_unitary_rho(rho, CZ, (u, v))
     return rho
 
 
@@ -131,12 +128,12 @@ def test_star6_fold_cases_match_the_gate_build(side):
 def _error_pattern_sum(g: Graph, p: float) -> np.ndarray:
     """sum_e p^|e| (1-p)^(n-|e|) Z^e |G><G| Z^e, one pattern at a time."""
     n = g.n
-    psi = dense.graph_state_vector(g)
+    psi = graph_state_vector(g)
     rho = np.zeros((1 << n, 1 << n), dtype=complex)
     for e in range(1 << n):
         v = psi
         for q in _bits(e):
-            v = dense.apply_unitary_vec(v, dense.Z, (q,))
+            v = apply_unitary_vec(v, dense.Z, (q,))
         k = e.bit_count()
         rho += p**k * (1.0 - p) ** (n - k) * np.outer(v, v.conj())
     return rho
@@ -155,7 +152,7 @@ def test_thermal_closed_form_matches_the_pattern_sum_and_the_gibbs_state():
                 np.testing.assert_allclose(
                     closed, _error_pattern_sum(g, model.error_prob()), rtol=0, atol=1e-12
                 )
-                np.testing.assert_allclose(closed, dense.thermal_state(g, model), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(closed, thermal_state(g, model), rtol=0, atol=1e-12)
             for p in (0.0, 0.5, 1.0):
                 np.testing.assert_allclose(
                     dense.thermal_state_from_p(g, p), _error_pattern_sum(g, p), rtol=0, atol=1e-12

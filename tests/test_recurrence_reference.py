@@ -24,11 +24,10 @@ from graphpurify.pairs import (
     composite_r2,
     distill_trace,
     from_z_noise,
-    hashing_yield,
-    recurrence_pairing,
     recurrence_step,
 )
 from graphpurify.protocol import plan_extraction, rate_report
+from oracles import hashing_yield, recurrence_pairing
 
 _SETTINGS = settings(derandomize=True, max_examples=400, deadline=None)
 

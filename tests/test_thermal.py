@@ -11,8 +11,8 @@ from graphpurify.thermal import (
     ThermalModel,
     critical_temperature,
     purifiable_at,
-    temperature_for_p,
 )
+from oracles import temperature_for_p
 
 
 def _flip_prob(B: float, T: float) -> float:
