@@ -18,13 +18,11 @@ import sys
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
-from . import __version__
+from . import __version__, optimality, verification
 from .errors import CapacityError, InvariantError, ParameterError
 from .graphs import Graph, family_parts, grid_sides, load_graph, parse_family
-from .optimality import proof_applies
 from .protocol import plan_extraction, rate_report, run_drpp, threshold_scan
 from .thermal import P_STAR, ThermalModel, critical_temperature, purifiable_at
-from .verification import run_oracle_sweep
 
 SEED_ENV_VAR = "GRAPHPURIFY_SEED"
 
@@ -347,7 +345,7 @@ def cmd_verify_oracle(args) -> int:
     def progress(msg: str) -> None:
         print(msg, file=sys.stderr)
 
-    report = run_oracle_sweep(max_n=args.max_n, progress=progress)
+    report = verification.run_oracle_sweep(max_n=args.max_n, progress=progress)
     # wall time varies run to run, so it stays out of the byte-stable output
     progress(f"sweep took {report.elapsed_seconds:.1f}s")
     cfg = RunConfig(
@@ -375,7 +373,7 @@ def cmd_verify_oracle(args) -> int:
 
 def cmd_check_optimality(args) -> int:
     g, _ = _load(args.graph)
-    verdicts = proof_applies(g, p=args.p, tol=args.tol)
+    verdicts = optimality.proof_applies(g, p=args.p, tol=args.tol)
     cfg = RunConfig(
         command="check-optimality",
         graph=args.graph,

@@ -34,19 +34,10 @@ __all__ = [
     "recurrence_step",
     "distill_trace",
     "composite_r2",
-    "PAIRING_GATES",
 ]
 
 _SUM_TOL = 1e-12
 
-# Local single-qubit gates (on the a and b halves of BOTH copies before the
-# round, inverted on the kept pair after) realizing each class permutation.
-# rx90 is exp(-i pi/4 X) up to phase, i.e. (I - iX)/sqrt(2).
-PAIRING_GATES: dict[int, tuple[str, str]] = {
-    1: ("identity", "identity"),  # classes untouched
-    2: ("hadamard", "hadamard"),  # swaps Z_a <-> Z_b
-    3: ("rx90", "s_dagger"),  # swaps Z_a <-> Z_aZ_b
-}
 
 @dataclass(frozen=True)
 class BellDiagonal:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -427,8 +426,11 @@ def run_drpp(
     if workers == 1 or len(specs) == 1:
         counts = [_simulate_chunk(s) for s in specs]
     else:
+        # imported here so that a one-worker run never loads multiprocessing;
         # a fork-started pool launches all its processes at the first submit,
         # so it gets no more workers than there are chunks
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
             counts = list(pool.map(_simulate_chunk, specs))
     hits = sum(counts)

@@ -33,6 +33,15 @@ CNOT = np.array(
     dtype=np.float64,
 )
 
+# Local single-qubit gates realizing each pairing of pairs._round (on the a
+# and b halves of BOTH copies before the round, inverted on the kept pair
+# after).  rx90 is exp(-i pi/4 X) up to phase, i.e. (I - iX)/sqrt(2).
+PAIRING_GATES: dict[int, tuple[str, str]] = {
+    1: ("identity", "identity"),  # classes untouched
+    2: ("hadamard", "hadamard"),  # swaps Z_a <-> Z_b
+    3: ("rx90", "s_dagger"),  # swaps Z_a <-> Z_aZ_b
+}
+
 
 # -- state vectors ----------------------------------------------------------
 

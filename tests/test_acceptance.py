@@ -34,12 +34,13 @@ from graphpurify.graphs import (
     star_graph,
 )
 from graphpurify.optimality import reconstruction_plan, verify_reconstruction
-from graphpurify.pairs import PAIRING_GATES, from_z_noise, recurrence_step
+from graphpurify.pairs import from_z_noise, recurrence_step
 from graphpurify.protocol import plan_extraction, rate_report, threshold_scan
 from graphpurify.thermal import P_STAR, ThermalModel
 from graphpurify.verification import run_oracle_sweep
 from oracles import (
     CNOT,
+    PAIRING_GATES,
     RX90,
     SDG,
     apply_unitary_vec,

@@ -16,7 +16,6 @@ from graphpurify.dense import H, I2, Z, apply_unitary_rho, partial_trace, projec
 from graphpurify.errors import ParameterError
 from graphpurify.graphs import Graph
 from graphpurify.pairs import (
-    PAIRING_GATES,
     BellDiagonal,
     composite_r2,
     distill_trace,
@@ -27,6 +26,7 @@ from graphpurify.rng import derive_rng
 from graphpurify.thermal import P_STAR
 from oracles import (
     CNOT,
+    PAIRING_GATES,
     RX90,
     SDG,
     apply_unitary_vec,

@@ -3,6 +3,8 @@ and a traced oracle check sees the engine it runs."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import graphpurify
@@ -20,6 +22,29 @@ def test_every_traced_name_resolves():
         module = importlib.import_module(f"graphpurify.{mod_name}")
         assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
     assert callable(Graph.__dict__.get("delete_vertex"))
+
+
+def test_fresh_package_holds_every_traced_module():
+    # perfbench loads the package by ``import graphpurify, graphpurify.cli``,
+    # then reads modules as package attributes (``pkg.verification``) and the
+    # tracer looks each TARGETS module up in sys.modules; numpy-backed
+    # modules load lazily, so this must hold before any of them has run
+    modules = sorted({m for m, _ in tracer.TARGETS})
+    code = f"""
+import sys
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import graphpurify, graphpurify.cli
+from tracer import Tracer
+for m in {modules!r}:
+    module = sys.modules.get(f"graphpurify.{{m}}")
+    print(m, module is not None and getattr(graphpurify, m) is module)
+t = Tracer()
+t.install(graphpurify)
+t.uninstall()
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"{m} True" for m in modules]
 
 
 def test_traced_check_graph_times_the_engine():

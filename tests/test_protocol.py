@@ -9,6 +9,7 @@ sum).  Monte Carlo estimates must land inside their own confidence interval
 around those sums.
 """
 
+import concurrent.futures
 import dataclasses
 import itertools
 import os
@@ -478,7 +479,9 @@ class TestRunDrpp:
 
     def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
         # a fork-started pool launches all max_workers processes at its first
-        # submit; this fake records the size asked for and runs serially
+        # submit; this fake records the size asked for and runs serially.
+        # run_drpp imports the pool class from concurrent.futures only when
+        # it needs one, so the fake goes there
         sizes = []
 
         class SerialPool:
@@ -494,7 +497,7 @@ class TestRunDrpp:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(protocol, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         shots = CHUNK_SHOTS + 700  # two chunks
         pooled = run_drpp(path_graph(3), 0.1, shots=shots, seed=7, workers=50)
         assert sizes == [2]

@@ -67,6 +67,40 @@ class TestDeriveRng:
         assert proc.stdout.split() == ["False", "False"], proc.stderr
 
 
+# Commands that only simulate or evaluate closed forms, run through the CLI
+# in one fresh interpreter; none may load numpy or the process pool.
+_NUMPY_FREE_COMMANDS = (
+    ["threshold", "--B", "1", "--json"],
+    ["simulate", "--graph", "icosahedron", "--p", "0.1", "--shots", "200", "--seed", "1", "--json"],
+    ["scan", "--graph", "path:3", "--p-grid", "0.1,0.3", "--shots", "200", "--seed", "1", "--json"],
+    ["rates", "--family", "grid:3x3", "--p", "0.1", "--json"],
+    ["plan", "--graph", "cycle:5", "--json"],
+)
+
+
+def test_cold_start_loads_numpy_only_for_the_oracle_commands():
+    code = f"""
+import contextlib, io, json, sys
+from graphpurify import cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if cli.main(argv) != 0:
+            sys.exit(f"{{argv}} failed")
+    return json.loads(out.getvalue())["results"]
+
+for argv in {_NUMPY_FREE_COMMANDS!r}:
+    run(argv)
+print("numpy" in sys.modules, "multiprocessing" in sys.modules)
+edges = run(["check-optimality", "--graph", "cycle:5", "--json"])["edges"]
+print("numpy" in sys.modules, [row["reconstructable"] for row in edges])
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False False", "True [True, True, True, True, True]"]
+
+
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(9, "scan", 3) == derive_seed(9, "scan", 3)

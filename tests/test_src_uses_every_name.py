@@ -1,8 +1,9 @@
 """Every name ``src/`` defines is one that ``src/`` runs.
 
-A module-level function or class, or a method of ``Graph``, must be
-referred to somewhere in the package outside its own definition: called,
-imported, subclassed or named in an annotation.  The only exceptions are
+A module-level function, class or constant, or a method of ``Graph``, must
+be referred to somewhere in the package outside its own definition: called,
+imported, subclassed, read or named in an annotation.  Dunder names
+(``__all__``, ``__version__``) are exempt.  The only exceptions are
 the functions ``perfbench/tracer.py`` wraps by name (its ``TARGETS`` and
 ``Graph.delete_vertex``), which the benchmark needs even where the package
 does not call them.  Code that only tests run belongs in ``tests/oracles.py``.
@@ -27,6 +28,17 @@ def _definitions(trees):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 yield f"{mod}.{node.name}", node.name, node
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                targets = []
+            for target in targets:
+                for name in ast.walk(target):
+                    stored = isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                    if stored and not name.id.startswith("__"):
+                        yield f"{mod}.{name.id}", name.id, node
             if mod == "graphs" and isinstance(node, ast.ClassDef) and node.name == "Graph":
                 for meth in node.body:
                     if isinstance(meth, ast.FunctionDef) and not meth.name.startswith("__"):
@@ -66,3 +78,14 @@ def test_the_guard_sees_a_dead_function():
     trees = {"m": ast.parse("def live():\n    return 1\n\ndef dead():\n    return live()\n")}
     found = {qual: _referenced(name, node, trees) for qual, name, node in _definitions(trees)}
     assert found == {"m.live": True, "m.dead": False}
+
+
+def test_the_guard_sees_a_dead_constant():
+    source = (
+        "__all__ = ['LIVE']\nLIVE = 1\nDEAD: int = LIVE\n_SEEN, _UNSEEN = 2, 3\n"
+        "\ndef f():\n    return _SEEN\n"
+    )
+    trees = {"m": ast.parse(source)}
+    found = {qual: _referenced(name, node, trees) for qual, name, node in _definitions(trees)}
+    assert found == {"m.LIVE": True, "m.DEAD": False, "m._SEEN": True, "m._UNSEEN": False,
+                     "m.f": False}
