@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import __version__, optimality, verification
 from .errors import CapacityError, InvariantError, ParameterError
-from .graphs import Graph, family_parts, grid_sides, load_graph, parse_family
+from .graphs import Graph, family_parts, grid_sides, load_graph
 from .protocol import plan_extraction, rate_report, run_drpp, threshold_scan
 from .thermal import P_STAR, ThermalModel, critical_temperature, purifiable_at
 
@@ -50,13 +50,10 @@ class RunConfig:
 
 
 def _load(source: str) -> tuple[Graph, str | None]:
-    """Graph plus the argument itself when it is a family string, else None."""
-    g = load_graph(source)
-    try:
-        parse_family(source)
-    except ParameterError:
-        return g, None
-    return g, source
+    """Graph plus the argument itself when it is a family string; None for an
+    edge-list file, which wins when a file of that name exists."""
+    family = None if os.path.exists(source) else source
+    return load_graph(source), family
 
 
 def n_geo_formula(family: str | None) -> int | None:

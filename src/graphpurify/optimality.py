@@ -198,8 +198,7 @@ def _assemble(plan: Reconstruction, p: float) -> np.ndarray:
     for i, (kappa, extra) in enumerate(plan.merges):
         # column b reads outcome b, so bit b of a frame row is branch b's Z
         clean = FrameBatch.of_columns(probe_graph, [(0, 0), (0, 0)])
-        run = merge_local(clean, [kappa, extra], outcome_rows=(0b10,))
-        (pivot,) = run.pivots
+        probe, (pivot,) = merge_local(clean, [kappa, extra], (0b10,))
         if pivot is None:
             raise InvariantError("folded pair half has no twin to pivot on")
         rho = _cz_layer(rho, n_tot - i, [(kappa, extra)])
@@ -207,12 +206,12 @@ def _assemble(plan: Reconstruction, p: float) -> np.ndarray:
         for b in (0, 1):
             br = dense.project_rho(rho, "X", extra, b)
             br = dense.apply_unitary_rho(br, dense.H, (pivot,))
-            for q, frame in enumerate(run.batch.frame_rows):
+            for q, frame in enumerate(probe.frame_rows):
                 if frame >> b & 1:
                     br = dense.apply_unitary_rho(br, dense.Z, (q,))
             acc = br if acc is None else acc + br
         rho = dense.partial_trace(acc, list(range(extra)))
-        probe_graph = run.batch.graph
+        probe_graph = probe.graph
 
     return _cz_layer(rho, g.n, plan.internal_edges)
 

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-12
+# recurrence rounds tried before a trace gives up on its target
+_MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -129,18 +131,14 @@ class DistillTrace:
     pairings: tuple[int, ...]
 
 
-def distill_trace(
-    bd: BellDiagonal, target_fidelity: float, max_rounds: int = 64
-) -> DistillTrace:
+def distill_trace(bd: BellDiagonal, target_fidelity: float) -> DistillTrace:
     if not 0.0 <= target_fidelity < 1.0:
         raise ParameterError("target fidelity must lie in [0, 1)")
-    if max_rounds < 0:
-        raise ParameterError("max_rounds must be nonnegative")
     cur = bd.probs
     probs: list[float] = []
     pairings: list[int] = []
     cost = 1.0
-    while cur[0] < target_fidelity and len(probs) < max_rounds:
+    while cur[0] < target_fidelity and len(probs) < _MAX_ROUNDS:
         nxt, n, pairing = _round(cur)
         probs.append(n)
         pairings.append(pairing)

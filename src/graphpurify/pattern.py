@@ -20,13 +20,15 @@ applies a compensating single-qubit Hadamard there as part of the channel,
 which keeps every intermediate state in graph form with Z-type residuals
 only.
 
-Outcomes.  An outcome is a row too (bit c set when column c reads -1),
-drawn from an rng or given per column: a batch tiled once per outcome
-branch runs every branch of a rule in one call.  A given outcome that has
-probability zero for some columns clears them from the batch's ``alive``
-mask instead of raising.  A rule's Z-error map (where each input qubit's Z
-error lands) is the rule run on a batch with one lone-error column per
-input qubit.
+Outcomes.  An outcome is a row too (bit c set when column c reads -1), and
+every measuring rule takes its outcome rows as an input: a batch tiled once
+per outcome branch runs every branch of a rule in one call.  An outcome
+only adds a known Pauli byproduct to the frame, so the graph and the Z
+errors of a column do not depend on it; the protocol runs its rebuild once,
+on the all-+1 branch.  A given outcome that has probability zero for some
+columns clears them from the batch's ``alive`` mask instead of raising.  A
+rule's Z-error map (where each input qubit's Z error lands) is the rule run
+on a batch with one lone-error column per input qubit.
 
 Stable labels.  A measured qubit keeps its index: the rule cuts its bonds
 and clears its error and frame bits, which leaves it an isolated, error-free
@@ -47,7 +49,6 @@ from .graphs import Graph, _bits, _make
 
 __all__ = [
     "FrameBatch",
-    "BatchResult",
     "sample_thermal",
     "is_ideal",
     "apply_cz",
@@ -85,13 +86,6 @@ class FrameBatch:
         return FrameBatch(graph, tuple(z), tuple(f), (1 << len(columns)) - 1)
 
 
-@dataclass(frozen=True)
-class BatchResult:
-    batch: FrameBatch
-    outcomes: tuple[int, ...]  # outcome row per measured qubit, in order
-    pivots: tuple[int | None, ...] = ()  # merges: each step's pivot
-
-
 def is_ideal(batch: FrameBatch) -> int:
     """Row of the live columns with no unknown Z error once the frame is
     accounted for."""
@@ -115,12 +109,8 @@ def apply_cz(batch: FrameBatch, u: int, v: int) -> FrameBatch:
     return FrameBatch(batch.graph.toggle_edge(u, v), batch.z_rows, batch.frame_rows, batch.alive)
 
 
-def _outcome_row(row: int | None, rng: random.Random | None, alive: int) -> int:
-    """One outcome bit per column: the given row on the live columns, or drawn."""
-    if row is None:
-        if rng is None:
-            raise ParameterError("an rng is required when no outcome is forced")
-        return rng.getrandbits(alive.bit_length())
+def _outcome_row(row: int, alive: int) -> int:
+    """One outcome bit per column: the given row on the live columns."""
     if row < 0:
         raise ParameterError("an outcome row must be a non-negative int")
     return row & alive
@@ -133,25 +123,17 @@ def _cut(adj: list[int], v: int) -> None:
     adj[v] = 0
 
 
-def measure_z(
-    batch: FrameBatch,
-    v: int,
-    rng: random.Random | None = None,
-    outcome_row: int | None = None,
-) -> BatchResult:
+def measure_z(batch: FrameBatch, v: int, outcome_row: int) -> FrameBatch:
     """Measure Z on qubit v: sever its bonds and leave it a clean |+>.
 
-    The outcome is uniform, reported with the qubit's error bit folded in;
-    the outcome-conditioned Z byproduct on the neighborhood goes into the
-    correction frame.  Both outcomes are possible for every column, so an
-    ``outcome_row`` (bit c set when column c reads -1) replaces the draw.
+    ``outcome_row`` has bit c set when column c reads -1; the
+    outcome-conditioned Z byproduct on the neighborhood goes into the
+    correction frame.  Both outcomes are possible for every column.
     """
     g = batch.graph
     if not 0 <= v < g.n:
         raise ParameterError(f"vertex {v} out of range")
-    o = _outcome_row(outcome_row, rng, batch.alive)
-    if outcome_row is None:
-        o ^= batch.z_rows[v]
+    o = _outcome_row(outcome_row, batch.alive)
     f = list(batch.frame_rows)
     for x in _bits(g.adj[v]):
         f[x] ^= o
@@ -159,7 +141,7 @@ def measure_z(
     z[v] = f[v] = 0
     adj = list(g.adj)
     _cut(adj, v)
-    return BatchResult(FrameBatch(_make(g.n, adj), tuple(z), tuple(f), batch.alive), (o,))
+    return FrameBatch(_make(g.n, adj), tuple(z), tuple(f), batch.alive)
 
 
 def _measure_x(
@@ -169,30 +151,24 @@ def _measure_x(
     alive: int,
     m: int,
     kappa: int,
-    rng: random.Random | None,
-    outcome_row: int | None,
-) -> tuple[Graph, int, int, int | None]:
+    outcome_row: int,
+) -> tuple[Graph, int, int | None]:
     """X-measure qubit m, preferring a pivot other than ``kappa``.
 
     Updates the rows in place (m's rows are cleared) and returns
-    (post-graph, alive mask, outcome row, pivot or None when m has no
-    neighbor).  The channel includes the Hadamard correction on the pivot,
-    so the post-state is in graph form again.
+    (post-graph, alive mask, pivot or None when m has no neighbor).  The
+    channel includes the Hadamard correction on the pivot, so the post-state
+    is in graph form again.
     """
     nb = g.adj[m]
+    sigma = _outcome_row(outcome_row, alive)
 
     if nb == 0:
-        # Bare |+> up to a Z: the X outcome is deterministic per column.
-        det = z[m] ^ f[m]
-        if outcome_row is None:
-            sigma = det
-        else:
-            sigma = _outcome_row(outcome_row, None, alive)
-            alive &= ~(det ^ sigma)
+        # Bare |+> up to a Z: the X outcome is deterministic per column, so
+        # the columns that read the other one die.
+        alive &= ~(z[m] ^ f[m] ^ sigma)
         z[m] = f[m] = 0
-        return g, alive, sigma, None
-
-    sigma = _outcome_row(outcome_row, rng, alive)
+        return g, alive, None
 
     cand = nb & ~(1 << kappa)
     pivot = _lowest_bit(cand) if cand else _lowest_bit(nb)
@@ -234,7 +210,7 @@ def _measure_x(
     f[pivot] = sigma_f
     z[m] = f[m] = 0
     _cut(adj, m)
-    return _make(g.n, adj), alive, sigma, pivot
+    return _make(g.n, adj), alive, pivot
 
 
 def _lowest_bit(mask: int) -> int:
@@ -242,17 +218,15 @@ def _lowest_bit(mask: int) -> int:
 
 
 def merge_local(
-    batch: FrameBatch,
-    party_qubits,
-    rng: random.Random | None = None,
-    outcome_rows=None,
-) -> BatchResult:
+    batch: FrameBatch, party_qubits, outcome_rows
+) -> tuple[FrameBatch, tuple[int | None, ...]]:
     """Fuse one party's qubits: CZ the first qubit to each of the others,
     then X-measure the others in order, keeping only the first.
 
-    Outcome rows (one per measured qubit, bit c set when column c reads -1)
-    replace random draws; columns for which their given branch is impossible
-    drop out of ``alive``.  The rewiring and the pivots depend only on the
+    ``outcome_rows`` holds one row per measured qubit (bit c set when column
+    c reads -1); columns for which their given branch is impossible drop out
+    of ``alive``.  Returns the batch and each X measurement's pivot (None
+    for a bare qubit).  The rewiring and the pivots depend only on the
     graph, so columns may take different branches in one call.
     """
     party = list(party_qubits)
@@ -264,8 +238,8 @@ def merge_local(
     if any(not 0 <= q < n for q in party):
         raise ParameterError("party qubit out of range")
     measured = party[1:]
-    if outcome_rows is not None and len(outcome_rows) != len(measured):
-        raise ParameterError("need one forced outcome per measured qubit")
+    if len(outcome_rows) != len(measured):
+        raise ParameterError("need one outcome row per measured qubit")
 
     kappa = party[0]
     adj = list(batch.graph.adj)
@@ -277,14 +251,11 @@ def merge_local(
     z = list(batch.z_rows)
     f = list(batch.frame_rows)
     alive = batch.alive
-    outcomes: list[int] = []
     pivots: list[int | None] = []
-    for i, m in enumerate(measured):
-        row = outcome_rows[i] if outcome_rows is not None else None
-        g, alive, sigma, pivot = _measure_x(g, z, f, alive, m, kappa, rng, row)
-        outcomes.append(sigma)
+    for m, row in zip(measured, outcome_rows):
+        g, alive, pivot = _measure_x(g, z, f, alive, m, kappa, row)
         pivots.append(pivot)
-    return BatchResult(FrameBatch(g, tuple(z), tuple(f), alive), tuple(outcomes), tuple(pivots))
+    return FrameBatch(g, tuple(z), tuple(f), alive), tuple(pivots)
 
 
 def apply_cz_via_pair(
@@ -293,17 +264,15 @@ def apply_cz_via_pair(
     v: int,
     pair_u: int,
     pair_v: int,
-    rng: random.Random | None = None,
-    outcome_rows: tuple[int, int] | None = None,
-) -> BatchResult:
+    outcome_rows: tuple[int, int],
+) -> FrameBatch:
     """Toggle edge {u,v} by consuming a fresh two-qubit graph pair.
 
     pair_u/pair_v must form an isolated edge.  Each half is CZ-joined to its
     endpoint and X-measured; the four outcome branches are uniform, and the
     net effect is the edge toggle plus outcome-conditioned Z corrections on u
     and v (recorded in the frame) and the far half's error bit landing on
-    each endpoint.  ``outcome_rows`` (pair_u's, then pair_v's) replace the
-    draws.
+    each endpoint.  ``outcome_rows`` holds pair_u's row, then pair_v's.
     """
     g = batch.graph
     ids = (u, v, pair_u, pair_v)
@@ -314,11 +283,10 @@ def apply_cz_via_pair(
     if g.adj[pair_u] != 1 << pair_v or g.adj[pair_v] != 1 << pair_u:
         raise ParameterError("pair halves must form an isolated edge")
 
-    rows = outcome_rows if outcome_rows is not None else (None, None)
-    if len(rows) != 2:
-        raise ParameterError("need one forced outcome per pair half")
-    s1 = _outcome_row(rows[0], rng, batch.alive)
-    s2 = _outcome_row(rows[1], rng, batch.alive)
+    if len(outcome_rows) != 2:
+        raise ParameterError("need one outcome row per pair half")
+    s1 = _outcome_row(outcome_rows[0], batch.alive)
+    s2 = _outcome_row(outcome_rows[1], batch.alive)
 
     z = list(batch.z_rows)
     f = list(batch.frame_rows)
@@ -333,4 +301,4 @@ def apply_cz_via_pair(
     adj[pair_v] = 0
     adj[u] ^= 1 << v
     adj[v] ^= 1 << u
-    return BatchResult(FrameBatch(_make(g.n, adj), tuple(z), tuple(f), batch.alive), (s1, s2))
+    return FrameBatch(_make(g.n, adj), tuple(z), tuple(f), batch.alive)

@@ -12,12 +12,13 @@ error remains anywhere.
 
 Compile once, then sample: the rewiring of extraction and rebuild depends
 only on the graph, and the rebuild's Z-error update is GF(2)-linear and
-outcome-independent.  So each ``run_drpp`` call runs extraction's isolation
-check and the rebuild through the pattern engine once, with every
-structural invariant checked.  The rebuild carries a bit-sliced batch with
-one column per pair half, each holding a lone error on that half, so the
-batch's final error rows are the check matrix M from pair-half error bits
-to target vertices.  Each shot then only draws one error class per edge and
+outcome-independent (an outcome only adds a known Pauli byproduct to the
+frame).  So each ``run_drpp`` call runs extraction's isolation check and
+the rebuild through the pattern engine once, on the all-+1 outcome branch,
+with every structural invariant checked.  The rebuild carries a bit-sliced
+batch with one column per pair half, each holding a lone error on that
+half, so the batch's final error rows are the check matrix M from
+pair-half error bits to target vertices.  Each shot then only draws one error class per edge and
 counts as ideal iff M·x = 0 for the drawn half-error bits x.
 
 Scheduling constraint: two pairs can be extracted from the same copy exactly
@@ -33,7 +34,6 @@ count.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -202,12 +202,12 @@ def _check_extraction(g: Graph, plan: ExtractionPlan) -> None:
     """Measure out each round's boundaries on one copy; check isolation.
 
     The rewiring does not depend on error patterns or outcomes, so one pass
-    on the error-free state with forced outcomes covers every shot.
+    on the error-free state, every outcome +1, covers every shot.
     """
     for items in plan.rounds:
         copy = FrameBatch.of_columns(g, [(0, 0)])
         for q in sorted({q for pe in items for q in pe.z_measure_set}):
-            copy = measure_z(copy, q, outcome_row=0).batch
+            copy = measure_z(copy, q, 0)
         for pe in items:
             u, v = pe.edge
             if copy.graph.adj[u] != 1 << v or copy.graph.adj[v] != 1 << u:
@@ -239,7 +239,7 @@ class _Rebuild:
     checks: tuple[int, ...]
 
 
-def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
+def _rebuild(g: Graph, classes: dict) -> _Rebuild:
     """Fuse purified pairs into the target graph through the pattern engine.
 
     One pair per edge, carrying the error of its class in ``classes``;
@@ -249,7 +249,9 @@ def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
     pair-mediated CZ between the finished vertex qubits.  Every structural
     invariant is checked.  The engine runs on a batch of one column per pair
     half (a lone error on that half, which yields M) plus one column
-    carrying the class errors, whose residual must equal M·x.
+    carrying the class errors, whose residual must equal M·x.  Every
+    measurement takes its +1 outcome: the Z errors do not depend on the
+    outcomes, and no column may die on that branch.
     """
     n = g.n
     forest = [e for tree in g.spanning_forest() for e in tree]
@@ -290,7 +292,7 @@ def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
     for e in edges:
         x |= class_mask[e][classes[e]]
     # column a < nq: a lone error on half a, so its final rows are M's
-    # columns; column nq: the drawn errors x
+    # columns; column nq: the class errors x
     state = FrameBatch(
         Graph.from_edges(nq, edges_built),
         tuple(1 << a | (x >> a & 1) << nq for a in range(nq)),
@@ -302,11 +304,13 @@ def _rebuild(g: Graph, classes: dict, rng) -> _Rebuild:
     for v, party in halves_at.items():
         kept[v] = party[0]
         if len(party) > 1:
-            state = merge_local(state, party, rng).batch
+            state, _ = merge_local(state, party, (0,) * (len(party) - 1))
 
     for u, v, hu, hv in splices:
-        state = apply_cz_via_pair(state, kept[u], kept[v], hu, hv, rng).batch
+        state = apply_cz_via_pair(state, kept[u], kept[v], hu, hv, (0, 0))
 
+    if state.alive != (2 << nq) - 1:
+        raise InvariantError("rebuild dropped a column on the all-+1 outcome branch")
     measured = set(range(nq)) - set(kept.values())
     if any(state.graph.adj[a] or state.z_rows[a] or state.frame_rows[a] for a in measured):
         raise InvariantError("rebuild left a measured qubit bonded or with nonzero rows")
@@ -345,13 +349,13 @@ def _check_capacity(edges: int, isolated: int) -> None:
 def _compile(g: Graph) -> _Rebuild:
     """Run extraction and rebuild through the engine once, error-free.
 
-    Outcomes do not change the rewiring or the Z-error map, so a fixed
-    generator serves; its draws never reach the shots.  Memoised per graph
-    (the result is immutable); a failed check raises on every call, since
-    ``lru_cache`` caches no exception.
+    Outcomes do not change the rewiring or the Z-error map, so the all-+1
+    branch serves every shot.  Memoised per graph (the result is
+    immutable); a failed check raises on every call, since ``lru_cache``
+    caches no exception.
     """
     _check_extraction(g, plan_extraction(g))
-    compiled = _rebuild(g, {e: 0 for e in g.edges()}, random.Random(0))
+    compiled = _rebuild(g, {e: 0 for e in g.edges()})
     if not compiled.ideal:
         raise InvariantError("error-free rebuild left a residual error")
     return compiled

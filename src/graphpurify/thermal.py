@@ -44,7 +44,13 @@ class ThermalModel:
 
 
 def critical_temperature(B: float) -> float:
-    """Temperature above which no local protocol can purify: B / ln(1+sqrt(2))."""
+    """Temperature above which no local protocol can purify a noisy pair:
+    B / ln(1+sqrt(2)), where the flip probability reaches p*.
+
+    It bounds a whole graph state only where every edge has a two-party
+    reconstruction (``optimality.proof_applies``); thermal K3, for one,
+    purifies past it.
+    """
     if not (B > 0 and math.isfinite(B)):
         raise ParameterError("field strength B must be positive and finite")
     return B / _LN_1_PLUS_SQRT2

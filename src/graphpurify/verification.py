@@ -342,7 +342,7 @@ def check_graph(
         np.concatenate(_split(base, n, v), axis=2).reshape(1 << (n - 1), 2 * width)
         for v in range(n)
     ])
-    outs = [measure_z(both, v, outcome_row=minus).batch for v in range(n)]
+    outs = [measure_z(both, v, minus) for v in range(n)]
     checks += 2 * width * n
     bad += _compare(
         dense, outs, [1 << v for v in range(n)], [(v, o) for v in range(n) for o in (+1, -1)],
@@ -365,12 +365,12 @@ def _check_merge_parties(batch: FrameBatch, base: np.ndarray, parties, gname, fa
     k = len(parties[0]) - 1
     tiled = _tile(batch, 1 << k, width)
     rows = _branch_rows(k, width)
-    runs = [merge_local(tiled, list(party), outcome_rows=rows) for party in parties]
+    runs = [merge_local(tiled, list(party), rows) for party in parties]
     # the pivots depend only on the graph, so one replay serves every branch
-    dense = _merge_panel(base, batch.graph.n, parties, [run.pivots for run in runs], gname)
+    dense = _merge_panel(base, batch.graph.n, parties, [piv for _, piv in runs], gname)
     outcomes = list(itertools.product((+1, -1), repeat=k))
     bad = _compare(
-        dense, [run.batch for run in runs],
+        dense, [out for out, _ in runs],
         [sum(1 << m for m in party[1:]) for party in parties],
         [(party, o) for party in parties for o in outcomes],
         lambda po: f"{gname} merge{po[0]} outcomes={po[1]}", failures,
@@ -456,7 +456,7 @@ def _check_splice(base_graph: Graph, failures: list[str]) -> tuple[int, int]:
         # the two X projections commute; measuring qubit n first gives (o1, o2) order
         dense = _x_branches(dense, n + 2, n, width)
         panels.append(_x_branches(dense, n + 1, n, width))
-    outs = [apply_cz_via_pair(tiled, u, v, n, n + 1, outcome_rows=rows).batch for u, v in pairs]
+    outs = [apply_cz_via_pair(tiled, u, v, n, n + 1, rows) for u, v in pairs]
     bad = _compare(
         np.hstack(panels), outs, [0b11 << n] * len(pairs),
         [(u, v, o) for u, v in pairs for o in branches],

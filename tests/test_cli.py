@@ -327,6 +327,23 @@ class TestRatesAndPlan:
         assert res["n_geo_plan"] == 2
         assert res["n_geo_formula"] is None  # file input carries no family hint
 
+    def test_a_file_named_like_a_family_is_a_file(self, capsys, tmp_path, monkeypatch):
+        # the file holds one edge, so its plan has one round; the family its
+        # name spells (a path, formula 3) must not leak into the output
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "path:6").write_text(write_edge_list(path_graph(2)))
+        rc, out, _ = run_cli(capsys, "plan", "--graph", "path:6", "--json")
+        assert rc == 0
+        res = envelope(out)["results"]
+        assert (res["n_geo_plan"], res["n_geo_formula"]) == (1, None)
+        rc, out, _ = run_cli(capsys, "rates", "--graph", "path:6", "--p", "0.1", "--json")
+        assert rc == 0
+        res = envelope(out)["results"]
+        assert (res["n_geo_plan"], res["n_geo_formula"]) == (1, None)
+        rc, _, err = run_cli(capsys, "rates", "--family", "path:6", "--p", "0.1")
+        assert rc == 2
+        assert "--family expects a family string" in err
+
     def test_missing_graph_file(self, capsys):
         rc, _, _ = run_cli(capsys, "plan", "--graph", "no/such/file.edges")
         assert rc == 2

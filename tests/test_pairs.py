@@ -206,21 +206,11 @@ class TestDistill:
         assert not tr.converged
         assert tr.final.fidelity < 0.999
 
-    def test_zero_rounds_budget(self):
-        tr = distill_trace(from_z_noise(0.1), 0.999, max_rounds=0)
-        assert (tr.rounds, tr.expected_pairs, tr.final.fidelity) == (
-            0, 1.0, from_z_noise(0.1).fidelity
-        )
-        tr = distill_trace(from_z_noise(0.0), 0.5, max_rounds=0)
-        assert tr.rounds == 0 and tr.final.fidelity == 1.0
-
     def test_target_validation(self):
         with pytest.raises(ParameterError):
             distill_trace(from_z_noise(0.1), 1.0)
         with pytest.raises(ParameterError):
             distill_trace(from_z_noise(0.1), -0.1)
-        with pytest.raises(ParameterError):
-            distill_trace(from_z_noise(0.1), 0.9, max_rounds=-1)
 
 
 class TestRates:

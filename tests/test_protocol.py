@@ -166,7 +166,7 @@ def _extracted_pair_distribution(g: Graph, edge, p: float):
         for outs in itertools.product((0, 1), repeat=len(boundary)):
             st = FrameBatch.of_columns(g, [(e, 0)])
             for q, o in zip(boundary, outs):
-                st = measure_z(st, q, outcome_row=o).batch
+                st = measure_z(st, q, outcome_row=o)
             assert st.graph.adj[u] == 1 << v
             assert st.alive == 1
             cls = st.z_rows[u] | st.z_rows[v] << 1
@@ -210,7 +210,7 @@ class TestExtractionStatistics:
             for outs in itertools.product((0, 1), repeat=len(boundary)):
                 st = FrameBatch.of_columns(g, [(e, 0)])
                 for q, o in zip(boundary, outs):
-                    st = measure_z(st, q, outcome_row=o).batch
+                    st = measure_z(st, q, outcome_row=o)
                 key = []
                 for pe in round0:
                     u, v = pe.edge
@@ -226,7 +226,7 @@ class TestExtractionStatistics:
 
 
 def _indicator(g: Graph, classes: dict) -> bool:
-    return _rebuild(g, classes, derive_rng(99, "indicator")).ideal
+    return _rebuild(g, classes).ideal
 
 
 def _analytic_fidelity(g: Graph, probs) -> float:
@@ -246,14 +246,28 @@ class TestRebuildIndicator:
         "g", [path_graph(3), cycle_graph(3), star_graph(4), cycle_graph(4)],
         ids=["path3", "cycle3", "star4", "cycle4"],
     )
-    def test_outcome_independent(self, g):
-        # residual error bits must not depend on which branches the rng takes
+    def test_outcome_independent(self, g, monkeypatch):
+        # the rebuild runs on the all-+1 branch only; random outcome rows
+        # for every merge and splice must compile to the same check matrix
+        # and verdicts, and must kill no column
         edges = sorted(g.edges())
-        combos = list(itertools.product(range(4), repeat=len(edges)))[:40]
-        for combo in combos:
-            classes = dict(zip(edges, combo))
-            votes = {_rebuild(g, classes, derive_rng(s, "vote")).ideal for s in range(5)}
-            assert len(votes) == 1
+        combos = [dict(zip(edges, c)) for c in itertools.product(range(4), repeat=len(edges))][:40]
+        want = [_rebuild(g, classes) for classes in combos]
+        real_merge, real_splice = protocol.merge_local, protocol.apply_cz_via_pair
+        for s in range(5):
+            draw = derive_rng(s, "vote")
+
+            def merge(batch, party, outcome_rows):
+                rows = tuple(draw.getrandbits(batch.alive.bit_length()) for _ in outcome_rows)
+                return real_merge(batch, party, rows)
+
+            def splice(batch, u, v, pair_u, pair_v, outcome_rows):
+                rows = tuple(draw.getrandbits(batch.alive.bit_length()) for _ in outcome_rows)
+                return real_splice(batch, u, v, pair_u, pair_v, rows)
+
+            monkeypatch.setattr(protocol, "merge_local", merge)
+            monkeypatch.setattr(protocol, "apply_cz_via_pair", splice)
+            assert [_rebuild(g, classes) for classes in combos] == want
 
     @pytest.mark.parametrize(
         "g", [path_graph(3), cycle_graph(3), star_graph(4), cycle_graph(4),
@@ -296,9 +310,8 @@ class TestCompiledParityChecks:
         compiled = _compile(g)
         edges = sorted(g.edges())
         assert len(compiled.class_masks) == len(edges)
-        rng = derive_rng(5, "engine")
         for combo in itertools.product(range(4), repeat=len(edges)):
-            engine = _rebuild(g, dict(zip(edges, combo)), rng)
+            engine = _rebuild(g, dict(zip(edges, combo)))
             assert engine.ideal == _residual_is_zero(compiled, combo), combo
 
     @pytest.mark.parametrize("family", ["icosahedron", "grid:4x4", "complete:6"])
@@ -307,12 +320,11 @@ class TestCompiledParityChecks:
         compiled = _compile(g)
         edges = sorted(g.edges())
         pick = random.Random(f"low-weight/{family}")
-        rng = derive_rng(6, "engine")
         for _ in range(300):
             combo = [0] * len(edges)
             for k in pick.sample(range(len(edges)), pick.randint(1, 3)):
                 combo[k] = pick.randint(1, 3)
-            engine = _rebuild(g, dict(zip(edges, combo)), rng)
+            engine = _rebuild(g, dict(zip(edges, combo)))
             assert engine.ideal == _residual_is_zero(compiled, combo), combo
 
     def test_too_many_edges_names_the_edge_count(self):
@@ -332,12 +344,10 @@ if __debug__:
     sys.exit("asserts are live; run this under python -O")
 real = protocol.merge_local
 
-def dropping_an_edge(batch, party, rng=None, outcome_rows=None):
-    res = real(batch, party, rng, outcome_rows)
-    g = res.batch.graph
-    u, v = g.edges()[0]
-    broken = dataclasses.replace(res.batch, graph=g.toggle_edge(u, v))
-    return dataclasses.replace(res, batch=broken)
+def dropping_an_edge(batch, party, outcome_rows):
+    out, pivots = real(batch, party, outcome_rows)
+    u, v = out.graph.edges()[0]
+    return dataclasses.replace(out, graph=out.graph.toggle_edge(u, v)), pivots
 
 protocol.merge_local = dropping_an_edge
 try:
@@ -347,6 +357,41 @@ except InvariantError as exc:
     sys.exit(0)
 sys.exit("run_drpp accepted a corrupted rebuild")
 """
+
+# a splice that kills its batch's last column, as an impossible outcome would
+_KILLING_SPLICE = """
+import dataclasses, sys
+import graphpurify.protocol as protocol
+from graphpurify.errors import InvariantError
+from graphpurify.graphs import cycle_graph
+
+if __debug__:
+    sys.exit("asserts are live; run this under python -O")
+real = protocol.apply_cz_via_pair
+
+def killing(batch, u, v, pair_u, pair_v, outcome_rows):
+    out = real(batch, u, v, pair_u, pair_v, outcome_rows)
+    return dataclasses.replace(out, alive=out.alive >> 1)
+
+protocol.apply_cz_via_pair = killing
+try:
+    protocol._compile(cycle_graph(3))
+except InvariantError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("_compile accepted a rebuild that dropped a column")
+"""
+
+
+def _run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a child interpreter under python -O."""
+    src = os.path.dirname(os.path.dirname(graphpurify.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
 
 
 class TestCompileMemo:
@@ -360,12 +405,10 @@ class TestCompileMemo:
         # a failed compile is never cached, so every call re-runs the checks
         real = protocol.merge_local
 
-        def dropping_an_edge(batch, party, rng=None, outcome_rows=None):
-            res = real(batch, party, rng, outcome_rows)
-            g = res.batch.graph
-            u, v = g.edges()[0]
-            broken = dataclasses.replace(res.batch, graph=g.toggle_edge(u, v))
-            return dataclasses.replace(res, batch=broken)
+        def dropping_an_edge(batch, party, outcome_rows):
+            out, pivots = real(batch, party, outcome_rows)
+            u, v = out.graph.edges()[0]
+            return dataclasses.replace(out, graph=out.graph.toggle_edge(u, v)), pivots
 
         _compile.cache_clear()
         monkeypatch.setattr(protocol, "merge_local", dropping_an_edge)
@@ -374,19 +417,34 @@ class TestCompileMemo:
                 run_drpp(path_graph(3), 0.1, shots=10, seed=0)
 
 
+    def test_a_dropped_column_raises(self, monkeypatch):
+        # the rebuild runs on the all-+1 branch only; a column that branch
+        # kills would leave meaningless rows in M, so the compile refuses it
+        real = protocol.apply_cz_via_pair
+
+        def killing(batch, u, v, pair_u, pair_v, outcome_rows):
+            out = real(batch, u, v, pair_u, pair_v, outcome_rows)
+            return dataclasses.replace(out, alive=out.alive >> 1)
+
+        _compile.cache_clear()
+        monkeypatch.setattr(protocol, "apply_cz_via_pair", killing)
+        with pytest.raises(InvariantError, match="dropped a column"):
+            _compile(cycle_graph(3))
+
+
 def test_rebuild_invariants_survive_optimized_mode():
     # -O strips asserts from test modules too, so running the suite under -O
     # would prove nothing; a child interpreter runs under -O instead, where
     # only the package's own checks can catch the corrupted rebuild
-    src = os.path.dirname(os.path.dirname(graphpurify.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPT_REBUILD],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
+    proc = _run_optimized(_CORRUPT_REBUILD)
     assert proc.returncode == 0, proc.stderr
     assert "rebuilt graph differs from the target" in proc.stdout
+
+
+def test_dropped_column_check_survives_optimized_mode():
+    proc = _run_optimized(_KILLING_SPLICE)
+    assert proc.returncode == 0, proc.stderr
+    assert "dropped a column" in proc.stdout
 
 
 class TestRunDrpp:
@@ -431,7 +489,6 @@ class TestRunDrpp:
         probs = distill_trace(from_z_noise(p), target).final.probs
         res = run_drpp(g, p, shots=shots, pair_target_fidelity=target, seed=seed)
         edges = sorted(g.edges())
-        engine_rng = derive_rng(0, "replay")
         hits = 0
         for chunk, count in enumerate((CHUNK_SHOTS, shots - CHUNK_SHOTS)):
             draw = derive_rng(seed, "drpp", chunk)
@@ -445,7 +502,7 @@ class TestRunDrpp:
                             cls = c
                             break
                     classes[e] = cls
-                hits += _rebuild(g, classes, engine_rng).ideal
+                hits += _rebuild(g, classes).ideal
         assert 0 < hits < shots
         assert res.ideal_shots == hits
 

@@ -41,9 +41,10 @@ def _gate_by_gate(g: Graph, side_a, p: float) -> np.ndarray:
     probe_graph = Graph.from_edges(n_tot, list(plan.copy_slots))
     for i, (kappa, extra) in enumerate(plan.merges):
         clean = FrameBatch.of_columns(probe_graph, [(0, 0)])
-        probes = [merge_local(clean, [kappa, extra], outcome_rows=(b,)) for b in (0, 1)]
-        assert [pr.batch.alive for pr in probes] == [1, 1]
-        pivot = probes[0].pivots[0]
+        runs = [merge_local(clean, [kappa, extra], outcome_rows=(b,)) for b in (0, 1)]
+        probes = [batch for batch, _ in runs]
+        assert [pr.alive for pr in probes] == [1, 1]
+        (pivot,) = runs[0][1]
         # extras fold from the top down, so every slot is its own dense row
         assert extra == n_tot - 1 - i
         rho = dense.apply_unitary_rho(rho, CZ, (kappa, extra))
@@ -51,12 +52,12 @@ def _gate_by_gate(g: Graph, side_a, p: float) -> np.ndarray:
         for b in (0, 1):
             br = dense.project_rho(rho, "X", extra, b)
             br = dense.apply_unitary_rho(br, dense.H, (pivot,))
-            for q, frame in enumerate(probes[b].batch.frame_rows):
+            for q, frame in enumerate(probes[b].frame_rows):
                 if frame:
                     br = dense.apply_unitary_rho(br, dense.Z, (q,))
             acc = acc + br
         rho = dense.partial_trace(acc, [q for q in range(n_tot - i) if q != extra])
-        probe_graph = probes[0].batch.graph
+        probe_graph = probes[0].graph
     for u, v in plan.internal_edges:
         rho = dense.apply_unitary_rho(rho, CZ, (u, v))
     return rho

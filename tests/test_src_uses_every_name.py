@@ -45,38 +45,56 @@ def _definitions(trees):
                         yield f"graphs.Graph.{meth.name}", meth.name, meth
 
 
-def _referenced(name, own_def, trees) -> bool:
-    """Does any node outside ``own_def`` name ``name``?  Strings (``__all__``
-    entries, docstrings) do not count."""
+def _reference_name(node):
+    """The name a node refers to, or None.  Strings (``__all__`` entries,
+    docstrings) do not count."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def _used(trees) -> dict[str, bool]:
+    """Qualified name -> is it named by some node outside its own definition?
+
+    One walk over every tree: each node carries the definitions it sits
+    inside, and a reference marks every definition of its name that does
+    not enclose it.  A name defined twice counts as used only when both are.
+    """
+    defs = list(_definitions(trees))
+    by_name = {}
+    for i, (_, name, node) in enumerate(defs):
+        by_name.setdefault(name, []).append((i, node))
+    def_nodes = {id(node) for _, _, node in defs}
+    seen = set()
     for tree in trees.values():
-        stack = [tree]
+        stack = [(tree, frozenset())]
         while stack:
-            node = stack.pop()
-            if node is own_def:
-                continue
-            if isinstance(node, ast.Name) and node.id == name:
-                return True
-            if isinstance(node, ast.Attribute) and node.attr == name:
-                return True
-            if isinstance(node, ast.alias) and node.name == name:
-                return True
-            stack.extend(ast.iter_child_nodes(node))
-    return False
+            node, inside = stack.pop()
+            for i, own in by_name.get(_reference_name(node), ()):
+                if id(own) not in inside:
+                    seen.add(i)
+            if id(node) in def_nodes:
+                inside = inside | {id(node)}
+            stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+    found = {}
+    for i, (qual, _, _) in enumerate(defs):
+        found[qual] = found.get(qual, True) and i in seen
+    return found
 
 
 def test_every_definition_is_used_or_traced():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
-    unused = [
-        qual
-        for qual, name, node in _definitions(trees)
-        if qual not in TRACED and not _referenced(name, node, trees)
-    ]
+    unused = [qual for qual, used in _used(trees).items() if qual not in TRACED and not used]
     assert unused == [], f"defined in src/ but never used there: {unused}"
 
 
 def test_the_guard_sees_a_dead_function():
     trees = {"m": ast.parse("def live():\n    return 1\n\ndef dead():\n    return live()\n")}
-    found = {qual: _referenced(name, node, trees) for qual, name, node in _definitions(trees)}
+    found = _used(trees)
     assert found == {"m.live": True, "m.dead": False}
 
 
@@ -86,6 +104,6 @@ def test_the_guard_sees_a_dead_constant():
         "\ndef f():\n    return _SEEN\n"
     )
     trees = {"m": ast.parse(source)}
-    found = {qual: _referenced(name, node, trees) for qual, name, node in _definitions(trees)}
+    found = _used(trees)
     assert found == {"m.LIVE": True, "m.DEAD": False, "m._SEEN": True, "m._UNSEEN": False,
                      "m.f": False}

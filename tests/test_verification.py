@@ -82,13 +82,12 @@ class TestCheckGraph:
         # notice, otherwise it proves nothing
         real = verification.measure_z
 
-        def tampered(batch, v, rng=None, outcome_row=None):
-            res = real(batch, v, rng=rng, outcome_row=outcome_row)
-            out = res.batch
+        def tampered(batch, v, outcome_row):
+            out = real(batch, v, outcome_row)
             if not out.frame_rows:
-                return res
+                return out
             frame = (out.frame_rows[0] ^ out.alive,) + out.frame_rows[1:]
-            return dataclasses.replace(res, batch=dataclasses.replace(out, frame_rows=frame))
+            return dataclasses.replace(out, frame_rows=frame)
 
         monkeypatch.setattr(verification, "measure_z", tampered)
         failures = []
@@ -100,13 +99,12 @@ class TestCheckGraph:
         # make every merge claim an extra edge in its output graph
         real = verification.merge_local
 
-        def tampered(batch, party, rng=None, outcome_rows=None):
-            res = real(batch, party, rng=rng, outcome_rows=outcome_rows)
-            g = res.batch.graph
+        def tampered(batch, party, outcome_rows):
+            out, pivots = real(batch, party, outcome_rows)
+            g = out.graph
             if g.n < 2:
-                return res
-            wrong = dataclasses.replace(res.batch, graph=g.toggle_edge(0, 1))
-            return dataclasses.replace(res, batch=wrong)
+                return out, pivots
+            return dataclasses.replace(out, graph=g.toggle_edge(0, 1)), pivots
 
         monkeypatch.setattr(verification, "merge_local", tampered)
         _, bad = check_graph(Graph.from_edges(3, [(0, 1), (1, 2)]), failures=[])
@@ -132,10 +130,10 @@ def _drop_pivot_frame_spread(monkeypatch):
     # onto the measured qubit's other neighbours
     real = pattern._measure_x
 
-    def mutant(g, z, f, alive, m, kappa, rng, outcome_row):
+    def mutant(g, z, f, alive, m, kappa, outcome_row):
         f_before = list(f)
-        out = real(g, z, f, alive, m, kappa, rng, outcome_row)
-        pivot = out[3]
+        out = real(g, z, f, alive, m, kappa, outcome_row)
+        pivot = out[2]
         if pivot is not None:
             for x in range(g.n):
                 if x != pivot and g.adj[m] >> x & 1:
@@ -149,12 +147,11 @@ def _drop_far_half_frame(monkeypatch):
     # splice: the far half's frame row is no longer XORed onto endpoint u
     real = verification.apply_cz_via_pair
 
-    def mutant(batch, u, v, pair_u, pair_v, rng=None, outcome_rows=None):
-        res = real(batch, u, v, pair_u, pair_v, rng, outcome_rows)
-        frame = list(res.batch.frame_rows)
+    def mutant(batch, u, v, pair_u, pair_v, outcome_rows):
+        out = real(batch, u, v, pair_u, pair_v, outcome_rows)
+        frame = list(out.frame_rows)
         frame[u] ^= batch.frame_rows[pair_v]
-        wrong = dataclasses.replace(res.batch, frame_rows=tuple(frame))
-        return dataclasses.replace(res, batch=wrong)
+        return dataclasses.replace(out, frame_rows=tuple(frame))
 
     monkeypatch.setattr(verification, "apply_cz_via_pair", mutant)
 
@@ -183,17 +180,16 @@ def test_tamper_on_one_merge_branch_names_that_branch(monkeypatch):
     branches = list(itertools.product((+1, -1), repeat=len(party) - 1))
     real = verification.merge_local
 
-    def tampered(batch, party_qubits, rng=None, outcome_rows=None):
-        res = real(batch, party_qubits, rng=rng, outcome_rows=outcome_rows)
+    def tampered(batch, party_qubits, outcome_rows):
+        out, pivots = real(batch, party_qubits, outcome_rows)
         if tuple(party_qubits) != party:
-            return res
+            return out, pivots
         width = batch.alive.bit_length() // len(branches)
         bit = branches.index(hit) * width + col
-        assert res.batch.alive >> bit & 1
-        frame = list(res.batch.frame_rows)
+        assert out.alive >> bit & 1
+        frame = list(out.frame_rows)
         frame[party[0]] ^= 1 << bit
-        wrong = dataclasses.replace(res.batch, frame_rows=tuple(frame))
-        return dataclasses.replace(res, batch=wrong)
+        return dataclasses.replace(out, frame_rows=tuple(frame)), pivots
 
     monkeypatch.setattr(verification, "merge_local", tampered)
     failures = []
@@ -223,26 +219,26 @@ def test_failure_labels_read_as_the_eager_formats(monkeypatch):
         out = real_cz(batch, u, v)
         return _flip(out, 1, 5) if (batch.graph, u, v) == (path3, 0, 2) else out
 
-    def mz(batch, v, rng=None, outcome_row=None):
-        res = real_mz(batch, v, rng=rng, outcome_row=outcome_row)
+    def mz(batch, v, outcome_row):
+        out = real_mz(batch, v, outcome_row)
         if (batch.graph, v) != (path3, 1):
-            return res
+            return out
         width = batch.alive.bit_length() // 2
-        return dataclasses.replace(res, batch=_flip(res.batch, 0, width + 3))  # branch -1
+        return _flip(out, 0, width + 3)  # branch -1
 
-    def merge(batch, party, rng=None, outcome_rows=None):
-        res = real_merge(batch, party, rng=rng, outcome_rows=outcome_rows)
+    def merge(batch, party, outcome_rows):
+        out, pivots = real_merge(batch, party, outcome_rows)
         if (batch.graph, tuple(party)) != (path3, (0, 2)):
-            return res
+            return out, pivots
         width = batch.alive.bit_length() // 2
-        return dataclasses.replace(res, batch=_flip(res.batch, 0, width + 4))  # branch (-1,)
+        return _flip(out, 0, width + 4), pivots  # branch (-1,)
 
-    def splice(batch, u, v, pair_u, pair_v, rng=None, outcome_rows=None):
-        res = real_splice(batch, u, v, pair_u, pair_v, rng, outcome_rows)
+    def splice(batch, u, v, pair_u, pair_v, outcome_rows):
+        out = real_splice(batch, u, v, pair_u, pair_v, outcome_rows)
         if (batch.graph, u, v) != (joint, 1, 0):
-            return res
+            return out
         width = batch.alive.bit_length() // 4
-        return dataclasses.replace(res, batch=_flip(res.batch, u, width + 6))  # branch (+1, -1)
+        return _flip(out, u, width + 6)  # branch (+1, -1)
 
     for name, fake in (("apply_cz", cz), ("measure_z", mz),
                        ("merge_local", merge), ("apply_cz_via_pair", splice)):
@@ -278,9 +274,9 @@ def test_the_engine_runs_once_per_merge_party(monkeypatch):
     real = verification.merge_local
     seen = []
 
-    def counting(batch, party_qubits, rng=None, outcome_rows=None):
+    def counting(batch, party_qubits, outcome_rows):
         seen.append(tuple(party_qubits))
-        return real(batch, party_qubits, rng=rng, outcome_rows=outcome_rows)
+        return real(batch, party_qubits, outcome_rows)
 
     monkeypatch.setattr(verification, "merge_local", counting)
     check_graph(g)
@@ -317,12 +313,12 @@ def test_tamper_on_the_last_z_measurement_names_that_site(monkeypatch):
     g = cycle_graph(4)
     real = verification.measure_z
 
-    def tampered(batch, v, rng=None, outcome_row=None):
-        res = real(batch, v, rng=rng, outcome_row=outcome_row)
+    def tampered(batch, v, outcome_row):
+        out = real(batch, v, outcome_row)
         if v != 3:
-            return res
+            return out
         width = batch.alive.bit_length() // 2
-        return dataclasses.replace(res, batch=_flip(res.batch, 0, width + 7))  # branch -1
+        return _flip(out, 0, width + 7)  # branch -1
 
     monkeypatch.setattr(verification, "measure_z", tampered)
     failures = []
@@ -338,13 +334,13 @@ def test_tamper_on_the_last_party_of_a_size_names_that_party(monkeypatch):
     branches = list(itertools.product((+1, -1), repeat=2))
     real = verification.merge_local
 
-    def tampered(batch, party_qubits, rng=None, outcome_rows=None):
-        res = real(batch, party_qubits, rng=rng, outcome_rows=outcome_rows)
+    def tampered(batch, party_qubits, outcome_rows):
+        out, pivots = real(batch, party_qubits, outcome_rows)
         if tuple(party_qubits) != party:
-            return res
+            return out, pivots
         width = batch.alive.bit_length() // len(branches)
         bit = branches.index(hit) * width + col
-        return dataclasses.replace(res, batch=_flip(res.batch, party[0], bit))
+        return _flip(out, party[0], bit), pivots
 
     monkeypatch.setattr(verification, "merge_local", tampered)
     failures = []
@@ -357,12 +353,12 @@ def test_tamper_on_the_last_splice_pair_names_that_pair(monkeypatch):
     g = cycle_graph(4)
     real = verification.apply_cz_via_pair
 
-    def tampered(batch, u, v, pair_u, pair_v, rng=None, outcome_rows=None):
-        res = real(batch, u, v, pair_u, pair_v, rng, outcome_rows)
+    def tampered(batch, u, v, pair_u, pair_v, outcome_rows):
+        out = real(batch, u, v, pair_u, pair_v, outcome_rows)
         if (u, v) != (3, 2):
-            return res
+            return out
         width = batch.alive.bit_length() // 4
-        return dataclasses.replace(res, batch=_flip(res.batch, u, 3 * width + 9))  # (-1, -1)
+        return _flip(out, u, 3 * width + 9)  # (-1, -1)
 
     monkeypatch.setattr(verification, "apply_cz_via_pair", tampered)
     failures = []
@@ -390,7 +386,7 @@ def _per_site_sweep(max_n, failures):
             (minus,) = V._branch_rows(1, width)
             for v in range(n):
                 dense = np.concatenate(V._split(base, n, v), axis=2).reshape(1 << (n - 1), 2 * width)
-                out = V.measure_z(V._tile(batch, 2, width), v, outcome_row=minus).batch
+                out = V.measure_z(V._tile(batch, 2, width), v, outcome_row=minus)
                 bad += V._compare(
                     dense, [out], [1 << v], (+1, -1), lambda o: f"{gname} mz({v},{o:+d})", failures
                 )
@@ -398,12 +394,12 @@ def _per_site_sweep(max_n, failures):
                 k = size - 1
                 outcomes = list(itertools.product((+1, -1), repeat=k))
                 for party in itertools.permutations(range(n), size):
-                    run = V.merge_local(
+                    out, pivots = V.merge_local(
                         V._tile(batch, 1 << k, width), list(party),
                         outcome_rows=V._branch_rows(k, width),
                     )
                     bad += V._compare(
-                        V._replay_merge(base, n, party, run.pivots, width), [run.batch],
+                        V._replay_merge(base, n, party, pivots, width), [out],
                         [sum(1 << m for m in party[1:])], outcomes,
                         lambda o: f"{gname} merge{party} outcomes={o}", failures,
                     )
@@ -418,7 +414,7 @@ def _per_site_sweep(max_n, failures):
                 dense = V._x_branches(V._x_branches(dense, n + 2, n, width), n + 1, n, width)
                 out = V.apply_cz_via_pair(
                     V._tile(batch, 4, width), u, v, n, n + 1, outcome_rows=V._branch_rows(2, width)
-                ).batch
+                )
                 bad += V._compare(
                     dense, [out], [0b11 << n], outcomes,
                     lambda o: f"splice base n={n} adj={g.adj} u={u} v={v} outcomes=({o[0]:+d},{o[1]:+d})",
@@ -449,7 +445,7 @@ def _operator_cases(g, parties):
     k = len(parties[0]) - 1
     tiled = verification._tile(batch, 1 << k, width)
     rows = verification._branch_rows(k, width)
-    pivots = [verification.merge_local(tiled, list(p), outcome_rows=rows).pivots for p in parties]
+    pivots = [verification.merge_local(tiled, list(p), outcome_rows=rows)[1] for p in parties]
     return g.n, parties, pivots, base
 
 
