@@ -221,7 +221,9 @@ def parse_family(family: str) -> Graph:
         if name == "cycle":
             return cycle_graph(int(arg))
         if name in ("star", "ghz"):
-            return star_graph(int(arg))
+            n = int(arg)
+            _need(n >= 2, f"{name} needs >= 2 vertices")
+            return star_graph(n)
         if name == "complete":
             return complete_graph(int(arg))
         if name == "grid":

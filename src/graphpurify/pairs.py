@@ -39,6 +39,9 @@ __all__ = [
 _SUM_TOL = 1e-12
 # recurrence rounds tried before a trace gives up on its target
 _MAX_ROUNDS = 64
+# a round scales a rate candidate by at most half, up to rounding: n <=
+# (1 + _SUM_TOL)^2 and a hashing yield <= 1 + 1e-15 in floats
+_NEXT_ROUND_BOUND = 0.5 * (1.0 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -182,16 +185,19 @@ def composite_r2(bd: BellDiagonal) -> float:
 
     A lower bound on the true distillable rate.  Exactly 0 when no class
     exceeds 1/2, since the quadratic map cannot cross that boundary.  Round
-    k's candidate is survival_k times a hashing yield of at most 1, and
-    survival never grows, so once survival is at most the best candidate no
-    later round can beat it; the chain also stops at a fixed point.
+    k's candidate is survival_k times a hashing yield of at most 1, and each
+    round multiplies survival by n/2 <= 1/2, so every candidate after round
+    k is at most survival_k / 2.  Once that is at most the best candidate,
+    no later round can beat it, and the chain stops.  The bound carries a
+    relative slack of 1e-9 for rounding: n <= (1 + 1e-12)^2 and a yield <=
+    1 + 1e-15 in floats.  The chain also stops at a fixed point.
     """
     cur = bd.probs
     if max(cur) <= 0.5:
         return 0.0
     best = _hashing_yield(cur)
     survival = 1.0
-    while survival > best:
+    while survival * _NEXT_ROUND_BOUND > best:
         nxt, n, _ = _round(cur)
         survival *= n / 2.0
         stuck = _stuck(nxt, cur)

@@ -28,21 +28,28 @@ measured qubits, form a group: all CZ pairs of a graph, all its Z
 measurements, all its merge parties of one size, or all ordered endpoint
 pairs of one splice base.  The engine still runs once per site, but the
 group's dense panels sit side by side and the rows of site i are shifted by
-i times its column count, so one un-slicing and one exact comparison check
-every column of the group; each site keeps its own measured mask.
+i times its column count, so one exact comparison checks every column of the
+group; each site keeps its own measured mask.
 
 The engine keeps a measured qubit at its index as an isolated, error-free
 |+>, while the panel drops it.  So a panel row is found from a qubit label by
-skipping the measured labels below it, and the engine's claimed panel is
-built on its full-width post-graph and restricted to the basis rows where
-every measured qubit reads 0, which map onto the panel's rows in order.  A
-column whose measured qubits are not isolated or carry a nonzero error or
-frame bit counts as a mismatch.  Every surviving column must agree with its
-claimed one up to a scalar — checked by exact integer cross-multiplication,
-not to a float tolerance (a claimed column is +1 on basis state 0, so the
-scalar is the dense column's first entry).  A claimed-impossible branch (the
-batch drops the column from ``alive``) must correspond to an exactly zero
-column, and vice versa.
+skipping the measured labels below it, and panel row r is the engine's basis
+row where every measured qubit reads 0 and the others read r's bits in
+order.  A column whose measured qubits are not isolated or carry a nonzero
+error or frame bit counts as a mismatch.  The engine claims each column up
+to a scalar: the +-1 vector that is (-1)^popcount(r & pattern) times the
+post-graph's CZ sign on row r, +1 on row 0.  The comparison never builds it.
+It stays in the bit-sliced layout: the claimed sign bits of panel row r for
+every column of a group are one int, the XOR of the pattern rows of r's
+qubits (one XOR per qubit serves every column) and of the column block of
+each batch whose CZ sign is -1 on row r.  ``np.packbits`` turns the dense
+panel into bitmasks of the same layout: each row's sign bits, the nonzero
+columns, and the columns whose every entry has row 0's magnitude.  A
+surviving column must be nonzero, have one magnitude and, on every row,
+row 0's sign times the claimed one.  That is the exact integer test
+dense == claimed * dense[0], with no float tolerance.  A claimed-impossible
+branch (the batch drops the column from ``alive``) must correspond to an
+exactly zero column, and vice versa.
 
 Entries stay bounded by 2^(number of projections and Hadamards), far inside
 int64.  The merge matmul runs in float64 (an int64 matmul gets no BLAS): each
@@ -70,10 +77,12 @@ from .pattern import FrameBatch, apply_cz, apply_cz_via_pair, measure_z, merge_l
 __all__ = ["SweepReport", "run_oracle_sweep", "check_graph"]
 
 _MAX_FAILURES_KEPT = 25
-# constant memo bounds: CZ diagonals per post-graph (about 1 KB each on the
-# sweep's <= 6 qubits; 1024 keep most of the 5-vertex sweep's post-graphs),
-# and sign and row vectors per (n, qubits)
+# constant memo bounds: CZ diagonals per graph (about 1 KB each on the
+# sweep's <= 6 qubits), the -1 rows of a post-graph's CZ diagonal per
+# measured mask (at most 32 row numbers each; the 5-vertex sweep has 1,598
+# such keys), and sign vectors, outcome rows and pattern layouts per size
 _DIAGONAL_CACHE_SIZE = 1024
+_MINUS_CACHE_SIZE = 2048
 _SMALL_CACHE_SIZE = 256
 # merge operators per (n, party, pivots): at most 64 x 64 entries each on the
 # sweep's <= 6 qubits, one byte apiece for parties of <= 4 vertices; the
@@ -89,7 +98,6 @@ _PARITY = np.zeros(1 << 16, dtype=np.int64)
 for _b in range(16):
     _PARITY[1 << _b : 2 << _b] = _PARITY[: 1 << _b] ^ 1
 _SIGN = 1 - 2 * _PARITY
-_BIT_WEIGHTS = np.left_shift(1, np.arange(63, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -152,22 +160,15 @@ def _tile(batch: FrameBatch, copies: int, width: int) -> FrameBatch:
     )
 
 
-@lru_cache(maxsize=_SMALL_CACHE_SIZE)
-def _kept_rows(n: int, measured: int) -> np.ndarray:
-    """Basis rows on n qubits where every qubit in the mask ``measured`` reads 0.
+@lru_cache(maxsize=_MINUS_CACHE_SIZE)
+def _minus_rows(g: Graph, measured: int) -> tuple[int, ...]:
+    """Panel rows where the CZ sign of g is -1, the qubits in the mask ``measured`` gone.
 
-    In increasing order they are the rows of the panel without those qubits.
+    The panel's rows are, in increasing order, g's basis rows where every
+    measured qubit reads 0.
     """
-    rows = np.flatnonzero((np.arange(1 << n) & measured) == 0)
-    rows.flags.writeable = False
-    return rows
-
-
-def _pattern_panel(g: Graph, physical: list[int]) -> np.ndarray:
-    """Columns of unnormalized Z^g |psi_G> vectors, one per pattern."""
-    rows = np.arange(1 << g.n, dtype=np.int64)
-    pats = np.asarray(physical, dtype=np.int64)
-    return _diagonal(g)[:, None] * _SIGN[rows[:, None] & pats[None, :]]
+    kept = np.flatnonzero((np.arange(1 << g.n) & measured) == 0)
+    return tuple(np.flatnonzero(_diagonal(g)[kept] < 0).tolist())
 
 
 def _cz_rows(panel: np.ndarray, n: int, u: int, v: int) -> np.ndarray:
@@ -203,15 +204,6 @@ def _h_rows(panel: np.ndarray, n: int, v: int) -> np.ndarray:
     return out.reshape(panel.shape)
 
 
-def _columns(rows, width: int) -> np.ndarray:
-    """Un-slice: entry c has bit q set when bit c of rows[q] is set."""
-    rows = list(rows)
-    nbytes = (width + 7) // 8
-    raw = np.frombuffer(b"".join(row.to_bytes(nbytes, "little") for row in rows), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(rows), nbytes), axis=1, count=width, bitorder="little")
-    return _BIT_WEIGHTS[: len(rows)] @ bits
-
-
 def _row(q: int, measured: int) -> int:
     """Panel row of qubit q once the qubits in the mask ``measured`` are gone."""
     return q - (measured & ((1 << q) - 1)).bit_count()
@@ -233,69 +225,102 @@ def _compare(
     of those columns in order, one per site (tiled over its branches) or one
     per branch.  Batch i's share of ``dense`` lacks the qubits in the mask
     ``measured[i]``, which the engine must have left isolated with zero rows;
-    the batch keeps them, so its claimed panel is read on the rows where they
-    all read 0.  Every mask has the same popcount, so every share has the
-    same height.  Descriptions follow branch order, then column order.
+    the batch keeps them, so its claim is read on the rows where they all
+    read 0.  Every mask has the same popcount, so every share has the same
+    height.  The check runs on bit-sliced ints, bit c for column c of the
+    group.  Descriptions follow branch order, then column order.
     """
     n = outs[0].graph.n
-    span = dense.shape[1] // len(outs)
-    # per qubit its physical pattern, then alive, then stray (a measured qubit
-    # left bonded or with a nonzero bit); batch i starts at bit i*span
-    rows = [0] * (n + 2)
+    height, total = dense.shape
+    span = total // len(outs)
+    block = (1 << span) - 1
+    # per panel qubit (the j-th unmeasured qubit of every batch) its physical
+    # pattern, then alive, stray (a measured qubit left bonded or with a
+    # nonzero bit) and the claimed CZ sign bits per panel row; batch i starts
+    # at bit i*span
+    pattern = [0] * (n - measured[0].bit_count())
+    alive = stray = 0
+    minus = [0] * height
     for i, (out, gone) in enumerate(zip(outs, measured)):
+        shift = i * span
+        z, f = out.z_rows, out.frame_rows
         loose = 0
-        for q in _bits(gone):
-            loose |= (out.alive if out.graph.adj[q] else 0) | out.z_rows[q] | out.frame_rows[q]
-        share = [z ^ f for z, f in zip(out.z_rows, out.frame_rows)] + [out.alive, loose]
-        if max(share) >> span:
+        top = out.alive
+        j = 0
+        for q in range(n):
+            if gone >> q & 1:
+                loose |= (out.alive if out.graph.adj[q] else 0) | z[q] | f[q]
+            else:
+                row = z[q] ^ f[q]
+                top |= row
+                pattern[j] |= row << shift
+                j += 1
+        if (top | loose) >> span:
             site = name(branches[i * len(branches) // len(outs)])
             raise InvariantError(f"{site}: engine rows carry bits past column {span - 1}")
-        for q, row in enumerate(share):
-            rows[q] |= row << i * span
-    cols = _columns(rows, dense.shape[1])
-    alive = cols & (1 << n) != 0
-    stray = cols & (2 << n) != 0
+        alive |= out.alive << shift
+        stray |= loose << shift
+        cols = block << shift
+        for r in _minus_rows(out.graph, gone):
+            minus[r] ^= cols
+    # the pattern part of the claimed sign bits of panel row r: the XOR of the
+    # patterns of r's qubits (row r drops its lowest qubit to reach a row
+    # already built); minus[r] holds the CZ part
+    claimed = [0] * height
+    for r in range(1, height):
+        low = r & -r
+        claimed[r] = claimed[r ^ low] ^ pattern[low.bit_length() - 1]
 
-    # kept[r, i] is row r of batch i's share; diagonals and signs of every
-    # batch are gathered by one fancy index each
-    kept = np.stack([_kept_rows(n, gone) for gone in measured], axis=1)
-    diag = np.stack([_diagonal(out.graph) for out in outs])[np.arange(len(outs)), kept]
-    signs = _SIGN[kept[:, :, None] & cols.reshape(len(outs), span)]
-    claimed = (signs * diag[:, :, None]).reshape(dense.shape)
-    # cross-multiplication with claimed[0] = 1 (basis state 0 has no sign):
-    # a column is proportional to its claimed one iff it is dense[0] times it
-    nonzero = dense.any(axis=0)
-    same = np.all(dense == claimed * dense[:1], axis=0)
-    refused = ~alive & nonzero
-    wrong = alive & ~(same & nonzero & ~stray)
-    bad = int(np.count_nonzero(refused) + np.count_nonzero(wrong))
+    # a column is proportional to its claimed one (+1 on row 0, which has no
+    # sign) iff it is nonzero, every entry has row 0's magnitude, and every
+    # row's sign relative to row 0 is the claimed one
+    mag = np.abs(dense)
+    bits = np.empty((height + 2, total), dtype=bool)
+    np.less(dense, 0, out=bits[:height])
+    np.any(mag, axis=0, out=bits[height])
+    np.all(mag == mag[:1], axis=0, out=bits[height + 1])
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    *negative, nonzero, level = (int.from_bytes(row.tobytes(), "little") for row in packed)
+    off = 0
+    for r in range(1, height):
+        off |= negative[r] ^ negative[0] ^ claimed[r] ^ minus[r]
+    refused = nonzero & ~alive
+    wrong = alive & ~(nonzero & level & ~off & ~stray)
+    bad = refused.bit_count() + wrong.bit_count()
     if bad:
         labels = [name(branch) for branch in branches]
-        width = dense.shape[1] // len(labels)
+        width = total // len(labels)
         kinds = ((refused, "engine refused a possible branch"), (wrong, "state mismatch"))
         notes = (
             f"{label} col={c}: {what}"
             for b, label in enumerate(labels)
             for mask, what in kinds
-            for c in np.flatnonzero(mask[b * width : (b + 1) * width])
+            for c in _bits(mask >> b * width & (1 << width) - 1)
         )
         failures.extend(itertools.islice(notes, max(0, _MAX_FAILURES_KEPT - len(failures))))
     return bad
 
 
-def _pattern_columns(n: int, full_variants: bool) -> list[tuple[int, int]]:
+@lru_cache(maxsize=_SMALL_CACHE_SIZE)
+def _pattern_layout(n: int, full_variants: bool) -> tuple[FrameBatch, np.ndarray]:
+    """The graph-independent part of ``_column_batch``: the column batch on the
+    empty graph, and the signs (-1)^popcount(x & (e XOR f)) of basis row x in
+    the column of pattern (e, f)."""
     all_masks = range(1 << n)
     cols = [(e, 0) for e in all_masks]
     cols += [(0, f) for f in all_masks if f]
     if full_variants:
         cols += [(e, e) for e in all_masks if e]
-    return cols
+    pats = np.array([e ^ f for e, f in cols], dtype=np.int64)
+    signs = _SIGN[np.arange(1 << n, dtype=np.int64)[:, None] & pats[None, :]]
+    signs.flags.writeable = False
+    return FrameBatch.of_columns(Graph.from_edges(n, []), cols), signs
 
 
 def _column_batch(g: Graph, full_variants: bool) -> tuple[FrameBatch, np.ndarray]:
     """The engine's batch and the dense panel, one column per pattern."""
-    cols = _pattern_columns(g.n, full_variants)
-    return FrameBatch.of_columns(g, cols), _pattern_panel(g, [e ^ f for e, f in cols])
+    empty, signs = _pattern_layout(g.n, full_variants)
+    return FrameBatch(g, empty.z_rows, empty.frame_rows, empty.alive), _diagonal(g)[:, None] * signs
 
 
 def _check_vertices(n: int) -> None:

@@ -168,6 +168,15 @@ class TestSimulate:
             assert "at most 128 edges" in err
             assert "vertex count" not in err
 
+    @pytest.mark.parametrize("family", ["ghz", "star"])
+    def test_too_small_star_names_the_family_typed(self, capsys, family):
+        rc, out, err = run_cli(
+            capsys, "simulate", "--graph", f"{family}:1", "--p", "0.1", "--shots", "1"
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: bad graph family '{family}:1': {family} needs >= 2 vertices\n"
+
     @pytest.mark.parametrize("graph", ["grid:8x8", "complete:12"])
     def test_graphs_past_the_old_64_qubit_cap_run(self, capsys, graph):
         rc, out, _ = run_cli(

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphpurify
+from graphpurify.dense import cz_diagonal
 from graphpurify.errors import InvariantError, ParameterError
 from graphpurify.graphs import Graph, cycle_graph, path_graph
 from graphpurify.verification import check_graph, run_oracle_sweep
@@ -256,16 +257,100 @@ def test_failure_labels_read_as_the_eager_formats(monkeypatch):
     assert report.mismatches == 4
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(
-    st.integers(1, 400).flatmap(
-        lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=8))
-    )
-)
-def test_columns_equals_a_per_bit_loop(case):
-    width, rows = case
-    want = [sum((row >> c & 1) << q for q, row in enumerate(rows)) for c in range(width)]
-    assert verification._columns(rows, width).tolist() == want
+def _reference_compare(dense, outs, measured, branches, name, failures):
+    """``_compare`` the per-column way: un-slice each column's pattern bit by
+    bit, build its claimed +-1 column from the parity signs and the CZ
+    diagonal on the rows where the measured qubits read 0, and test
+    dense == claimed * dense[0] entry by entry."""
+    n = outs[0].graph.n
+    height, total = dense.shape
+    span = total // len(outs)
+    claimed = np.zeros_like(dense)
+    alive = np.zeros(total, dtype=bool)
+    stray = np.zeros(total, dtype=bool)
+    for i, (out, gone) in enumerate(zip(outs, measured)):
+        kept = [x for x in range(1 << n) if not x & gone]
+        diag = cz_diagonal(out.graph)
+        for c in range(span):
+            col = i * span + c
+            pat = sum(((out.z_rows[q] ^ out.frame_rows[q]) >> c & 1) << q for q in range(n))
+            alive[col] = out.alive >> c & 1
+            stray[col] = any(
+                (out.graph.adj[q] and alive[col]) or (out.z_rows[q] | out.frame_rows[q]) >> c & 1
+                for q in range(n) if gone >> q & 1
+            )
+            for r, x in enumerate(kept):
+                claimed[r, col] = diag[x] * (-1) ** bin(x & pat).count("1")
+    nonzero = dense.any(axis=0)
+    same = np.all(dense == claimed * dense[:1], axis=0)
+    refused = ~alive & nonzero
+    wrong = alive & ~(same & nonzero & ~stray)
+    labels = [name(branch) for branch in branches]
+    width = total // len(labels)
+    notes = [
+        f"{label} col={c}: {what}"
+        for b, label in enumerate(labels)
+        for mask, what in ((refused, "engine refused a possible branch"), (wrong, "state mismatch"))
+        for c in np.flatnonzero(mask[b * width : (b + 1) * width])
+    ]
+    failures.extend(notes[: max(0, verification._MAX_FAILURES_KEPT - len(failures))])
+    return int(np.count_nonzero(refused) + np.count_nonzero(wrong)), claimed
+
+
+@st.composite
+def _compare_groups(draw):
+    """A group of batches with equal measured popcounts, and a dense panel
+    made from their claimed columns: each scaled (0 gives an all-zero
+    column), then some entries flipped, rescaled or zeroed, and some columns
+    replaced by small random entries."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n - 1))
+    copies = draw(st.sampled_from([1, 2]))
+    width = draw(st.integers(1, 5))
+    span = copies * width
+    outs, measured = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        gone = sum(1 << q for q in draw(st.permutations(range(n)))[:k])
+        edges = [uv for uv in itertools.combinations(range(n), 2) if draw(st.booleans())]
+        if draw(st.booleans()):  # measured qubits isolated, as the engine leaves them
+            edges = [(u, v) for u, v in edges if not (gone >> u | gone >> v) & 1]
+        stray = draw(st.booleans())
+        rows = [
+            [draw(st.integers(0, (1 << span) - 1)) if stray or not gone >> q & 1 else 0 for q in range(n)]
+            for _ in range(2)
+        ]
+        alive = draw(st.sampled_from([(1 << span) - 1, draw(st.integers(0, (1 << span) - 1))]))
+        outs.append(pattern.FrameBatch(Graph.from_edges(n, edges), tuple(rows[0]), tuple(rows[1]), alive))
+        measured.append(gone)
+    branches = list(range(len(outs) * copies))
+    name = "site{}".format
+    total = len(outs) * span
+    _, dense = _reference_compare(np.zeros((1 << n - k, total), dtype=np.int64), outs, measured,
+                                  branches, name, [])
+    dense = dense * np.array(draw(st.lists(st.integers(-3, 3), min_size=total, max_size=total)))
+    cells = st.tuples(st.integers(0, (1 << n - k) - 1), st.integers(0, total - 1))
+    for kind, (r, c) in draw(st.lists(st.tuples(st.sampled_from("flip scale zero random".split()), cells),
+                                      max_size=4)):
+        if kind == "flip":
+            dense[r, c] = -dense[r, c]
+        elif kind == "scale":
+            dense[r, c] *= 2
+        elif kind == "zero":
+            dense[r, c] = 0
+        else:
+            dense[:, c] = draw(st.lists(st.integers(-2, 2), min_size=1 << n - k, max_size=1 << n - k))
+    return dense, outs, measured, branches, name
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_compare_groups(), st.integers(0, 30))
+def test_compare_equals_a_per_column_reference(case, earlier):
+    # ``earlier`` failures already kept exercise the cap on kept notes
+    dense, outs, measured, branches, name = case
+    got, want = ["earlier"] * earlier, ["earlier"] * earlier
+    bad = verification._compare(dense, outs, measured, branches, name, got)
+    assert bad == _reference_compare(dense, outs, measured, branches, name, want)[0]
+    assert got == want
 
 
 def test_the_engine_runs_once_per_merge_party(monkeypatch):
