@@ -1,8 +1,8 @@
 """Dense density-matrix simulation: the exact oracle for small systems.
 
 ``optimality`` runs it to build reconstruction candidates and their thermal
-targets, and ``verification`` reads graph-state signs from ``cz_diagonal``;
-nothing else in the package calls it.
+targets, and ``verification`` reads its signs from ``cz_diagonal`` and
+``cz_layer_diagonal``; nothing else in the package calls it.
 
 Conventions, fixed across the whole package:
 

@@ -69,7 +69,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dense import cz_diagonal
+from .dense import cz_diagonal, cz_layer_diagonal
 from .errors import InvariantError, ParameterError
 from .graphs import Graph, _bits
 from .pattern import FrameBatch, apply_cz, apply_cz_via_pair, measure_z, merge_local
@@ -92,12 +92,6 @@ _OPERATOR_CACHE_SIZE = 1024
 _FLOAT_EXACT = 1 << 53
 # vertices per graph the sweep and check_graph take
 _MAX_VERTICES = 6
-
-# sign of (-1)^popcount(x) for x < 2^16 — plenty for <= 8-qubit panels
-_PARITY = np.zeros(1 << 16, dtype=np.int64)
-for _b in range(16):
-    _PARITY[1 << _b : 2 << _b] = _PARITY[: 1 << _b] ^ 1
-_SIGN = 1 - 2 * _PARITY
 
 
 @dataclass(frozen=True)
@@ -123,8 +117,7 @@ def _diagonal(g: Graph) -> np.ndarray:
 
 @lru_cache(maxsize=_SMALL_CACHE_SIZE)
 def _cz_sign(n: int, u: int, v: int) -> np.ndarray:
-    rows = np.arange(1 << n, dtype=np.int64)
-    sign = 1 - 2 * ((rows >> u) & (rows >> v) & 1)
+    sign = cz_layer_diagonal(n, [(u, v)])
     sign.flags.writeable = False
     return sign
 
@@ -312,7 +305,11 @@ def _pattern_layout(n: int, full_variants: bool) -> tuple[FrameBatch, np.ndarray
     if full_variants:
         cols += [(e, e) for e in all_masks if e]
     pats = np.array([e ^ f for e, f in cols], dtype=np.int64)
-    signs = _SIGN[np.arange(1 << n, dtype=np.int64)[:, None] & pats[None, :]]
+    # fold the n bits of x & (e XOR f) onto bit 0: shifts 1, 2, 4, ... reach bit n-1
+    parity = np.arange(1 << n, dtype=np.int64)[:, None] & pats
+    for s in range(n.bit_length()):
+        parity ^= parity >> (1 << s)
+    signs = 1 - 2 * (parity & 1)
     signs.flags.writeable = False
     return FrameBatch.of_columns(Graph.from_edges(n, []), cols), signs
 

@@ -422,6 +422,18 @@ class TestCheckOptimality:
         assert "--tol" in err
         assert "threshold argument" not in out
 
+    @pytest.mark.parametrize("p", ["1e-12", "0.4999999999"])
+    def test_tolerance_at_the_fold_gap_is_a_usage_error(self, capsys, p):
+        # the fold gap p(1 - 2p) is below the default --tol at both ends, where
+        # a folded split would pass as exact and K3, which has no matching
+        # cut, would read as covered on every edge
+        rc, out, err = run_cli(
+            capsys, "check-optimality", "--graph", "cycle:3", "--p", p, "--json"
+        )
+        assert rc == 2
+        assert "--p" in err and "--tol" in err
+        assert out == ""
+
     def test_zero_tolerance_is_accepted(self, capsys):
         rc, out, _ = run_cli(
             capsys, "check-optimality", "--graph", "path:3", "--tol", "0", "--json"

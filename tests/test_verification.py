@@ -649,3 +649,35 @@ def test_float_exactness_bound_survives_optimized_mode():
     )
     assert proc.returncode == 0, proc.stderr
     assert "may exceed 16 in float64" in proc.stdout
+
+
+@pytest.mark.parametrize("full_variants", [False, True])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pattern_layout_signs_equal_a_per_entry_popcount(n, full_variants):
+    # column c's pattern e XOR f is read back from bit c of the batch's rows
+    batch, signs = verification._pattern_layout(n, full_variants)
+    width = (1 << n) * (3 if full_variants else 2) - (2 if full_variants else 1)
+    pats = [
+        sum(((z ^ f) >> c & 1) << q for q, (z, f) in enumerate(zip(batch.z_rows, batch.frame_rows)))
+        for c in range(width)
+    ]
+    assert batch.alive == (1 << width) - 1
+    assert signs.shape == (1 << n, width)
+    assert not signs.flags.writeable
+    expected = [[(-1) ** bin(x & pat).count("1") for pat in pats] for x in range(1 << n)]
+    assert signs.tolist() == expected
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cz_sign_is_minus_one_where_both_qubits_read_one(n):
+    for u, v in itertools.combinations(range(n), 2):
+        sign = verification._cz_sign(n, u, v)
+        assert not sign.flags.writeable
+        assert sign.tolist() == [-1 if x >> u & x >> v & 1 else 1 for x in range(1 << n)]
+
+
+def test_no_module_level_array_is_built_at_import():
+    # lookup tables belong in the memoised builders, not in every process
+    # that imports the oracle
+    arrays = [name for name, value in vars(verification).items() if isinstance(value, np.ndarray)]
+    assert arrays == []
