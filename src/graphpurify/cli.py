@@ -370,15 +370,6 @@ def cmd_verify_oracle(args) -> int:
 
 def cmd_check_optimality(args) -> int:
     g, _ = _load(args.graph)
-    # a vertex folding two pair halves flips at p + p(1 - 2p), so a --tol at or
-    # above that gap passes a folded split as exact (proof_applies rejects the
-    # p outside (0, 1/2) and the tol that is nan or inf)
-    gap = args.p * (1 - 2 * args.p)
-    if 0.0 < gap <= args.tol < float("inf"):
-        raise ParameterError(
-            f"--tol {args.tol} is at or above the fold gap p(1 - 2p) = {gap:.3g} at"
-            f" --p {args.p}, so a folded split would pass as exact; lower --tol"
-        )
     verdicts = optimality.proof_applies(g, p=args.p, tol=args.tol)
     cfg = RunConfig(command="check-optimality", graph=args.graph, p=args.p, tol=args.tol,
                     out=args.out, json_output=args.json)

@@ -30,8 +30,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise CapacityError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        _check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise ParameterError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -49,6 +48,10 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
+        """Graph on n vertices from an iterable of (u, v) pairs; n is checked
+        against ``MAX_VERTICES`` before anything is allocated or ``edges`` is
+        read, so a family may pass its edges lazily."""
+        _check_vertex_count(n)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -122,6 +125,12 @@ class Graph:
             forest.append(tree)
         return forest
 
+
+def _check_vertex_count(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise CapacityError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 def _make(n: int, adj: list[int]) -> Graph:
     """Construct bypassing validation (inputs already consistent)."""
     g = object.__new__(Graph)
@@ -142,23 +151,23 @@ def _bits(mask: int):
 
 def path_graph(n: int) -> Graph:
     _need(n >= 1, "path needs >= 1 vertex")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     _need(n >= 3, "cycle needs >= 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def star_graph(n: int) -> Graph:
     """Hub 0 joined to spokes 1..n-1 (n total vertices)."""
     _need(n >= 2, "star needs >= 2 vertices")
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+    return Graph.from_edges(n, ((0, i) for i in range(1, n)))
 
 
 def complete_graph(n: int) -> Graph:
     _need(n >= 1, "complete graph needs >= 1 vertex")
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def grid_graph(sides: list[int]) -> Graph:
@@ -246,7 +255,11 @@ def load_graph(source: str) -> Graph:
     """Resolve a CLI graph argument: a family name or a path to an edge-list file."""
     if os.path.exists(source):
         with open(source, encoding="utf-8") as fh:
-            return read_edge_list(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParameterError(f"edge-list file {source!r} is not UTF-8: {exc}") from None
+        return read_edge_list(text)
     return parse_family(source)
 
 

@@ -14,13 +14,14 @@ in by X-measurement (the same transfer step the rebuild engine uses), which
 XORs an independent noise bit per fold onto surviving qubits.  The fold only
 lands cleanly when the pivot half is still pristine, which forces a
 parents-first schedule and restricts the family to bipartitions whose
-cross-edge graph is a forest — anything else has no wiring here, and a
-negative verdict means exactly "nothing found in this family", not a proof
-of impossibility.
+cross-edge graph is a forest — anything else has no wiring here.
 
 Net effect: the candidate carries independent Z-flips with per-vertex
 probability (1 - (1-2p)^w)/2, width w = max(1, cross degree), so it matches
-the target state exactly iff every cross degree is at most one.
+the target state exactly iff every cross degree is at most one: the split is
+a matching cut (its cut edges share no vertex).  An edge's verdict is
+therefore a graph property, and a negative one means exactly "no matching
+cut separates its ends", not a proof of impossibility.
 
 The dense check builds the candidate in real arithmetic (every operator of
 the family is real), applies each layer of CZs as one +-1 diagonal product,
@@ -50,11 +51,6 @@ __all__ = [
 ]
 
 MAX_RECONSTRUCTION_QUBITS = 8
-# the float flip-vector distance differs from the exact one by rounding alone
-# (entries are products of at most 8 factors, summed over at most 256 terms),
-# far below this slack; a marginal gap rejects a split only past it, so the
-# screen never rejects a split that the float distance would accept
-_SCREEN_SLACK = 1e-12
 # the dense and analytic trace distances are one quantity computed two ways;
 # they must agree within this allowance or the build is wrong
 _AGREEMENT = 1e-9
@@ -141,6 +137,12 @@ def reconstruction_plan(g: Graph, side_a) -> Reconstruction | None:
     )
 
 
+def _cross_degrees(g: Graph, amask: int) -> list[int]:
+    """Neighbours of each vertex on the other side of the split given as the
+    bitset of side A."""
+    return [(nb & (~amask if amask >> v & 1 else amask)).bit_count() for v, nb in enumerate(g.adj)]
+
+
 def _flip_probs(g: Graph, amask: int, p: float) -> tuple[float, ...]:
     """Per-vertex flip probability of the canonical candidate for the side
     given as a vertex bitset.
@@ -151,11 +153,9 @@ def _flip_probs(g: Graph, amask: int, p: float) -> tuple[float, ...]:
     (0.09999999999999998 at p = 0.1) and would make an exact split miss at
     tol 0.
     """
-    probs = []
-    for v in range(g.n):
-        width = (g.adj[v] & (~amask if amask >> v & 1 else amask)).bit_count()
-        probs.append(p if width <= 1 else (1.0 - (1.0 - 2.0 * p) ** width) / 2.0)
-    return tuple(probs)
+    return tuple(
+        p if w <= 1 else (1.0 - (1.0 - 2.0 * p) ** w) / 2.0 for w in _cross_degrees(g, amask)
+    )
 
 
 def _check_p(p: float) -> None:
@@ -231,23 +231,6 @@ def _analytic_trace_distance(probs: tuple[float, ...], target: np.ndarray) -> fl
     return 0.5 * float(np.abs(_product_flip_vector(probs) - target).sum())
 
 
-def _screened_distance(
-    probs: tuple[float, ...], p: float, tol: float, target: np.ndarray
-) -> float | None:
-    """``_analytic_trace_distance(probs, target)`` when it is at most tol,
-    else None, trying the cheap bound first (``target`` is the flip vector of
-    ``(p,) * n``).
-
-    The total variation between two product distributions is at least every
-    per-vertex gap |q_v - p|, so one gap past tol (and the float slack)
-    rejects without building the candidate's vector.
-    """
-    if any(abs(q - p) > tol + _SCREEN_SLACK for q in probs):
-        return None
-    dist = _analytic_trace_distance(probs, target)
-    return dist if dist <= tol else None
-
-
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ParameterError(f"--tol must be finite and non-negative, got {tol!r}")
@@ -270,45 +253,41 @@ def verify_reconstruction(g: Graph, side_a, p: float, tol: float = 1e-9) -> Veri
     analytic = _analytic_trace_distance(
         _flip_probs(g, _side_mask(g, side_a), p), _product_flip_vector((p,) * g.n)
     )
-    return _verify(plan, p, analytic, tol)
+    if g.n + len(plan.merges) > dense.MAX_DENSE_QUBITS:
+        return VerifyResult(ok=analytic <= tol, trace_distance=analytic, method="analytic")
+    dist = _dense_distance(plan, p, analytic)
+    # once they agree, either one within tol passes: at tol 0 an exact
+    # analytic 0.0 must not fail on the eigenvalues' float noise
+    return VerifyResult(ok=dist <= tol or analytic <= tol, trace_distance=dist, method="dense")
 
 
-def _verify(
-    plan: Reconstruction,
-    p: float,
-    analytic: float,
-    tol: float,
-    target: np.ndarray | None = None,
-) -> VerifyResult:
-    """Judge one plan; ``target`` is ``dense.thermal_state_from_p(g, p)`` when
-    the caller already has it."""
-    g = plan.graph
-    n_tot = g.n + len(plan.merges)
-    if n_tot <= dense.MAX_DENSE_QUBITS:
-        if target is None:
-            target = dense.thermal_state_from_p(g, p)
-        dist = dense.trace_distance(_assemble(plan, p), target)
-        if abs(dist - analytic) > _AGREEMENT:
-            raise InvariantError("dense circuit disagrees with the analytic flip model")
-        # once they agree, either one within tol passes: at tol 0 an exact
-        # analytic 0.0 must not fail on the eigenvalues' float noise
-        ok = dist <= tol or analytic <= tol
-        return VerifyResult(ok=ok, trace_distance=dist, method="dense")
-    return VerifyResult(ok=analytic <= tol, trace_distance=analytic, method="analytic")
+def _dense_distance(
+    plan: Reconstruction, p: float, analytic: float, target: np.ndarray | None = None
+) -> float:
+    """Trace distance of the plan's dense candidate from the thermal state,
+    which must agree with the ``analytic`` one; ``target`` is
+    ``dense.thermal_state_from_p(g, p)`` when the caller already has it."""
+    if target is None:
+        target = dense.thermal_state_from_p(plan.graph, p)
+    dist = dense.trace_distance(_assemble(plan, p), target)
+    if abs(dist - analytic) > _AGREEMENT:
+        raise InvariantError("dense circuit disagrees with the analytic flip model")
+    return dist
 
 
 def proof_applies(g: Graph, p: float = 0.1, tol: float = 1e-9) -> dict:
     """Per-edge verdict: can the two ends of this edge sit with different
     parties who then rebuild the full state from pairs?
 
-    Searches every bipartition separating the edge (the canonical family
-    only); True needs a verified reconstruction, and the graph-level claim
-    is simply all(values).  The first split that passes wins, and each is
-    screened before it is planned, cheapest test first: the marginal bound,
-    then the flip-vector distance (``_screened_distance``).  Only a split
-    within tol is planned (a cycle of cross edges has no wiring), and each
-    edge's winning split gets a dense witness, cross-checked against the
-    analytic distance, on a thermal target built once per call.
+    True iff some matching cut separates the edge: a split where no vertex
+    has more than one neighbour across, so every width is 1 and the
+    candidate is exact.  Any other split leaves a vertex flipping at least
+    the fold gap p(1 - 2p) away from p, which is why tol must lie below that
+    gap; below it the verdict depends on neither p nor tol.  Splits are
+    tried in pick order, and each edge's first matching cut is planned and
+    given a dense witness, cross-checked against its analytic distance of
+    exactly 0.0 on a thermal target built once per call; the graph-level
+    claim is simply all(values).
 
     The probe noise level must be interior — at the endpoints every
     candidate matches trivially.
@@ -320,25 +299,26 @@ def proof_applies(g: Graph, p: float = 0.1, tol: float = 1e-9) -> dict:
     if not 0.0 < p < 0.5:
         raise ParameterError("probe flip probability must lie strictly inside (0, 1/2)")
     _check_tol(tol)
-    flip_target = _product_flip_vector((p,) * g.n)
+    gap = p * (1 - 2 * p)
+    if tol >= gap:
+        raise ParameterError(
+            f"--tol {tol} is at or above the fold gap p(1 - 2p) = {gap:.3g} at"
+            f" --p {p}, so a folded split would pass as exact; lower --tol"
+        )
     thermal = None
     verdicts: dict[tuple[int, int], bool] = {}
     for u, v in sorted(g.edges()):
         others = [w for w in range(g.n) if w != u and w != v]
-        found = False
+        verdicts[(u, v)] = False
         for pick in range(1 << len(others)):
             amask = 1 << u | sum(1 << w for i, w in enumerate(others) if pick >> i & 1)
-            analytic = _screened_distance(_flip_probs(g, amask, p), p, tol, flip_target)
-            if analytic is None:
+            if max(_cross_degrees(g, amask)) > 1:
                 continue
+            # a matching is a forest, so the plan exists and folds nothing
             plan = reconstruction_plan(g, list(_bits(amask)))
-            if plan is None:
-                continue
             if thermal is None:
                 thermal = dense.thermal_state_from_p(g, p)
-            if not _verify(plan, p, analytic, tol, thermal).ok:
-                raise InvariantError("analytic success must survive the dense check")
-            found = True
+            _dense_distance(plan, p, 0.0, thermal)
+            verdicts[(u, v)] = True
             break
-        verdicts[(u, v)] = found
     return verdicts

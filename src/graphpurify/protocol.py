@@ -34,6 +34,7 @@ count.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -427,15 +428,16 @@ def run_drpp(
         specs.append((compiled, trace.final.probs, seed, chunk_index, count))
         done += count
         chunk_index += 1
-    if workers == 1 or len(specs) == 1:
+    # a fork-started pool launches all its processes at the first submit, so
+    # it gets no more workers than there are chunks or CPUs
+    size = min(workers, len(specs), os.cpu_count() or 1)
+    if size == 1:
         counts = [_simulate_chunk(s) for s in specs]
     else:
-        # imported here so that a one-worker run never loads multiprocessing;
-        # a fork-started pool launches all its processes at the first submit,
-        # so it gets no more workers than there are chunks
+        # imported here so that a one-worker run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             counts = list(pool.map(_simulate_chunk, specs))
     hits = sum(counts)
     return ProtocolResult(

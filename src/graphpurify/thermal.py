@@ -48,8 +48,9 @@ def critical_temperature(B: float) -> float:
     B / ln(1+sqrt(2)), where the flip probability reaches p*.
 
     It bounds a whole graph state only where every edge has a two-party
-    reconstruction (``optimality.proof_applies``); thermal K3, for one,
-    purifies past it.
+    reconstruction (``optimality.proof_applies``), that is, where some
+    matching cut (cut edges sharing no vertex) separates the ends of every
+    edge; thermal K3, which has no matching cut, purifies past it.
     """
     if not (B > 0 and math.isfinite(B)):
         raise ParameterError("field strength B must be positive and finite")

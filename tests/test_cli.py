@@ -366,6 +366,15 @@ class TestRatesAndPlan:
         assert out == ""
         assert "vertex count -1 is negative" in err
 
+    def test_edge_list_that_is_not_utf8_is_a_usage_error(self, capsys, tmp_path):
+        # exit 1 means an oracle mismatch, so a decode traceback must not reach it
+        f = tmp_path / "utf16.edges"
+        f.write_bytes(b"\xff\xfe3\x00\n\x00")
+        rc, out, err = run_cli(capsys, "plan", "--graph", str(f))
+        assert rc == 2
+        assert out == ""
+        assert str(f) in err and "UTF-8" in err and "Traceback" not in err
+
 
 class TestVerifyOracle:
     def test_small_sweep_passes(self, capsys):
@@ -584,3 +593,42 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["results"]["t_crit"] == pytest.approx(1.134593, abs=1e-6)
+
+
+# a fresh interpreter under a 1 GB address-space limit: every vertex count
+# past the cap must exit 3 before anything of that size is built
+_HUGE = (
+    ("plan", "--graph", "complete:100000"),
+    ("simulate", "--graph", "path:1000000000", "--p", "0.1", "--shots", "1"),
+    ("simulate", "--graph", "star:3000000", "--p", "0.1", "--shots", "1"),
+    ("plan", "--graph", "cycle:1000000000"),
+)
+
+
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", _HUGE, ids=[" ".join(a[:3]) for a in _HUGE])
+def test_huge_vertex_counts_exit_3_before_allocating(argv):
+    pytest.importorskip("resource")
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphpurify", *argv],
+        capture_output=True, text=True, timeout=30, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "outside 0..256" in proc.stderr
+
+
+def test_huge_edge_list_count_exits_3_before_allocating(tmp_path):
+    pytest.importorskip("resource")
+    f = tmp_path / "huge.edges"
+    f.write_text("10000000000\n0 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphpurify", "plan", "--graph", str(f)],
+        capture_output=True, text=True, timeout=30, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "vertex count 10000000000 outside 0..256" in proc.stderr

@@ -4,6 +4,7 @@ import pytest
 
 from graphpurify.errors import CapacityError, ParameterError
 from graphpurify.graphs import (
+    MAX_VERTICES,
     Graph,
     complete_graph,
     cycle_graph,
@@ -36,6 +37,17 @@ class TestConstruction:
     def test_vertex_cap(self):
         with pytest.raises(CapacityError):
             Graph.from_edges(257, [])
+
+    def test_vertex_cap_is_checked_before_reading_edges(self):
+        # families pass their edges lazily, so the cap must hold before the
+        # first edge is drawn (or [0] * n is allocated)
+        def unreadable():
+            raise AssertionError("from_edges read an edge past the vertex cap")
+            yield
+
+        for n in (MAX_VERTICES + 1, -1):
+            with pytest.raises(CapacityError, match=f"vertex count {n} outside"):
+                Graph.from_edges(n, unreadable())
 
     def test_edges_round_trip(self):
         edges = [(0, 3), (1, 2), (0, 1)]
@@ -137,6 +149,13 @@ class TestSerialization:
         path = tmp_path / "g.edges"
         path.write_text(write_edge_list(path_graph(3)))
         assert load_graph(str(path)) == path_graph(3)
+
+    def test_load_graph_names_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"\xff\xfe3\x00")
+        with pytest.raises(ParameterError, match="is not UTF-8") as info:
+            load_graph(str(path))
+        assert str(path) in str(info.value)
 
     def test_comments_and_blanks_ignored(self):
         assert read_edge_list("# a graph\n3\n\n0 1\n# middle\n1 2\n") == path_graph(3)

@@ -34,13 +34,8 @@ from graphpurify.optimality import (
     reconstruction_plan,
     verify_reconstruction,
 )
-# white-box: the flip model and the screen in front of it
-from graphpurify.optimality import (
-    _SCREEN_SLACK,
-    _analytic_trace_distance,
-    _product_flip_vector,
-    _screened_distance,
-)
+# white-box: the flip model
+from graphpurify.optimality import _analytic_trace_distance, _product_flip_vector
 from oracles import candidate_flip_probs, check_density_matrix
 
 
@@ -249,6 +244,8 @@ def _reference_first_splits(g: Graph, p: float, tol: float) -> dict:
 
 
 _SCREEN_CASES = ((0.1, 1e-9), (0.3, 1e-9), (1e-6, 1e-9), (0.1, 0.05), (0.2, 0.3), (0.01, 0.02))
+# the cases whose tol lies below the fold gap p(1 - 2p); proof_applies rejects the rest
+_BELOW_GAP = tuple((p, tol) for p, tol in _SCREEN_CASES if tol < p * (1 - 2 * p))
 _BENCH_GRAPHS = ("cycle:3", "cycle:5", "path:6", "grid:2x3", "star:6", "cycle:7")
 
 
@@ -259,18 +256,53 @@ def _labelled_graphs(max_n: int):
             yield Graph.from_edges(n, [e for i, e in enumerate(slots) if mask >> i & 1])
 
 
+def _matching_cut_reference(g: Graph) -> dict:
+    """An edge is covered iff some split separating its ends is a matching
+    cut: no two of the cut edges share a vertex."""
+    verdicts = {}
+    for u, v in g.edges():
+        verdicts[(u, v)] = False
+        for pick in range(1 << g.n):
+            if not (pick >> u & 1) or pick >> v & 1:
+                continue
+            cut = [e for e in g.edges() if (pick >> e[0] & 1) != (pick >> e[1] & 1)]
+            ends = [x for e in cut for x in e]
+            if len(ends) == len(set(ends)):
+                verdicts[(u, v)] = True
+                break
+    return verdicts
+
+
 class TestScreenedSearch:
-    """``proof_applies`` screens a split by cheap bounds before planning it
-    and builds one dense witness per edge's winning split; its verdicts must
-    be those of the unscreened search."""
+    """``proof_applies`` screens each split by its cross degrees (a matching
+    cut passes, any other split fails) and builds one dense witness per
+    edge's first matching cut; its verdicts must be those of the unscreened
+    float search and of the matching-cut reference."""
 
     def test_verdicts_equal_the_unscreened_search(self):
         graphs = list(_labelled_graphs(4)) + [load_graph(name) for name in _BENCH_GRAPHS]
         assert len(graphs) == 75 + 6
+        assert len(_BELOW_GAP) == 4
         for g in graphs:
-            for p, tol in _SCREEN_CASES:
+            for p, tol in _BELOW_GAP:
                 want = {e: side is not None for e, side in _reference_first_splits(g, p, tol).items()}
                 assert proof_applies(g, p, tol) == want, (g, p, tol)
+
+    def test_verdicts_equal_the_matching_cut_reference(self):
+        graphs = list(_labelled_graphs(5))
+        assert len(graphs) == 1099
+        for g in graphs:
+            want = _matching_cut_reference(g)
+            for p in (0.1, 0.3, 1e-6):
+                for tol in (0.0, 1e-9):
+                    assert proof_applies(g, p, tol) == want, (g.adj, p, tol)
+
+    @pytest.mark.parametrize("p, tol", [c for c in _SCREEN_CASES if c not in _BELOW_GAP])
+    def test_tolerance_at_the_fold_gap_is_rejected(self, p, tol):
+        # a vertex folding two pair halves flips p(1 - 2p) away from p, so a
+        # tol at or above that gap would pass a folded split as exact
+        with pytest.raises(ParameterError, match=r"--tol .* fold gap .* --p"):
+            proof_applies(path_graph(3), p, tol)
 
     def test_one_plan_and_one_witness_per_winning_split(self, monkeypatch):
         plans = []
@@ -296,8 +328,8 @@ class TestScreenedSearch:
             plans.clear()
             witnesses.clear()
             assert proof_applies(g, 0.1) == {e: side is not None for e, side in ref.items()}
-            # at p = 0.1 every split within tol has all cross degrees <= 1, a
-            # matching, so each planned split is some edge's first split
+            # only a matching cut is planned, and the search stops at each
+            # edge's first one, so each planned split is some edge's first split
             assert sorted(plans, key=sorted) == sorted(sides, key=sorted), name
             assert sorted(witnesses) == sorted(tuple(sorted(s)) for s in sides), name
         # planning every split before screening it took 211 plans per pass
@@ -321,20 +353,15 @@ class TestScreenedSearch:
                 t *= fp if bit else 1 - fp
             tv += abs(c - t)
         assert tv / 2 >= max(abs(q - fp) for q in exact)
-        # and in floats, within the screen's slack
-        gap = max(abs(q - p) for q in probs)
-        dist = _analytic_trace_distance(tuple(probs), _product_flip_vector((p,) * len(probs)))
-        assert dist >= gap - _SCREEN_SLACK
-        if gap > _SCREEN_SLACK:
-            assert _screened_distance(tuple(probs), p, gap - 2 * _SCREEN_SLACK, None) is None
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(st.floats(0.0, 0.5), st.integers(1, 8), st.floats(0.0, 1e-6))
-    def test_equal_tuples_are_exactly_zero(self, p, n, tol):
+    @given(st.floats(0.0, 0.5), st.integers(1, 8))
+    def test_equal_tuples_are_exactly_zero(self, p, n):
+        # so a matching cut's analytic distance, which the witness is
+        # checked against, is 0.0
         probs = (p,) * n
         target = _product_flip_vector(probs)
         assert _analytic_trace_distance(probs, target) == 0.0
-        assert _screened_distance(probs, p, tol, target) == 0.0
 
     def test_zero_tol_gives_the_default_tol_verdicts(self):
         # width 1 flips with exactly p, so an exact split has distance 0.0
@@ -380,7 +407,7 @@ except InvariantError as exc:
 sys.exit("verify_reconstruction accepted a corrupted dense check")
 """
 
-# the screened search in proof_applies must reach the same check
+# the witness proof_applies builds for a matching cut must reach the same check
 _MISSING_INTERNAL_CZ = """
 import dataclasses
 import sys

@@ -534,11 +534,13 @@ class TestRunDrpp:
         b = run_drpp(path_graph(3), 0.1, shots=shots, seed=7, workers=3)
         assert a == b
 
-    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
         # a fork-started pool launches all max_workers processes at its first
         # submit; this fake records the size asked for and runs serially.
         # run_drpp imports the pool class from concurrent.futures only when
-        # it needs one, so the fake goes there
+        # it needs one, so the fake goes there.  The host's CPU count is
+        # fixed at 8 unless a test sets it
         sizes = []
 
         class SerialPool:
@@ -555,9 +557,23 @@ class TestRunDrpp:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        return sizes
+
+    def test_pool_has_no_more_workers_than_chunks(self, pool_sizes):
         shots = CHUNK_SHOTS + 700  # two chunks
         pooled = run_drpp(path_graph(3), 0.1, shots=shots, seed=7, workers=50)
-        assert sizes == [2]
+        assert pool_sizes == [2]
+        assert pooled == run_drpp(path_graph(3), 0.1, shots=shots, seed=7, workers=1)
+
+    @pytest.mark.parametrize("cpus, want", [(3, [3]), (1, []), (None, [])])
+    def test_pool_has_no_more_workers_than_cpus(self, monkeypatch, pool_sizes, cpus, want):
+        # --workers 5000 with 5,000 chunks once forked 5,000 processes; one
+        # CPU (or an unknown count) runs in-process with no pool at all
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        shots = 4 * CHUNK_SHOTS + 1  # five chunks
+        pooled = run_drpp(path_graph(3), 0.1, shots=shots, seed=7, workers=5000)
+        assert pool_sizes == want
         assert pooled == run_drpp(path_graph(3), 0.1, shots=shots, seed=7, workers=1)
 
     def test_graph_record_shape(self):
