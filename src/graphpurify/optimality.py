@@ -23,9 +23,16 @@ a matching cut (its cut edges share no vertex).  An edge's verdict is
 therefore a graph property, and a negative one means exactly "no matching
 cut separates its ends", not a proof of impossibility.
 
-The dense check builds the candidate in real arithmetic (every operator of
-the family is real), applies each layer of CZs as one +-1 diagonal product,
-and compares it with ``dense.thermal_state_from_p`` by trace distance.
+``proof_applies`` finds each edge's first matching cut in pick order by a
+depth-first search that propagates forced sides, within a node budget, so
+it takes any graph within ``graphs.MAX_VERTICES``.  Up to
+``MAX_RECONSTRUCTION_QUBITS`` vertices the cut also gets a dense witness:
+the candidate built in real arithmetic (every operator of the family is
+real), each layer of CZs applied as one +-1 diagonal product, and compared
+with ``dense.thermal_state_from_p``.  Half the entrywise l1 norm of their
+difference bounds the trace distance from above, so when it is within the
+agreement allowance it settles the witness without an eigensolve.
+``verify_reconstruction`` reports the trace distance itself.
 """
 
 from __future__ import annotations
@@ -236,6 +243,18 @@ def _check_tol(tol: float) -> None:
         raise ParameterError(f"--tol must be finite and non-negative, got {tol!r}")
 
 
+def _check_fold_gap(p: float, tol: float) -> None:
+    """A vertex folding two pair halves flips the fold gap p(1 - 2p) away
+    from p, so a tol at or above that gap would pass a folded split as
+    exact.  At p = 0 and p = 1/2 the gap is 0 and every candidate is exact."""
+    gap = p * (1 - 2 * p)
+    if 0.0 < p < 0.5 and tol >= gap:
+        raise ParameterError(
+            f"--tol {tol} is at or above the fold gap p(1 - 2p) = {gap:.3g} at"
+            f" --p {p}, so a folded split would pass as exact; lower --tol"
+        )
+
+
 def verify_reconstruction(g: Graph, side_a, p: float, tol: float = 1e-9) -> VerifyResult:
     """Does the canonical candidate reproduce the thermal state exactly?
 
@@ -243,9 +262,10 @@ def verify_reconstruction(g: Graph, side_a, p: float, tol: float = 1e-9) -> Veri
     whenever both fit the dense caps; it must agree with the analytic
     flip-distribution model (else ``InvariantError``), and the split passes
     when either distance is within tol.  Past the caps the analytic model
-    decides alone.
+    decides alone.  A tol at or above the fold gap is a ``ParameterError``.
     """
     _check_tol(tol)
+    _check_fold_gap(p, tol)
     plan = reconstruction_plan(g, side_a)
     if plan is None:
         return VerifyResult(ok=False, trace_distance=math.inf, method="no-canonical-wiring")
@@ -255,24 +275,122 @@ def verify_reconstruction(g: Graph, side_a, p: float, tol: float = 1e-9) -> Veri
     )
     if g.n + len(plan.merges) > dense.MAX_DENSE_QUBITS:
         return VerifyResult(ok=analytic <= tol, trace_distance=analytic, method="analytic")
-    dist = _dense_distance(plan, p, analytic)
+    target = dense.thermal_state_from_p(g, p)
+    dist = _agreed(dense.trace_distance(_assemble(plan, p), target), analytic)
     # once they agree, either one within tol passes: at tol 0 an exact
     # analytic 0.0 must not fail on the eigenvalues' float noise
     return VerifyResult(ok=dist <= tol or analytic <= tol, trace_distance=dist, method="dense")
 
 
-def _dense_distance(
-    plan: Reconstruction, p: float, analytic: float, target: np.ndarray | None = None
-) -> float:
-    """Trace distance of the plan's dense candidate from the thermal state,
-    which must agree with the ``analytic`` one; ``target`` is
-    ``dense.thermal_state_from_p(g, p)`` when the caller already has it."""
-    if target is None:
-        target = dense.thermal_state_from_p(plan.graph, p)
-    dist = dense.trace_distance(_assemble(plan, p), target)
+def _agreed(dist: float, analytic: float) -> float:
+    """The dense trace distance, once it agrees with the ``analytic`` one."""
     if abs(dist - analytic) > _AGREEMENT:
         raise InvariantError("dense circuit disagrees with the analytic flip model")
     return dist
+
+
+def _witness(plan: Reconstruction, p: float, target: np.ndarray) -> None:
+    """Check that the plan's dense candidate is the thermal ``target``, as
+    the analytic distance of a matching cut, exactly 0.0, says.
+
+    Half the entrywise l1 norm of D = candidate - target bounds its trace
+    distance from above (|tr(UD)| <= sum |D_ij| for every unitary U), so a
+    bound within ``_AGREEMENT`` proves the agreement with no eigensolve.
+    Only a bound that cannot decide pays for ``dense.trace_distance``.
+    """
+    candidate = _assemble(plan, p)
+    if 0.5 * float(np.abs(candidate - target).sum()) > _AGREEMENT:
+        _agreed(dense.trace_distance(candidate, target), 0.0)
+
+
+# nodes the matching-cut search may visit for one edge
+_SEARCH_BUDGET = 20_000
+
+
+def _first_matching_cut(g: Graph, u: int, v: int) -> int | None:
+    """Side A, as a vertex bitset, of the first matching cut in pick order
+    that puts u on side A and v on side B; None when no matching cut
+    separates them.
+
+    Pick order walks pick = 0, 1, ... over ``others``, the vertices other
+    than u and v in ascending order, with bit i of pick putting others[i]
+    on side A.  A depth-first search that assigns the highest unassigned
+    vertex first and tries v's side before u's meets the splits in that
+    order, so its first leaf is the smallest pick.  Propagating forced
+    sides only cuts branches that hold no matching cut.  A vertex outside
+    the edge's component constrains nothing there, so it takes side B, as
+    in the smallest pick.
+    """
+    adj = g.adj
+    comp = frontier = 1 << u
+    while frontier:
+        frontier = _neighbours(adj, frontier) & ~comp
+        comp |= frontier
+    start = 1 << u | 1 << v
+    stack = [(1 << u, 1 << v, start | _neighbours(adj, start))]
+    nodes = 0
+    while stack:
+        nodes += 1
+        if nodes > _SEARCH_BUDGET:
+            raise CapacityError(
+                f"matching-cut search for edge ({u}, {v}) ran past its budget of"
+                f" {_SEARCH_BUDGET} nodes"
+            )
+        forced = _propagate(adj, *stack.pop())
+        if forced is None:
+            continue
+        a, b = forced
+        free = comp & ~(a | b)
+        if not free:
+            return a
+        w = free.bit_length() - 1
+        bit, touched = 1 << w, 1 << w | adj[w]
+        stack.append((a | bit, b, touched))
+        stack.append((a, b | bit, touched))
+    return None
+
+
+def _neighbours(adj: tuple[int, ...], mask: int) -> int:
+    nb = 0
+    for w in _bits(mask):
+        nb |= adj[w]
+    return nb
+
+
+def _propagate(adj: tuple[int, ...], a: int, b: int, todo: int) -> tuple[int, int] | None:
+    """Close the partial split (a, b) under the sides a matching cut forces,
+    rechecking the vertices of ``todo``; None when no matching cut extends it.
+
+    A vertex with a neighbour across pulls its other neighbours to its own
+    side, and an unassigned vertex with two neighbours on one side joins
+    that side.  Two neighbours across, or two on each side, is a conflict.
+    Each vertex that gains a side puts itself and its neighbours back on
+    the worklist.
+    """
+    while todo:
+        x = todo.bit_length() - 1
+        todo ^= 1 << x
+        nb = adj[x]
+        on_a, on_b = nb & a, nb & b
+        if a >> x & 1 or b >> x & 1:
+            across = on_b if a >> x & 1 else on_a
+            if across & (across - 1):
+                return None
+            gained = nb & ~(a | b) if across else 0
+            to_a = a >> x & 1
+        else:
+            two_a, two_b = on_a & (on_a - 1), on_b & (on_b - 1)
+            if two_a and two_b:
+                return None
+            gained = 1 << x if two_a or two_b else 0
+            to_a = two_a
+        if gained:
+            if to_a:
+                a |= gained
+            else:
+                b |= gained
+            todo |= gained | _neighbours(adj, gained)
+    return a, b
 
 
 def proof_applies(g: Graph, p: float = 0.1, tol: float = 1e-9) -> dict:
@@ -283,42 +401,32 @@ def proof_applies(g: Graph, p: float = 0.1, tol: float = 1e-9) -> dict:
     has more than one neighbour across, so every width is 1 and the
     candidate is exact.  Any other split leaves a vertex flipping at least
     the fold gap p(1 - 2p) away from p, which is why tol must lie below that
-    gap; below it the verdict depends on neither p nor tol.  Splits are
-    tried in pick order, and each edge's first matching cut is planned and
-    given a dense witness, cross-checked against its analytic distance of
-    exactly 0.0 on a thermal target built once per call; the graph-level
-    claim is simply all(values).
+    gap; below it the verdict depends on neither p nor tol.  Each edge's
+    first matching cut in pick order comes from ``_first_matching_cut`` and
+    is checked by the integer predicate; up to
+    ``MAX_RECONSTRUCTION_QUBITS`` vertices it is also planned and given a
+    dense witness on a thermal target built once per call.  The
+    graph-level claim is simply all(values).
 
     The probe noise level must be interior — at the endpoints every
     candidate matches trivially.
     """
-    if g.n > MAX_RECONSTRUCTION_QUBITS:
-        raise CapacityError(
-            f"reconstruction checks are capped at {MAX_RECONSTRUCTION_QUBITS} vertices"
-        )
     if not 0.0 < p < 0.5:
         raise ParameterError("probe flip probability must lie strictly inside (0, 1/2)")
     _check_tol(tol)
-    gap = p * (1 - 2 * p)
-    if tol >= gap:
-        raise ParameterError(
-            f"--tol {tol} is at or above the fold gap p(1 - 2p) = {gap:.3g} at"
-            f" --p {p}, so a folded split would pass as exact; lower --tol"
-        )
+    _check_fold_gap(p, tol)
     thermal = None
     verdicts: dict[tuple[int, int], bool] = {}
     for u, v in sorted(g.edges()):
-        others = [w for w in range(g.n) if w != u and w != v]
-        verdicts[(u, v)] = False
-        for pick in range(1 << len(others)):
-            amask = 1 << u | sum(1 << w for i, w in enumerate(others) if pick >> i & 1)
-            if max(_cross_degrees(g, amask)) > 1:
-                continue
-            # a matching is a forest, so the plan exists and folds nothing
-            plan = reconstruction_plan(g, list(_bits(amask)))
+        amask = _first_matching_cut(g, u, v)
+        verdicts[(u, v)] = amask is not None
+        if amask is None:
+            continue
+        if max(_cross_degrees(g, amask)) > 1 or not amask >> u & 1 or amask >> v & 1:
+            raise InvariantError(f"split {amask:#x} is not a matching cut separating ({u}, {v})")
+        if g.n <= MAX_RECONSTRUCTION_QUBITS:
             if thermal is None:
                 thermal = dense.thermal_state_from_p(g, p)
-            _dense_distance(plan, p, 0.0, thermal)
-            verdicts[(u, v)] = True
-            break
+            # a matching is a forest, so the plan exists and folds nothing
+            _witness(reconstruction_plan(g, list(_bits(amask))), p, thermal)
     return verdicts

@@ -458,7 +458,9 @@ def run_drpp(
 class ScanRow:
     p: float
     temperature: float | None  # set when the scan is run against a field scale
-    purifiable: bool  # analytic verdict from the pair-fidelity boundary
+    # the pair recurrence's verdict, p < p*; not whether this graph state
+    # purifies (thermal K3 does at p = 0.30, where this reads False)
+    purifiable: bool
     converged: bool  # did the recurrence actually reach the target
     fidelity: float | None
     ci95: tuple[float, float] | None

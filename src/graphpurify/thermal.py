@@ -58,7 +58,13 @@ def critical_temperature(B: float) -> float:
 
 
 def purifiable_at(p: float) -> bool:
-    """True iff flip probability p admits purification: (1-p)^2 > 1/2 strictly."""
+    """True iff a noisy pair with flip probability p purifies: (1-p)^2 > 1/2
+    strictly, that is p < p*.
+
+    This is the pair recurrence's verdict, which ``scan`` prints as
+    ``purifiable``.  It does not say whether a given graph state purifies:
+    thermal K3 purifies at p = 0.30, where this returns False.
+    """
     if not (0.0 <= p <= 1.0):
         raise ParameterError("flip probability must lie in [0, 1]")
     return (1.0 - p) ** 2 > 0.5

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from graphpurify import optimality
 from graphpurify.cli import SEED_ENV_VAR, build_parser, main
 from graphpurify.graphs import path_graph
 from oracles import write_edge_list
@@ -418,9 +419,23 @@ class TestCheckOptimality:
         assert res["graph_ok"] is True
         assert all(row["reconstructable"] is True for row in res["edges"])
 
-    def test_capacity_exit_code(self, capsys):
-        rc, _, _ = run_cli(capsys, "check-optimality", "--graph", "path:9")
+    def test_capacity_exit_code(self, capsys, monkeypatch):
+        # the checker takes any graph under the vertex cap; past the cap, or
+        # past the matching-cut search's node budget, it exits 3
+        rc, _, _ = run_cli(capsys, "check-optimality", "--graph", "path:257")
         assert rc == 3
+        monkeypatch.setattr(optimality, "_SEARCH_BUDGET", 1)
+        rc, out, err = run_cli(capsys, "check-optimality", "--graph", "path:4")
+        assert rc == 3
+        assert "budget of 1 nodes" in err
+        assert out == ""
+
+    def test_graphs_past_eight_vertices_are_decided(self, capsys):
+        for graph, covered, edges in (("path:9", 8, 8), ("grid:8x8", 112, 112), ("icosahedron", 0, 30)):
+            rc, out, _ = run_cli(capsys, "check-optimality", "--graph", graph, "--json")
+            assert rc == 0
+            rows = envelope(out)["results"]["edges"]
+            assert (sum(row["reconstructable"] for row in rows), len(rows)) == (covered, edges), graph
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
     def test_bad_tolerance_is_a_usage_error(self, capsys, tol):

@@ -22,10 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphpurify
-from graphpurify import optimality
+from graphpurify import dense, optimality
 
 from graphpurify.dense import thermal_state_from_p, trace_distance
-from graphpurify.errors import CapacityError, ParameterError
+from graphpurify.errors import CapacityError, InvariantError, ParameterError
 from graphpurify.graphs import Graph, cycle_graph, load_graph, path_graph, star_graph
 from graphpurify.optimality import (
     MAX_RECONSTRUCTION_QUBITS,
@@ -153,6 +153,14 @@ class TestVerifyReconstruction:
         assert verify_reconstruction(cycle_graph(3), [0], 0.0).ok
         assert verify_reconstruction(cycle_graph(3), [0], 0.5).ok
 
+    @pytest.mark.parametrize("p", [1e-12, 0.4999999999])
+    def test_tolerance_at_the_fold_gap_is_rejected(self, p):
+        # the fold gap p(1 - 2p) is below the default tol here, so the
+        # triangle's folded split would read as exact
+        assert p * (1 - 2 * p) < 1e-9
+        with pytest.raises(ParameterError, match=r"--tol .* fold gap .* --p"):
+            verify_reconstruction(cycle_graph(3), [0], p)
+
     def test_oversized_dense_request_raises_but_auto_falls_back(self):
         # hub with seven cross edges: six folds push past the dense cap
         g = star_graph(8)
@@ -213,9 +221,12 @@ class TestProofApplies:
         with pytest.raises(ParameterError):
             proof_applies(path_graph(3), p=0.5)
 
-    def test_capacity_cap(self):
-        with pytest.raises(CapacityError):
-            proof_applies(path_graph(MAX_RECONSTRUCTION_QUBITS + 1))
+    def test_path9_past_the_old_cap_covers_every_edge(self):
+        # past MAX_RECONSTRUCTION_QUBITS no witness is built, and the
+        # verdicts rest on the matching-cut search alone
+        g = path_graph(MAX_RECONSTRUCTION_QUBITS + 1)
+        assert proof_applies(g) == {(i, i + 1): True for i in range(MAX_RECONSTRUCTION_QUBITS)}
+        assert proof_applies(g) == _matching_cut_reference(g)
 
 
 def _reference_first_splits(g: Graph, p: float, tol: float) -> dict:
@@ -373,6 +384,140 @@ class TestScreenedSearch:
             assert proof_applies(path_graph(2), p, tol=0.0) == {(0, 1): True}
             for g in graphs:
                 assert proof_applies(g, p, tol=0.0) == proof_applies(g, p), (g.adj, p)
+
+
+def _is_matching_cut_of(g: Graph, amask: int, u: int, v: int) -> bool:
+    """u on side A, v on side B, and no vertex with two neighbours across."""
+    if not amask >> u & 1 or amask >> v & 1:
+        return False
+    for x, nb in enumerate(g.adj):
+        across = [y for y in range(g.n) if nb >> y & 1 and (amask >> y & 1) != (amask >> x & 1)]
+        if len(across) > 1:
+            return False
+    return True
+
+
+def _pick_order_walk(g: Graph, u: int, v: int) -> int | None:
+    """Side A of the first split, walking pick = 0, 1, ... with bit i of pick
+    putting the i-th other vertex on u's side, that is a matching cut."""
+    picks = [1 << u]
+    for w in range(g.n):
+        if w != u and w != v:
+            picks += [m | 1 << w for m in picks]  # index = pick
+    for amask in picks:
+        if all((nb & (~amask if amask >> x & 1 else amask)).bit_count() <= 1 for x, nb in enumerate(g.adj)):
+            return amask
+    return None
+
+
+@st.composite
+def _graphs(draw, max_n):
+    n = draw(st.integers(2, max_n))
+    slots = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(slots), unique=True, min_size=1))
+    return Graph.from_edges(n, chosen)
+
+
+class TestMatchingCutSearch:
+    """``_first_matching_cut`` must return the split a walk over every pick
+    in order would find first."""
+
+    def test_equals_the_pick_order_walk_on_every_labelled_graph(self):
+        edges = 0
+        for g in _labelled_graphs(6):
+            for u, v in g.edges():
+                assert optimality._first_matching_cut(g, u, v) == _pick_order_walk(g, u, v), (g.adj, u, v)
+                edges += 1
+        # each of the C(n, 2) slots is an edge of half the 2^C(n, 2) graphs
+        assert edges == sum(math.comb(n, 2) << math.comb(n, 2) - 1 for n in range(2, 7)) == 251_085
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_graphs(9))
+    def test_equals_the_pick_order_walk_on_random_graphs(self, g):
+        for u, v in g.edges():
+            assert optimality._first_matching_cut(g, u, v) == _pick_order_walk(g, u, v), (u, v)
+
+    @pytest.mark.parametrize(
+        "name, covered, edges",
+        [("grid:8x8", 112, 112), ("grid:3x3x3", 54, 54), ("icosahedron", 0, 30), ("complete:12", 0, 66)],
+    )
+    def test_verdicts_past_the_old_cap(self, name, covered, edges):
+        g = load_graph(name)
+        assert g.n > MAX_RECONSTRUCTION_QUBITS
+        verdicts = proof_applies(g)
+        assert (sum(verdicts.values()), len(verdicts)) == (covered, edges)
+        for u, v in g.edges():
+            amask = optimality._first_matching_cut(g, u, v)
+            assert verdicts[(u, v)] == (amask is not None)
+            if amask is not None:
+                assert _is_matching_cut_of(g, amask, u, v), (u, v)
+            else:
+                # a common neighbour w puts a second cut edge at v (w on
+                # u's side) or at u (w on v's side)
+                assert g.adj[u] & g.adj[v], (u, v)
+
+    def test_a_search_past_its_budget_is_a_capacity_error(self, monkeypatch):
+        # path:4's edge (0, 1) leaves vertex 3 free after propagation, so
+        # the search needs a second node
+        assert optimality._first_matching_cut(path_graph(4), 0, 1) == 0b0001
+        monkeypatch.setattr(optimality, "_SEARCH_BUDGET", 1)
+        with pytest.raises(CapacityError, match="budget of 1 nodes"):
+            proof_applies(path_graph(4))
+
+
+class TestWitnessBound:
+    """A matching cut's witness is decided by half the entrywise l1 norm of
+    candidate - thermal, an upper bound on their trace distance; the
+    eigensolve runs only when that bound cannot decide."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 16),
+        st.sampled_from(("full", "rank-one", "zero")),
+        st.sampled_from((1.0, 1e-17)),
+        st.data(),
+    )
+    def test_half_the_entrywise_norm_bounds_the_trace_distance(self, dim, kind, scale, data):
+        values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim * dim, max_size=dim * dim))
+        m = np.array(values).reshape(dim, dim)
+        if kind == "full":
+            a = (m + m.T) * scale
+        elif kind == "rank-one":
+            a = np.outer(m[0], m[0]) * scale
+        else:
+            a = np.zeros((dim, dim))
+        bound = 0.5 * float(np.abs(a).sum())
+        # the trace norm is max |tr(UA)| over unitaries U, at most
+        # sum |A_ij|; the allowance covers the two sums' rounding orders
+        assert trace_distance(a, np.zeros_like(a)) <= bound * (1.0 + 1e-12)
+
+    def test_verdicts_need_no_eigensolve(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("dense.trace_distance ran")
+
+        monkeypatch.setattr(dense, "trace_distance", refuse)
+        graphs = [*_labelled_graphs(5), *(load_graph(name) for name in _BENCH_GRAPHS)]
+        graphs += [load_graph(name) for name in ("cycle:8", "grid:2x4", "star:8", "path:8")]
+        assert len(graphs) == 1099 + 6 + 4
+        for g in graphs:
+            assert proof_applies(g) == _matching_cut_reference(g), g.adj
+
+    def test_a_scaled_candidate_falls_back_to_the_eigensolve_and_fails(self, monkeypatch):
+        # the trace distance of (1 + 1e-8) rho from rho is 5e-9, past the
+        # 1e-9 agreement, so the bound cannot decide and the eigensolve must
+        # catch it
+        calls = []
+        real_assemble, real_distance = optimality._assemble, dense.trace_distance
+
+        def counting_distance(a, b):
+            calls.append(a.shape)
+            return real_distance(a, b)
+
+        monkeypatch.setattr(optimality, "_assemble", lambda plan, p: real_assemble(plan, p) * (1 + 1e-8))
+        monkeypatch.setattr(dense, "trace_distance", counting_distance)
+        with pytest.raises(InvariantError, match="dense circuit disagrees"):
+            proof_applies(path_graph(3))
+        assert calls == [(8, 8)]
 
 
 def test_auto_passes_an_exact_analytic_zero_at_tol_zero():
