@@ -11,9 +11,10 @@ functions are not a stable API.  Stack, bottom to top: ``graphs``,
 
 ``dense``, ``optimality`` and ``verification`` are registered lazily: each
 is in ``sys.modules`` and is an attribute of the package from the start,
-but its body, and numpy with it, runs only on first attribute access.  So
-``threshold``, ``simulate``, ``scan``, ``rates`` and ``plan`` never load
-numpy.
+but its body runs only on first attribute access.  numpy comes in with
+``dense`` or ``verification``, and ``optimality`` reaches it only through
+its reference build, so ``threshold``, ``simulate``, ``scan``, ``rates``,
+``plan`` and ``check-optimality`` never load numpy.
 """
 
 import importlib.util

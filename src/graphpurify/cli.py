@@ -43,7 +43,7 @@ class RunConfig:
     shots: int | None = None
     seed: int | None = None
     pair_target_fidelity: float | None = None
-    tol: float | None = None
+    tol: float | None = None  # set by no command; kept so every envelope keeps its keys
     max_n: int | None = None
     out: str | None = None
     json_output: bool = False
@@ -369,13 +369,17 @@ def cmd_verify_oracle(args) -> int:
 
 
 def cmd_check_optimality(args) -> int:
+    # the verdicts do not depend on --p; at p = 0 or 1/2 every candidate
+    # would match trivially, so only an interior probe level is echoed
+    if not 0.0 < args.p < 0.5:
+        raise ParameterError("--p must lie strictly inside (0, 1/2)")
     g, _ = _load(args.graph)
-    verdicts = optimality.proof_applies(g, p=args.p, tol=args.tol)
-    cfg = RunConfig(command="check-optimality", graph=args.graph, p=args.p, tol=args.tol,
+    verdicts = optimality.proof_applies(g)
+    cfg = RunConfig(command="check-optimality", graph=args.graph, p=args.p,
                     out=args.out, json_output=args.json)
     edges = [{"edge": [u, v], "reconstructable": ok} for (u, v), ok in sorted(verdicts.items())]
     graph_ok = all(verdicts.values())
-    results = {"p": args.p, "tol": args.tol, "edges": edges, "graph_ok": graph_ok}
+    results = {"p": args.p, "edges": edges, "graph_ok": graph_ok}
     _emit(cfg, results)
     lines = [f"two-party reconstruction check for {args.graph} at p = {args.p:g}"]
     for row in edges:
@@ -456,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("check-optimality", help="two-party reconstruction verdicts")
     s.add_argument("--graph", required=True)
-    s.add_argument("--p", type=float, default=0.1)
-    s.add_argument("--tol", type=float, default=1e-9)
+    s.add_argument("--p", type=float, default=0.1,
+                   help="probe flip probability in (0, 1/2), echoed; verdicts do not depend on it")
     _add_common(s)
     s.set_defaults(handler=cmd_check_optimality)
 

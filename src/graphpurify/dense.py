@@ -1,7 +1,9 @@
 """Dense density-matrix simulation: the exact oracle for small systems.
 
-``optimality`` runs it to build reconstruction candidates and their thermal
-targets, and ``verification`` reads its signs from ``cz_diagonal`` and
+``optimality``'s reference build (``build_reconstruction`` and
+``verify_reconstruction``) runs it for reconstruction candidates and their
+thermal targets, though ``check-optimality`` builds neither, and
+``verification`` reads its signs from ``cz_diagonal`` and
 ``cz_layer_diagonal``; nothing else in the package calls it.
 
 Conventions, fixed across the whole package:

@@ -439,54 +439,78 @@ class TestCheckOptimality:
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
     def test_bad_tolerance_is_a_usage_error(self, capsys, tol):
-        rc, out, err = run_cli(
-            capsys, "check-optimality", "--graph", "path:3", f"--tol={tol}"
-        )
-        assert rc == 2
-        assert "--tol" in err
-        assert "threshold argument" not in out
+        # the verdicts depend on the graph alone, so --tol is gone and any
+        # value of it, the old default included, is an unknown option
+        for arg in (f"--tol={tol}", "--tol=1e-9"):
+            with pytest.raises(SystemExit) as exc:
+                main(["check-optimality", "--graph", "path:3", arg])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert f"unrecognized arguments: {arg}" in err
+            assert "threshold argument" not in out
 
     @pytest.mark.parametrize("p", ["1e-12", "0.4999999999"])
-    def test_tolerance_at_the_fold_gap_is_a_usage_error(self, capsys, p):
-        # the fold gap p(1 - 2p) is below the default --tol at both ends, where
-        # a folded split would pass as exact and K3, which has no matching
-        # cut, would read as covered on every edge
-        rc, out, err = run_cli(
+    def test_triangle_uncovered_at_the_p_range_ends(self, capsys, p):
+        # the fold gap p(1 - 2p) is below 1e-9 at both ends; a tolerance at
+        # or above it would pass a folded split as exact and read K3, which
+        # has no matching cut, as covered on every edge
+        rc, out, _ = run_cli(
             capsys, "check-optimality", "--graph", "cycle:3", "--p", p, "--json"
-        )
-        assert rc == 2
-        assert "--p" in err and "--tol" in err
-        assert out == ""
-
-    def test_zero_tolerance_is_accepted(self, capsys):
-        rc, out, _ = run_cli(
-            capsys, "check-optimality", "--graph", "path:3", "--tol", "0", "--json"
-        )
-        assert rc == 0
-        assert envelope(out)["results"]["tol"] == 0.0
-
-
-    def test_zero_tolerance_at_a_float_exact_p_passes(self, capsys):
-        # at p = 0.3 the analytic distance is exactly 0.0 and the dense one
-        # about 1e-16; float noise must neither fail the edge nor exit 4
-        rc, out, _ = run_cli(
-            capsys, "check-optimality", "--graph", "path:3", "--p", "0.3", "--tol", "0", "--json"
         )
         assert rc == 0
         res = envelope(out)["results"]
-        assert [row["reconstructable"] for row in res["edges"]] == [True, True]
-        assert res["graph_ok"] is True
+        assert [row["reconstructable"] for row in res["edges"]] == [False, False, False]
+        assert res["graph_ok"] is False
 
-    # SHA-256 of `check-optimality --graph G --p 0.1 --json` as printed
-    # before the auto verdict accepted float noise at tol 0; the default tol
-    # must give the same bytes
+    def test_verdicts_do_not_depend_on_p(self, capsys):
+        for graph in ("cycle:3", "cycle:5", "grid:2x3"):
+            rows = set()
+            for p in ("1e-6", "0.1", "0.3", "0.49"):
+                rc, out, _ = run_cli(capsys, "check-optimality", "--graph", graph, "--p", p, "--json")
+                assert rc == 0
+                res = envelope(out)["results"]
+                assert res["p"] == float(p)
+                rows.add(json.dumps([res["edges"], res["graph_ok"]]))
+            assert len(rows) == 1, graph
+
+    def test_human_output_names_each_edge(self, capsys):
+        rc, out, _ = run_cli(capsys, "check-optimality", "--graph", "cycle:3")
+        assert rc == 0
+        assert out.splitlines() == [
+            "two-party reconstruction check for cycle:3 at p = 0.1",
+            "  edge (0, 1): not found",
+            "  edge (0, 2): not found",
+            "  edge (1, 2): not found",
+            "threshold argument does NOT cover this graph",
+        ]
+        rc, out, _ = run_cli(capsys, "check-optimality", "--graph", "path:3", "--p", "0.3")
+        assert rc == 0
+        assert out.splitlines()[1:] == [
+            "  edge (0, 1): ok",
+            "  edge (1, 2): ok",
+            "threshold argument applies to every edge",
+        ]
+
+    def test_probe_noise_must_be_interior(self, capsys):
+        # at p = 0 or 1/2 every candidate would match trivially
+        for p in ("0", "0.5", "nan"):
+            rc, out, err = run_cli(
+                capsys, "check-optimality", "--graph", "path:3", "--p", p, "--json"
+            )
+            assert rc == 2, p
+            assert "--p must lie strictly inside (0, 1/2)" in err
+            assert out == ""
+
+    # SHA-256 of `check-optimality --graph G --p 0.1 --json` as printed once
+    # --tol was gone: the envelope printed before, with results.tol deleted
+    # and config.tol null, re-serializes to exactly these bytes
     _JSON_SHA256 = {
-        "cycle:3": "f72c66d877acb29ab7590142b4cc3ccaf528f4bcb4df0913fcaedd7f4fe4ac08",
-        "cycle:5": "1867d84954685b42f9c099f29ef2b2d9d56cea43a86a7b7fbeea84d03eb30b8f",
-        "path:6": "98b769dca2cdcc53c866c65ec3d75617c66be950dfd9bec1d401c2b5d6ec0e20",
-        "grid:2x3": "da018d24b64f5114b3d953854ed789016ea8940e8bd92cc459424ec9996ea794",
-        "star:6": "ffddeb54e3bdff12ee02a7983f20451d2bfe67981519b7aafc6c9c357704c9cd",
-        "cycle:7": "61f4d96cd1093602a2895be173ae664e912385c728222797519c81e0ff66a2d5",
+        "cycle:3": "c26118b0f88efc4a521a11a9c14404cac24e0922daf3f726b7568cc397b95b91",
+        "cycle:5": "024700bf072b7b27beed29c31a71f3ed5031cf150a040bb77ae9879118a2d567",
+        "path:6": "1234c88a3032762405e2f73cf46ff3e96bd7d51a4859bbfd03c417a0b938bfd8",
+        "grid:2x3": "e690aa1d0ee9ceeed00848fe0eeb070abc81356861a3925acd4290978f2cc43e",
+        "star:6": "2d9f27b0eb0dce8bbe81f2741a23bb6e19f674c00bd651f2dedb43d084b4511f",
+        "cycle:7": "0fb034df5657570038fa3b00f4be0f0c3a27bc52a6481a6a4f91c2cf625b6414",
     }
 
     @pytest.mark.parametrize("graph", sorted(_JSON_SHA256))

@@ -22,7 +22,6 @@ from graphpurify.errors import InvariantError, ParameterError
 from graphpurify.graphs import Graph, _bits, path_graph, star_graph
 from graphpurify.optimality import (
     build_reconstruction,
-    proof_applies,
     reconstruction_plan,
     verify_reconstruction,
 )
@@ -181,13 +180,14 @@ def test_a_build_missing_one_internal_cz_trips_the_cross_check(monkeypatch):
     def lossy(plan, p):
         return real(dataclasses.replace(plan, internal_edges=plan.internal_edges[:-1]), p)
 
-    # the first split tried for edge (0, 1) of the 3-path is {0} | {1, 2},
+    # the first matching cut for edge (0, 1) of the 3-path is {0} | {1, 2},
     # whose one internal CZ is (1, 2)
+    assert optimality._first_matching_cut(path_graph(3), 0, 1) == 0b001
     assert reconstruction_plan(path_graph(3), [0]).internal_edges == ((1, 2),)
-    assert proof_applies(path_graph(3)) == {(0, 1): True, (1, 2): True}
+    assert verify_reconstruction(path_graph(3), [0], 0.1).ok
     monkeypatch.setattr(optimality, "_assemble", lossy)
     with pytest.raises(InvariantError, match="dense circuit disagrees"):
-        proof_applies(path_graph(3))
+        verify_reconstruction(path_graph(3), [0], 0.1)
 
 
 def _per_split_analytic_distance(g: Graph, side_a, p: float) -> float:
@@ -231,5 +231,3 @@ def test_analytic_distance_equals_the_per_split_form_on_five_vertices():
 def test_tolerance_must_be_finite_and_non_negative(tol):
     with pytest.raises(ParameterError, match="--tol"):
         verify_reconstruction(path_graph(3), [0], 0.1, tol=tol)
-    with pytest.raises(ParameterError, match="--tol"):
-        proof_applies(path_graph(3), tol=tol)

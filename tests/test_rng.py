@@ -67,14 +67,16 @@ class TestDeriveRng:
         assert proc.stdout.split() == ["False", "False"], proc.stderr
 
 
-# Commands that only simulate or evaluate closed forms, run through the CLI
-# in one fresh interpreter; none may load numpy or the process pool.
+# Commands that only simulate, evaluate closed forms or search the graph,
+# run through the CLI in one fresh interpreter; none may load numpy or the
+# process pool.  The oracle sweep, run after them, must load numpy.
 _NUMPY_FREE_COMMANDS = (
     ["threshold", "--B", "1", "--json"],
     ["simulate", "--graph", "icosahedron", "--p", "0.1", "--shots", "200", "--seed", "1", "--json"],
     ["scan", "--graph", "path:3", "--p-grid", "0.1,0.3", "--shots", "200", "--seed", "1", "--json"],
     ["rates", "--family", "grid:3x3", "--p", "0.1", "--json"],
     ["plan", "--graph", "cycle:5", "--json"],
+    ["check-optimality", "--graph", "cycle:5", "--json"],
 )
 
 
@@ -91,14 +93,15 @@ def run(argv):
     return json.loads(out.getvalue())["results"]
 
 for argv in {_NUMPY_FREE_COMMANDS!r}:
-    run(argv)
+    results = run(argv)
 print("numpy" in sys.modules, "multiprocessing" in sys.modules)
-edges = run(["check-optimality", "--graph", "cycle:5", "--json"])["edges"]
-print("numpy" in sys.modules, [row["reconstructable"] for row in edges])
+print([row["reconstructable"] for row in results["edges"]])
+run(["verify-oracle", "--max-n", "2", "--json"])
+print("numpy" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False False", "True [True, True, True, True, True]"]
+    assert proc.stdout.splitlines() == ["False False", "[True, True, True, True, True]", "True"]
 
 
 class TestDeriveSeed:
