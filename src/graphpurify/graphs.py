@@ -71,6 +71,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
+        """Every edge as (u, v) with u < v, in increasing order."""
         out = []
         for v in range(self.n):
             higher = self.adj[v] >> (v + 1) << (v + 1)

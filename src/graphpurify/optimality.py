@@ -113,7 +113,7 @@ def reconstruction_plan(g: Graph, side_a) -> Reconstruction | None:
     amask = _side_mask(g, side_a)
     cross = []
     internal = []
-    for u, v in sorted(g.edges()):
+    for u, v in g.edges():
         if (amask >> u & 1) != (amask >> v & 1):
             cross.append((u, v))
         else:
@@ -385,7 +385,7 @@ def proof_applies(g: Graph) -> dict:
     integer predicate.  The graph-level claim is simply all(values).
     """
     verdicts: dict[tuple[int, int], bool] = {}
-    for u, v in sorted(g.edges()):
+    for u, v in g.edges():
         amask = _first_matching_cut(g, u, v)
         verdicts[(u, v)] = amask is not None
         if amask is None:

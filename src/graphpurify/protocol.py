@@ -13,13 +13,14 @@ error remains anywhere.
 Compile once, then sample: the rewiring of extraction and rebuild depends
 only on the graph, and the rebuild's Z-error update is GF(2)-linear and
 outcome-independent (an outcome only adds a known Pauli byproduct to the
-frame).  So each ``run_drpp`` call runs extraction's isolation check and
-the rebuild through the pattern engine once, on the all-+1 outcome branch,
-with every structural invariant checked.  The rebuild carries a bit-sliced
-batch with one column per pair half, each holding a lone error on that
-half, so the batch's final error rows are the check matrix M from
-pair-half error bits to target vertices.  Each shot then only draws one error class per edge and
-counts as ideal iff M·x = 0 for the drawn half-error bits x.
+frame).  So each graph's extraction isolation check and rebuild run through
+the pattern engine once, on the all-+1 outcome branch, with every
+structural invariant checked.  The rebuild carries a bit-sliced batch with
+one column per (edge, class 1 or 2) error, so its final error rows give
+each error's syndrome: the set of target vertices it leaves flipped, which
+lies on the edge's two endpoints.  Class 3's is the XOR of the two.  Each
+shot then only draws one error class per edge and counts as ideal iff the
+drawn syndromes XOR to 0.
 
 Scheduling constraint: two pairs can be extracted from the same copy exactly
 when neither pair touches the other's vertices or their neighbors — that
@@ -39,9 +40,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapacityError, InvariantError, ParameterError
-from .graphs import MAX_VERTICES, Graph
+from .graphs import MAX_VERTICES, Graph, _bits
 from .pairs import composite_r2, distill_trace, from_z_noise
-from .pattern import FrameBatch, apply_cz_via_pair, is_ideal, measure_z, merge_local
+from .pattern import FrameBatch, apply_cz_via_pair, measure_z, merge_local
 from .rng import derive_rng, derive_seed
 from .thermal import purifiable_at
 
@@ -99,7 +100,7 @@ def plan_extraction(g: Graph) -> ExtractionPlan:
     """
     rounds: list[list[tuple[int, int]]] = []
     blockers: list[int] = []
-    for u, v in sorted(g.edges()):
+    for u, v in g.edges():
         bits = (1 << u) | (1 << v)
         for i, blocked in enumerate(blockers):
             if blocked & bits == 0:
@@ -155,12 +156,8 @@ def rate_report(g: Graph, p: float) -> RateReport:
     the planner's round count (at least 1 to keep the bound meaningful for
     edgeless graphs).
     """
-    return _rates(plan_extraction(g), p)
-
-
-def _rates(plan: ExtractionPlan, p: float) -> RateReport:
+    n_geo = plan_extraction(g).n_geo
     r2 = composite_r2(from_z_noise(p))
-    n_geo = plan.n_geo
     return RateReport(n_geo, r2, r2 / (n_geo or 1), r2)
 
 
@@ -187,7 +184,7 @@ class ProtocolResult:
 
 
 def _graph_record(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges())]}
+    return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
 def _wilson_ci95(successes: int, trials: int) -> tuple[float, float]:
@@ -227,44 +224,42 @@ def _draw_class(probs: tuple[float, ...], rng) -> int:
 
 @dataclass(frozen=True)
 class _Rebuild:
-    """One engine rebuild, plus the linear map it applies to pair errors.
+    """The rebuild's Z-error map as one syndrome per (edge, class).
 
-    Pair halves are numbered by allocation; ``class_masks[k][c]`` holds the
-    half bits that class c flips on the k-th edge (sorted edge order), and
-    ``checks[v]`` (one row of M) holds the half bits whose errors land on
-    target vertex v.  The residual error is M·x for half-error bits x.
+    ``syndromes[k][c]`` is the bitset of target vertices that a class-c
+    error on the k-th edge (sorted edge order) leaves flipped; class 0 flips
+    none.  A shot's residual error is the XOR of its edges' syndromes.
     """
 
-    ideal: bool
-    class_masks: tuple[tuple[int, int, int, int], ...]
-    checks: tuple[int, ...]
+    syndromes: tuple[tuple[int, int, int, int], ...]
 
 
-def _rebuild(g: Graph, classes: dict) -> _Rebuild:
+def _rebuild(g: Graph, columns) -> tuple[int, ...]:
     """Fuse purified pairs into the target graph through the pattern engine.
 
-    One pair per edge, carrying the error of its class in ``classes``;
-    spanning-forest edges are realized by merging each vertex's pair halves
-    (BFS order, parents first, so every measured half's twin is still
-    pristine and the fused edge lands cleanly), remaining edges by
-    pair-mediated CZ between the finished vertex qubits.  Every structural
-    invariant is checked.  The engine runs on a batch of one column per pair
-    half (a lone error on that half, which yields M) plus one column
-    carrying the class errors, whose residual must equal M·x.  Every
-    measurement takes its +1 outcome: the Z errors do not depend on the
-    outcomes, and no column may die on that branch.
+    One pair per edge; spanning-forest edges are realized by merging each
+    vertex's pair halves (BFS order, parents first, so every measured half's
+    twin is still pristine and the fused edge lands cleanly), remaining
+    edges by pair-mediated CZ between the finished vertex qubits.  Every
+    structural invariant is checked.  ``columns`` holds class assignments
+    (``{edge: class}`` dicts, a missing edge being class 0), one engine
+    column each; class 1 is an error on the low vertex's half, class 2 on
+    the high vertex's, class 3 on both.  Returns each column's residual
+    error as a bitset of target vertices.  Every measurement takes its +1
+    outcome: the Z errors do not depend on the outcomes, and no column may
+    die on that branch.
     """
     n = g.n
     forest = [e for tree in g.spanning_forest() for e in tree]
     tree_set = {frozenset(e) for e in forest}
-    edges = sorted(g.edges())
+    edges = g.edges()
     nontree = [e for e in edges if frozenset(e) not in tree_set]
     isolated = [v for v in range(n) if g.degree(v) == 0]
     _check_capacity(len(edges), len(isolated))
 
     edges_built: list[tuple[int, int]] = []
     nq = 0
-    class_mask: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+    halves_of: dict[tuple[int, int], tuple[int, int]] = {}  # (low half, high half)
 
     def alloc_pair(u: int, v: int) -> tuple[int, int]:
         """A fresh pair for edge u-v: (half at u, half at v)."""
@@ -272,9 +267,7 @@ def _rebuild(g: Graph, classes: dict) -> _Rebuild:
         hu, hv = nq, nq + 1
         nq += 2
         edges_built.append((hu, hv))
-        a_bit = 1 << (hu if u < v else hv)  # class labels attach to the low vertex's half
-        b_bit = 1 << (hv if u < v else hu)
-        class_mask[(min(u, v), max(u, v))] = (0, a_bit, b_bit, a_bit | b_bit)
+        halves_of[(u, v) if u < v else (v, u)] = (hu, hv) if u < v else (hv, hu)
         return hu, hv
 
     # each vertex's merge party; BFS order puts the parent's half first
@@ -289,17 +282,17 @@ def _rebuild(g: Graph, classes: dict) -> _Rebuild:
         nq += 1
     splices = [(u, v, *alloc_pair(u, v)) for u, v in nontree]
 
-    x = 0
-    for e in edges:
-        x |= class_mask[e][classes[e]]
-    # column a < nq: a lone error on half a, so its final rows are M's
-    # columns; column nq: the class errors x
-    state = FrameBatch(
-        Graph.from_edges(nq, edges_built),
-        tuple(1 << a | (x >> a & 1) << nq for a in range(nq)),
-        (0,) * nq,
-        (2 << nq) - 1,
-    )
+    z = [0] * nq
+    for c, classes in enumerate(columns):
+        bit = 1 << c
+        for e, cls in classes.items():
+            low, high = halves_of[e]
+            if cls & 1:
+                z[low] |= bit
+            if cls & 2:
+                z[high] |= bit
+    all_alive = (1 << len(columns)) - 1
+    state = FrameBatch(Graph.from_edges(nq, edges_built), tuple(z), (0,) * nq, all_alive)
 
     # tree by tree: the root, then the other vertices in BFS order
     for v, party in halves_at.items():
@@ -310,7 +303,7 @@ def _rebuild(g: Graph, classes: dict) -> _Rebuild:
     for u, v, hu, hv in splices:
         state = apply_cz_via_pair(state, kept[u], kept[v], hu, hv, (0, 0))
 
-    if state.alive != (2 << nq) - 1:
+    if state.alive != all_alive:
         raise InvariantError("rebuild dropped a column on the all-+1 outcome branch")
     measured = set(range(nq)) - set(kept.values())
     if any(state.graph.adj[a] or state.z_rows[a] or state.frame_rows[a] for a in measured):
@@ -319,16 +312,12 @@ def _rebuild(g: Graph, classes: dict) -> _Rebuild:
         for v in range(u + 1, n):
             if state.graph.has_edge(kept[u], kept[v]) != g.has_edge(u, v):
                 raise InvariantError("rebuilt graph differs from the target")
-    halves = (1 << nq) - 1
-    checks = tuple(state.z_rows[kept[v]] & halves for v in range(n))
+    residuals = [0] * len(columns)
     for v in range(n):
-        if state.z_rows[kept[v]] >> nq & 1 != (checks[v] & x).bit_count() & 1:
-            raise InvariantError("composed Z-error map disagrees with the engine")
-    return _Rebuild(
-        ideal=bool(is_ideal(state) >> nq & 1),
-        class_masks=tuple(class_mask[e] for e in edges),
-        checks=checks,
-    )
+        bit = 1 << v
+        for c in _bits(state.z_rows[kept[v]]):
+            residuals[c] |= bit
+    return tuple(residuals)
 
 
 def _check_capacity(edges: int, isolated: int) -> None:
@@ -348,32 +337,37 @@ def _check_capacity(edges: int, isolated: int) -> None:
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _compile(g: Graph) -> _Rebuild:
-    """Run extraction and rebuild through the engine once, error-free.
+    """Check extraction, then rebuild every one-edge error of class 1 and 2.
 
     Outcomes do not change the rewiring or the Z-error map, so the all-+1
-    branch serves every shot.  Memoised per graph (the result is
-    immutable); a failed check raises on every call, since ``lru_cache``
-    caches no exception.
+    branch serves every shot, and the map is GF(2)-linear, so class 3's
+    syndrome is the XOR of the other two.  A syndrome that reaches a vertex
+    off its edge raises.  Memoised per graph (the result is immutable); a
+    failed check raises on every call, since ``lru_cache`` caches no
+    exception.
     """
     _check_extraction(g, plan_extraction(g))
-    compiled = _rebuild(g, {e: 0 for e in g.edges()})
-    if not compiled.ideal:
-        raise InvariantError("error-free rebuild left a residual error")
-    return compiled
+    edges = g.edges()
+    flips = _rebuild(g, [{e: cls} for e in edges for cls in (1, 2)])
+    syndromes = []
+    for k, (u, v) in enumerate(edges):
+        a, b = flips[2 * k], flips[2 * k + 1]
+        if (a | b) & ~(1 << u | 1 << v):
+            raise InvariantError(f"an error on edge {(u, v)} reaches a vertex off that edge")
+        syndromes.append((0, a, b, a ^ b))
+    return _Rebuild(tuple(syndromes))
 
 
 def _simulate_chunk(args) -> int:
     compiled, probs, seed, chunk_index, count = args
     rng = derive_rng(seed, "drpp", chunk_index)
-    class_masks = compiled.class_masks
-    checks = compiled.checks
+    syndromes = compiled.syndromes
     hits = 0
     for _ in range(count):
         x = 0
-        for masks in class_masks:
-            x |= masks[_draw_class(probs, rng)]
-        # ideal iff every row of M has even parity with x
-        if not x or not any((row & x).bit_count() & 1 for row in checks):
+        for syn in syndromes:
+            x ^= syn[_draw_class(probs, rng)]
+        if not x:
             hits += 1
     return hits
 
@@ -396,8 +390,7 @@ def run_drpp(
     if workers < 1:
         raise ParameterError("workers must be >= 1")
     trace = distill_trace(from_z_noise(p), pair_target_fidelity)
-    plan = plan_extraction(g)
-    rates = _rates(plan, p)
+    rates = rate_report(g, p)
     common = dict(
         graph=_graph_record(g),
         p=p,
@@ -445,7 +438,7 @@ def run_drpp(
         fidelity=hits / shots,
         ci95=_wilson_ci95(hits, shots),
         ideal_shots=hits,
-        copies_consumed=plan.n_geo * trace.expected_pairs,
+        copies_consumed=rates.n_geo_plan * trace.expected_pairs,
         **common,
     )
 

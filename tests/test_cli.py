@@ -527,6 +527,9 @@ class TestPinnedOutput:
     _JSON_SHA256 = {
         "simulate --graph icosahedron --p 0.1 --shots 20000 --seed 11 --json":
             "e986e27d9ccb425bc6dd61f49068b37396bf0077197a60a672d261834370d487",
+        # a loose target at p = 0.2: 73% of shots carry a residual error
+        "simulate --graph icosahedron --p 0.2 --target 0.9 --shots 20000 --seed 11 --json":
+            "491d0144543919b972e2f593517e99a40fe2f822c641b65baf876b735385db27",
         "simulate --graph grid:4x4 --p 0.1 --shots 20000 --seed 11 --json":
             "0be1b2821b9017953f17cef56c786e6a7143dec1f4e9925fc5c41997cc3c90dd",
         "simulate --graph path:6 --T 0.6 --B 1 --shots 20000 --seed 11 --json":

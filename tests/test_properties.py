@@ -32,7 +32,7 @@ from graphpurify.pairs import (
     recurrence_step,
 )
 from graphpurify.pattern import FrameBatch, apply_cz_via_pair, measure_z, merge_local
-from graphpurify.protocol import _compile, plan_extraction
+from graphpurify.protocol import _compile, _rebuild, plan_extraction
 from oracles import edge_count, hashing_yield, recurrence_pairing
 
 _SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
@@ -202,9 +202,18 @@ def test_plan_covers_each_edge_once_and_compiles(g):
     assume(2 * edge_count(g) + isolated <= MAX_VERTICES)
     plan = plan_extraction(g)
     placed = [pe.edge for members in plan.rounds for pe in members]
+    assert g.edges() == sorted(g.edges())
     assert sorted(placed) == g.edges()
     assert all(sum(e in {pe.edge for pe in ms} for ms in plan.rounds) == 1 for e in g.edges())
-    assert _compile(g).ideal
+    # the error-free rebuild and one with every class: each residual is the
+    # XOR of its compiled syndromes
+    syndromes = _compile(g).syndromes
+    assert len(syndromes) == len(g.edges())
+    mixed = {e: k % 4 for k, e in enumerate(g.edges())}
+    want = 0
+    for k, syn in enumerate(syndromes):
+        want ^= syn[k % 4]
+    assert _rebuild(g, [{}, mixed]) == (0, want)
 
 
 # -- the pair recurrence against a slow reference ---------------------------

@@ -225,18 +225,29 @@ class TestExtractionStatistics:
                 )
 
 
-def _indicator(g: Graph, classes: dict) -> bool:
-    return _rebuild(g, classes).ideal
+def _residuals(g: Graph, assignments) -> tuple[int, ...]:
+    """Each class assignment's residual from one engine rebuild, checked
+    against the XOR of its compiled syndromes."""
+    residuals = _rebuild(g, assignments)
+    syndromes = dict(zip(g.edges(), _compile(g).syndromes))
+    for classes, got in zip(assignments, residuals):
+        want = 0
+        for e, cls in classes.items():
+            want ^= syndromes[e][cls]
+        assert got == want, classes
+    return residuals
 
 
 def _analytic_fidelity(g: Graph, probs) -> float:
-    edges = sorted(g.edges())
+    edges = g.edges()
+    combos = list(itertools.product(range(4), repeat=len(edges)))
+    residuals = _residuals(g, [dict(zip(edges, combo)) for combo in combos])
     total = 0.0
-    for combo in itertools.product(range(4), repeat=len(edges)):
+    for combo, residual in zip(combos, residuals):
         w = 1.0
         for c in combo:
             w *= probs[c]
-        if w and _indicator(g, dict(zip(edges, combo))):
+        if w and not residual:
             total += w
     return total
 
@@ -248,11 +259,12 @@ class TestRebuildIndicator:
     )
     def test_outcome_independent(self, g, monkeypatch):
         # the rebuild runs on the all-+1 branch only; random outcome rows
-        # for every merge and splice must compile to the same check matrix
-        # and verdicts, and must kill no column
-        edges = sorted(g.edges())
+        # for every merge and splice must compile to the same syndromes and
+        # leave the same residuals, and must kill no column
+        edges = g.edges()
         combos = [dict(zip(edges, c)) for c in itertools.product(range(4), repeat=len(edges))][:40]
-        want = [_rebuild(g, classes) for classes in combos]
+        want = _residuals(g, combos)
+        want_compiled = _compile(g)
         real_merge, real_splice = protocol.merge_local, protocol.apply_cz_via_pair
         for s in range(5):
             draw = derive_rng(s, "vote")
@@ -267,7 +279,8 @@ class TestRebuildIndicator:
 
             monkeypatch.setattr(protocol, "merge_local", merge)
             monkeypatch.setattr(protocol, "apply_cz_via_pair", splice)
-            assert [_rebuild(g, classes) for classes in combos] == want
+            assert _rebuild(g, combos) == want
+            assert _compile.__wrapped__(g) == want_compiled  # uncached: the patched rules run
 
     @pytest.mark.parametrize(
         "g", [path_graph(3), cycle_graph(3), star_graph(4), cycle_graph(4),
@@ -275,30 +288,23 @@ class TestRebuildIndicator:
         ids=["path3", "cycle3", "star4", "cycle4", "two-comps"],
     )
     def test_all_identity_succeeds_single_error_fails(self, g):
-        edges = sorted(g.edges())
-        assert _indicator(g, {e: 0 for e in edges})
-        for e in edges:
-            for cls in (1, 2, 3):
-                classes = {x: 0 for x in edges}
-                classes[e] = cls
-                assert not _indicator(g, classes), (e, cls)
+        edges = g.edges()
+        singles = [(e, cls) for e in edges for cls in (1, 2, 3)]
+        clean = {e: 0 for e in edges}
+        residuals = _residuals(g, [clean] + [{**clean, e: cls} for e, cls in singles])
+        assert residuals[0] == 0
+        for (e, cls), residual in zip(singles, residuals[1:]):
+            assert residual != 0, (e, cls)
 
     def test_isolated_vertices_supported(self):
         g = Graph.from_edges(4, [(1, 2)])
-        assert _indicator(g, {(1, 2): 0})
-        assert not _indicator(g, {(1, 2): 3})
-
-
-def _residual_is_zero(compiled, classes_in_edge_order) -> bool:
-    """M·x = 0, written out: x collects the erroneous halves of each class."""
-    x = 0
-    for masks, cls in zip(compiled.class_masks, classes_in_edge_order):
-        x |= masks[cls]
-    return all(bin(row & x).count("1") % 2 == 0 for row in compiled.checks)
+        clean, flipped = _residuals(g, [{(1, 2): 0}, {(1, 2): 3}])
+        assert clean == 0
+        assert flipped != 0
 
 
 class TestCompiledParityChecks:
-    """The fast path's check matrix against an engine rebuild that carries
+    """The fast path's syndrome table against an engine rebuild that carries
     the errors of each class assignment."""
 
     @pytest.mark.parametrize(
@@ -307,25 +313,22 @@ class TestCompiledParityChecks:
         ids=["path3", "cycle3", "star4", "cycle4", "two-comps"],
     )
     def test_every_assignment(self, g):
-        compiled = _compile(g)
-        edges = sorted(g.edges())
-        assert len(compiled.class_masks) == len(edges)
-        for combo in itertools.product(range(4), repeat=len(edges)):
-            engine = _rebuild(g, dict(zip(edges, combo)))
-            assert engine.ideal == _residual_is_zero(compiled, combo), combo
+        edges = g.edges()
+        assert len(_compile(g).syndromes) == len(edges)
+        _residuals(g, [dict(zip(edges, c)) for c in itertools.product(range(4), repeat=len(edges))])
 
     @pytest.mark.parametrize("family", ["icosahedron", "grid:4x4", "complete:6"])
     def test_random_low_weight_assignments(self, family):
         g = parse_family(family)
-        compiled = _compile(g)
-        edges = sorted(g.edges())
+        edges = g.edges()
         pick = random.Random(f"low-weight/{family}")
+        assignments = []
         for _ in range(300):
             combo = [0] * len(edges)
             for k in pick.sample(range(len(edges)), pick.randint(1, 3)):
                 combo[k] = pick.randint(1, 3)
-            engine = _rebuild(g, dict(zip(edges, combo)))
-            assert engine.ideal == _residual_is_zero(compiled, combo), combo
+            assignments.append(dict(zip(edges, combo)))
+        _residuals(g, assignments)
 
     def test_too_many_edges_names_the_edge_count(self):
         with pytest.raises(CapacityError, match="144 edges.*at most 128 edges"):
@@ -382,6 +385,33 @@ except InvariantError as exc:
 sys.exit("_compile accepted a rebuild that dropped a column")
 """
 
+# a splice that also XORs its u-side half's error onto qubit 0; on the
+# triangle that is vertex 0's kept qubit, off the spliced edge (1, 2)
+_STRAY_SPLICE = """
+import dataclasses, sys
+import graphpurify.protocol as protocol
+from graphpurify.errors import InvariantError
+from graphpurify.graphs import cycle_graph
+
+if __debug__:
+    sys.exit("asserts are live; run this under python -O")
+real = protocol.apply_cz_via_pair
+
+def straying(batch, u, v, pair_u, pair_v, outcome_rows):
+    out = real(batch, u, v, pair_u, pair_v, outcome_rows)
+    z = list(out.z_rows)
+    z[0] ^= batch.z_rows[pair_u]
+    return dataclasses.replace(out, z_rows=tuple(z))
+
+protocol.apply_cz_via_pair = straying
+try:
+    protocol._compile(cycle_graph(3))
+except InvariantError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("_compile accepted a syndrome off its edge")
+"""
+
 
 def _run_optimized(script: str) -> subprocess.CompletedProcess:
     """Run ``script`` in a child interpreter under python -O."""
@@ -431,6 +461,21 @@ class TestCompileMemo:
         with pytest.raises(InvariantError, match="dropped a column"):
             _compile(cycle_graph(3))
 
+    def test_a_syndrome_off_its_edge_raises(self, monkeypatch):
+        # every pair half's error must end on its own edge's endpoints
+        real = protocol.apply_cz_via_pair
+
+        def straying(batch, u, v, pair_u, pair_v, outcome_rows):
+            out = real(batch, u, v, pair_u, pair_v, outcome_rows)
+            z = list(out.z_rows)
+            z[0] ^= batch.z_rows[pair_u]  # vertex 0's kept qubit on the triangle
+            return dataclasses.replace(out, z_rows=tuple(z))
+
+        _compile.cache_clear()
+        monkeypatch.setattr(protocol, "apply_cz_via_pair", straying)
+        with pytest.raises(InvariantError, match=r"edge \(1, 2\) reaches a vertex off"):
+            _compile(cycle_graph(3))
+
 
 def test_rebuild_invariants_survive_optimized_mode():
     # -O strips asserts from test modules too, so running the suite under -O
@@ -445,6 +490,12 @@ def test_dropped_column_check_survives_optimized_mode():
     proc = _run_optimized(_KILLING_SPLICE)
     assert proc.returncode == 0, proc.stderr
     assert "dropped a column" in proc.stdout
+
+
+def test_endpoint_check_survives_optimized_mode():
+    proc = _run_optimized(_STRAY_SPLICE)
+    assert proc.returncode == 0, proc.stderr
+    assert "an error on edge (1, 2) reaches a vertex off that edge" in proc.stdout
 
 
 class TestRunDrpp:
@@ -477,8 +528,9 @@ class TestRunDrpp:
         )
 
     @pytest.mark.parametrize(
-        "g", [cycle_graph(4), Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])],
-        ids=["cycle4", "two-comps-isolated"],
+        "g", [cycle_graph(4), Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)]),
+              parse_family("icosahedron")],
+        ids=["cycle4", "two-comps-isolated", "icosahedron"],
     )
     def test_every_shot_matches_an_engine_rebuild(self, g):
         # replay the documented stream layout (one class per edge in sorted
@@ -488,10 +540,11 @@ class TestRunDrpp:
         shots = CHUNK_SHOTS + 100
         probs = distill_trace(from_z_noise(p), target).final.probs
         res = run_drpp(g, p, shots=shots, pair_target_fidelity=target, seed=seed)
-        edges = sorted(g.edges())
+        edges = g.edges()
         hits = 0
         for chunk, count in enumerate((CHUNK_SHOTS, shots - CHUNK_SHOTS)):
             draw = derive_rng(seed, "drpp", chunk)
+            assignments = []
             for _ in range(count):
                 classes = {}
                 for e in edges:
@@ -502,7 +555,8 @@ class TestRunDrpp:
                             cls = c
                             break
                     classes[e] = cls
-                hits += _rebuild(g, classes).ideal
+                assignments.append(classes)
+            hits += _residuals(g, assignments).count(0)
         assert 0 < hits < shots
         assert res.ideal_shots == hits
 
