@@ -23,14 +23,16 @@ a matching cut (its cut edges share no vertex).  An edge's verdict is
 therefore a graph property, and a negative one means exactly "no matching
 cut separates its ends", not a proof of impossibility.
 
-``proof_applies`` is that graph predicate alone: it finds each edge's
-first matching cut in pick order by a depth-first search that propagates
-forced sides, within a node budget, so it takes any graph within
-``graphs.MAX_VERTICES`` and needs neither numpy nor a noise level.  The
-canonical family below (``reconstruction_plan``, ``build_reconstruction``,
-the analytic flip model and ``verify_reconstruction``) stays as the
-reference implementation the tests hold the predicate to, and as a target
-of the benchmark's tracer; it loads numpy on first use.
+``proof_applies`` is that graph predicate alone: it finds a matching cut
+for each edge, if one exists, by a depth-first search that grows the split
+outwards from the edge and propagates forced sides, within a node budget,
+so it takes any graph within ``graphs.MAX_VERTICES`` and needs neither
+numpy nor a noise level.  The canonical family below
+(``reconstruction_plan``, ``build_reconstruction``, the analytic flip model
+and ``verify_reconstruction``, which passes a split iff its analytic
+distance is exactly 0.0) stays as the reference implementation the tests
+hold the predicate to, and as a target of the benchmark's tracer; it loads
+numpy on first use.
 """
 
 from __future__ import annotations
@@ -157,8 +159,8 @@ def _flip_probs(g: Graph, amask: int, p: float) -> tuple[float, ...]:
     Independent across vertices; width = number of pair halves XORed into
     the vertex qubit, i.e. max(1, cross degree).  Width 1 gives exactly p,
     not the closed form (1 - (1-2p)^w)/2, which rounds off p in floats
-    (0.09999999999999998 at p = 0.1) and would make an exact split miss at
-    tol 0.
+    (0.09999999999999998 at p = 0.1) and would keep an exact split's
+    distance off 0.0.
     """
     return tuple(
         p if w <= 1 else (1.0 - (1.0 - 2.0 * p) ** w) / 2.0 for w in _cross_degrees(g, amask)
@@ -232,81 +234,60 @@ def _product_flip_vector(probs: tuple[float, ...]) -> np.ndarray:
     return v
 
 
-def _analytic_trace_distance(probs: tuple[float, ...], target: np.ndarray) -> float:
+def _analytic_trace_distance(probs: tuple[float, ...], p: float) -> float:
     """Both states are diagonal in the Z-error basis of the target graph
     state, so trace distance collapses to total variation between the two
     flip-pattern distributions: the candidate's per-vertex ``probs`` and the
-    target's ``_product_flip_vector((p,) * n)``."""
+    target's p on every vertex."""
+    target = _product_flip_vector((p,) * len(probs))
     return 0.5 * float(abs(_product_flip_vector(probs) - target).sum())
 
 
-def _check_tol(p: float, tol: float) -> None:
-    """tol must be finite, non-negative and below the fold gap p(1 - 2p): a
-    vertex folding two pair halves flips that far from p, so a tol at or
-    above the gap would pass a folded split as exact.  At p = 0 and p = 1/2
-    the gap is 0 and every candidate is exact."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ParameterError(f"--tol must be finite and non-negative, got {tol!r}")
-    gap = p * (1 - 2 * p)
-    if 0.0 < p < 0.5 and tol >= gap:
-        raise ParameterError(
-            f"--tol {tol} is at or above the fold gap p(1 - 2p) = {gap:.3g} at"
-            f" --p {p}, so a folded split would pass as exact; lower --tol"
-        )
-
-
-def verify_reconstruction(g: Graph, side_a, p: float, tol: float = 1e-9) -> VerifyResult:
+def verify_reconstruction(g: Graph, side_a, p: float) -> VerifyResult:
     """Does the canonical candidate reproduce the thermal state exactly?
 
-    The circuit-level build is compared with the dense thermal state
-    whenever both fit the dense caps; it must agree with the analytic
-    flip-distribution model (else ``InvariantError``), and the split passes
-    when either distance is within tol.  Past the caps the analytic model
-    decides alone.  A tol at or above the fold gap is a ``ParameterError``.
+    The split passes iff its analytic distance is exactly 0.0: a width-1
+    vertex flips with exactly p, and a wider one sits at least the fold gap
+    p(1 - 2p) away from p, so only a matching cut (or p at 0 or 1/2) gives
+    equal flip tuples.  The circuit-level build is compared with the dense
+    thermal state whenever both fit the dense caps and must agree with the
+    analytic distance (else ``InvariantError``); past the caps the analytic
+    model decides alone.
     """
-    _check_tol(p, tol)
     plan = reconstruction_plan(g, side_a)
     if plan is None:
         return VerifyResult(ok=False, trace_distance=math.inf, method="no-canonical-wiring")
     _check_p(p)
-    analytic = _analytic_trace_distance(
-        _flip_probs(g, _side_mask(g, side_a), p), _product_flip_vector((p,) * g.n)
-    )
+    analytic = _analytic_trace_distance(_flip_probs(g, _side_mask(g, side_a), p), p)
     if g.n + len(plan.merges) > dense.MAX_DENSE_QUBITS:
-        return VerifyResult(ok=analytic <= tol, trace_distance=analytic, method="analytic")
+        return VerifyResult(ok=analytic == 0.0, trace_distance=analytic, method="analytic")
     dist = dense.trace_distance(_assemble(plan, p), dense.thermal_state_from_p(g, p))
     if abs(dist - analytic) > _AGREEMENT:
         raise InvariantError("dense circuit disagrees with the analytic flip model")
-    # once they agree, either one within tol passes: at tol 0 an exact
-    # analytic 0.0 must not fail on the eigenvalues' float noise
-    return VerifyResult(ok=dist <= tol or analytic <= tol, trace_distance=dist, method="dense")
+    # the verdict reads the analytic 0.0, not the eigenvalues' float noise
+    return VerifyResult(ok=analytic == 0.0, trace_distance=dist, method="dense")
 
 
 # nodes the matching-cut search may visit for one edge
 _SEARCH_BUDGET = 20_000
 
 
-def _first_matching_cut(g: Graph, u: int, v: int) -> int | None:
-    """Side A, as a vertex bitset, of the first matching cut in pick order
-    that puts u on side A and v on side B; None when no matching cut
-    separates them.
+def _matching_cut(g: Graph, u: int, v: int) -> int | None:
+    """Side A, as a vertex bitset, of a matching cut that puts u on side A
+    and v on side B; None when no matching cut separates them.
 
-    Pick order walks pick = 0, 1, ... over ``others``, the vertices other
-    than u and v in ascending order, with bit i of pick putting others[i]
-    on side A.  A depth-first search that assigns the highest unassigned
-    vertex first and tries v's side before u's meets the splits in that
-    order, so its first leaf is the smallest pick.  Propagating forced
-    sides only cuts branches that hold no matching cut.  A vertex outside
-    the edge's component constrains nothing there, so it takes side B, as
-    in the smallest pick.
+    A depth-first search grows the assigned set from the edge outwards: it
+    branches on the frontier vertex (unassigned, next to the assigned set)
+    with the most assigned neighbours, the highest label on a tie, and
+    propagates forced sides, which cuts only branches that hold no matching
+    cut.  Each node adds the neighbours of the vertices it gained to the
+    frontier it carries, and a node whose frontier is empty has assigned
+    the edge's whole component.  Vertices outside it constrain nothing
+    there and stay on side B.
     """
     adj = g.adj
-    comp = frontier = 1 << u
-    while frontier:
-        frontier = _neighbours(adj, frontier) & ~comp
-        comp |= frontier
-    start = 1 << u | 1 << v
-    stack = [(1 << u, 1 << v, start | _neighbours(adj, start))]
+    reach = adj[u] | adj[v]
+    stack = [(1 << u, 1 << v, 1 << u | 1 << v | reach, reach)]
     nodes = 0
     while stack:
         nodes += 1
@@ -315,17 +296,27 @@ def _first_matching_cut(g: Graph, u: int, v: int) -> int | None:
                 f"matching-cut search for edge ({u}, {v}) ran past its budget of"
                 f" {_SEARCH_BUDGET} nodes"
             )
-        forced = _propagate(adj, *stack.pop())
+        a, b, todo, frontier = stack.pop()
+        forced = _propagate(adj, a, b, todo)
         if forced is None:
             continue
-        a, b = forced
-        free = comp & ~(a | b)
-        if not free:
-            return a
-        w = free.bit_length() - 1
+        na, nb = forced
+        done = na | nb
+        frontier = (frontier | _neighbours(adj, done & ~(a | b))) & ~done
+        if not frontier:
+            return na
+        w = most = -1
+        rest = frontier
+        while rest:  # highest label first, so a tie keeps the higher one
+            x = rest.bit_length() - 1
+            rest ^= 1 << x
+            k = (adj[x] & done).bit_count()
+            if k > most:
+                w, most = x, k
         bit, touched = 1 << w, 1 << w | adj[w]
-        stack.append((a | bit, b, touched))
-        stack.append((a, b | bit, touched))
+        frontier |= adj[w]
+        stack.append((na, nb | bit, touched, frontier))
+        stack.append((na | bit, nb, touched, frontier))
     return None
 
 
@@ -380,13 +371,14 @@ def proof_applies(g: Graph) -> dict:
     has more than one neighbour across, so every width is 1 and the
     canonical candidate is exact at every p.  Any other split leaves a
     vertex flipping at least the fold gap p(1 - 2p) away from p, so the
-    verdict depends on the graph alone.  Each edge's first matching cut in
-    pick order comes from ``_first_matching_cut`` and is re-checked by the
-    integer predicate.  The graph-level claim is simply all(values).
+    verdict depends on the graph alone.  Each edge's cut comes from
+    ``_matching_cut``, which may return any matching cut separating the
+    edge, and is re-checked by the integer predicate.  The graph-level claim
+    is simply all(values).
     """
     verdicts: dict[tuple[int, int], bool] = {}
     for u, v in g.edges():
-        amask = _first_matching_cut(g, u, v)
+        amask = _matching_cut(g, u, v)
         verdicts[(u, v)] = amask is not None
         if amask is None:
             continue

@@ -222,18 +222,6 @@ def _draw_class(probs: tuple[float, ...], rng) -> int:
     return len(probs) - 1
 
 
-@dataclass(frozen=True)
-class _Rebuild:
-    """The rebuild's Z-error map as one syndrome per (edge, class).
-
-    ``syndromes[k][c]`` is the bitset of target vertices that a class-c
-    error on the k-th edge (sorted edge order) leaves flipped; class 0 flips
-    none.  A shot's residual error is the XOR of its edges' syndromes.
-    """
-
-    syndromes: tuple[tuple[int, int, int, int], ...]
-
-
 def _rebuild(g: Graph, columns) -> tuple[int, ...]:
     """Fuse purified pairs into the target graph through the pattern engine.
 
@@ -336,9 +324,13 @@ def _check_capacity(edges: int, isolated: int) -> None:
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _compile(g: Graph) -> _Rebuild:
+def _compile(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
     """Check extraction, then rebuild every one-edge error of class 1 and 2.
 
+    Returns the rebuild's Z-error map as one syndrome per (edge, class):
+    entry [k][c] is the bitset of target vertices that a class-c error on
+    the k-th edge (sorted edge order) leaves flipped; class 0 flips none.
+    A shot's residual error is the XOR of its edges' syndromes.
     Outcomes do not change the rewiring or the Z-error map, so the all-+1
     branch serves every shot, and the map is GF(2)-linear, so class 3's
     syndrome is the XOR of the other two.  A syndrome that reaches a vertex
@@ -355,13 +347,12 @@ def _compile(g: Graph) -> _Rebuild:
         if (a | b) & ~(1 << u | 1 << v):
             raise InvariantError(f"an error on edge {(u, v)} reaches a vertex off that edge")
         syndromes.append((0, a, b, a ^ b))
-    return _Rebuild(tuple(syndromes))
+    return tuple(syndromes)
 
 
 def _simulate_chunk(args) -> int:
-    compiled, probs, seed, chunk_index, count = args
+    syndromes, probs, seed, chunk_index, count = args
     rng = derive_rng(seed, "drpp", chunk_index)
-    syndromes = compiled.syndromes
     hits = 0
     for _ in range(count):
         x = 0
@@ -412,13 +403,13 @@ def run_drpp(
             **common,
         )
 
-    compiled = _compile(g)
+    syndromes = _compile(g)
     specs = []
     done = 0
     chunk_index = 0
     while done < shots:
         count = min(CHUNK_SHOTS, shots - done)
-        specs.append((compiled, trace.final.probs, seed, chunk_index, count))
+        specs.append((syndromes, trace.final.probs, seed, chunk_index, count))
         done += count
         chunk_index += 1
     # a fork-started pool launches all its processes at the first submit, so

@@ -169,16 +169,16 @@ def test_criterion_7_reconstruction_verdicts():
         plan = reconstruction_plan(cycle_graph(4), [0, 3])
         assert plan is not None and plan.pair_count == 2  # consumes two pair copies
         for p in (0.05, 0.1, 0.2):
-            res = verify_reconstruction(path_graph(3), [0], p, tol=1e-9)
+            res = verify_reconstruction(path_graph(3), [0], p)
             assert res.ok and res.trace_distance <= 1e-9
 
-            res = verify_reconstruction(cycle_graph(4), [0, 3], p, tol=1e-9)
+            res = verify_reconstruction(cycle_graph(4), [0, 3], p)
             assert res.ok and res.trace_distance <= 1e-9
 
             # a triangle admits no faithful split anywhere in the family
             for size in (1, 2):
                 for side in itertools.combinations(range(3), size):
-                    res = verify_reconstruction(cycle_graph(3), list(side), p, tol=1e-9)
+                    res = verify_reconstruction(cycle_graph(3), list(side), p)
                     assert not res.ok
 
 

@@ -133,13 +133,12 @@ class TestVerifyReconstruction:
             assert res.method == "dense"
 
     def test_analytic_and_dense_report_the_same_distance(self):
-        target = _product_flip_vector((0.1,) * 3)
         for side in ([0], [1]):
-            a = _analytic_trace_distance(candidate_flip_probs(cycle_graph(3), side, 0.1), target)
+            a = _analytic_trace_distance(candidate_flip_probs(cycle_graph(3), side, 0.1), 0.1)
             d = verify_reconstruction(cycle_graph(3), side, 0.1)
             assert d.method == "dense"
             assert a == pytest.approx(d.trace_distance, abs=1e-9)
-            assert (a <= 1e-9) == d.ok
+            assert (a == 0.0) == d.ok
 
     def test_two_fold_chain_passes_the_internal_cross_check(self):
         # three cross edges in a row: two folds chained through extras; the
@@ -154,12 +153,14 @@ class TestVerifyReconstruction:
         assert verify_reconstruction(cycle_graph(3), [0], 0.5).ok
 
     @pytest.mark.parametrize("p", [1e-12, 0.4999999999])
-    def test_tolerance_at_the_fold_gap_is_rejected(self, p):
-        # the fold gap p(1 - 2p) is below the default tol here, so the
-        # triangle's folded split would read as exact
+    def test_folded_split_fails_at_a_tiny_fold_gap(self, p):
+        # the fold gap p(1 - 2p) is below 1e-9 here, but a split passes only
+        # at analytic distance exactly 0.0, so the triangle's folded split
+        # still fails and the path's matching cut still passes
         assert p * (1 - 2 * p) < 1e-9
-        with pytest.raises(ParameterError, match=r"--tol .* fold gap .* --p"):
-            verify_reconstruction(cycle_graph(3), [0], p)
+        res = verify_reconstruction(cycle_graph(3), [0], p)
+        assert not res.ok and res.method == "dense"
+        assert verify_reconstruction(path_graph(3), [0], p).ok
 
     def test_oversized_dense_request_raises_but_auto_falls_back(self):
         # hub with seven cross edges: six folds push past the dense cap
@@ -248,9 +249,8 @@ def _reference_first_splits(g: Graph, p: float, tol: float) -> dict:
     return first
 
 
-_SCREEN_CASES = ((0.1, 1e-9), (0.3, 1e-9), (1e-6, 1e-9), (0.1, 0.05), (0.2, 0.3), (0.01, 0.02))
-# the cases whose tol lies below the fold gap p(1 - 2p); verify_reconstruction rejects the rest
-_BELOW_GAP = tuple((p, tol) for p, tol in _SCREEN_CASES if tol < p * (1 - 2 * p))
+# (p, tol) cases for the float search whose tol lies below the fold gap p(1 - 2p)
+_BELOW_GAP = ((0.1, 1e-9), (0.3, 1e-9), (1e-6, 1e-9), (0.1, 0.05))
 _BENCH_GRAPHS = ("cycle:3", "cycle:5", "path:6", "grid:2x3", "star:6", "cycle:7")
 
 
@@ -287,7 +287,7 @@ class TestScreenedSearch:
     def test_verdicts_equal_the_unscreened_search(self):
         graphs = list(_labelled_graphs(4)) + [load_graph(name) for name in _BENCH_GRAPHS]
         assert len(graphs) == 75 + 6
-        assert len(_BELOW_GAP) == 4
+        assert all(tol < p * (1 - 2 * p) for p, tol in _BELOW_GAP)
         for g in graphs:
             got = proof_applies(g)
             for p, tol in _BELOW_GAP:
@@ -300,24 +300,13 @@ class TestScreenedSearch:
         for g in graphs:
             assert proof_applies(g) == _matching_cut_reference(g), g.adj
 
-    @pytest.mark.parametrize("p, tol", [c for c in _SCREEN_CASES if c not in _BELOW_GAP])
-    def test_tolerance_at_the_fold_gap_is_rejected(self, p, tol):
-        # a vertex folding two pair halves flips p(1 - 2p) away from p, so a
-        # tol at or above that gap passes a folded split as exact: the float
-        # search would call the triangle covered, and verify_reconstruction
-        # refuses such a tol
-        triangle = cycle_graph(3)
-        assert set(_reference_first_splits(triangle, p, tol).values()) != {None}
-        assert not any(proof_applies(triangle).values())
-        with pytest.raises(ParameterError, match=r"--tol .* fold gap .* --p"):
-            verify_reconstruction(path_graph(3), [0], p, tol)
-
-    def test_each_first_cut_is_the_reference_split_and_exact(self):
+    def test_each_cut_is_a_matching_cut_and_exact(self):
         # the canonical family is the reference the predicate answers for:
-        # each edge's first matching cut is the first split the float search
-        # passes, and its dense candidate is the thermal state, with half
-        # the entrywise l1 norm of the difference, an upper bound on the
-        # trace distance, within the agreement allowance
+        # the search finds a cut exactly where the float search passes some
+        # split, each cut is a matching cut separating the edge, and its
+        # dense candidate is the thermal state, with half the entrywise l1
+        # norm of the difference, an upper bound on the trace distance,
+        # within the agreement allowance
         graphs = [*_labelled_graphs(5), *(load_graph(name) for name in _BENCH_GRAPHS)]
         graphs += [load_graph(name) for name in ("cycle:8", "grid:2x4", "star:8", "path:8")]
         assert len(graphs) == 1099 + 6 + 4
@@ -326,12 +315,12 @@ class TestScreenedSearch:
             ref = _reference_first_splits(g, 0.1, 1e-9)
             thermal = thermal_state_from_p(g, 0.1)
             for u, v in sorted(g.edges()):
-                amask = optimality._first_matching_cut(g, u, v)
-                side = None if amask is None else frozenset(_bits(amask))
-                assert side == ref[(u, v)], (g.adj, u, v)
-                if side is None:
+                amask = optimality._matching_cut(g, u, v)
+                assert (amask is not None) == (ref[(u, v)] is not None), (g.adj, u, v)
+                if amask is None:
                     continue
-                candidate = build_reconstruction(g, sorted(side), 0.1)
+                assert _is_matching_cut_of(g, amask, u, v), (g.adj, u, v)
+                candidate = build_reconstruction(g, list(_bits(amask)), 0.1)
                 assert 0.5 * float(np.abs(candidate - thermal).sum()) <= optimality._AGREEMENT, (g.adj, u, v)
                 cuts += 1
                 bench_cuts += 1099 <= i < 1099 + 6
@@ -364,9 +353,7 @@ class TestScreenedSearch:
     def test_equal_tuples_are_exactly_zero(self, p, n):
         # so a matching cut's analytic distance, which the witness is
         # checked against, is 0.0
-        probs = (p,) * n
-        target = _product_flip_vector(probs)
-        assert _analytic_trace_distance(probs, target) == 0.0
+        assert _analytic_trace_distance((p,) * n, p) == 0.0
 
     def test_zero_tol_gives_the_default_tol_verdicts(self):
         # width 1 flips with exactly p, so an exact split has distance 0.0
@@ -383,27 +370,47 @@ class TestScreenedSearch:
 
 
 def _is_matching_cut_of(g: Graph, amask: int, u: int, v: int) -> bool:
-    """u on side A, v on side B, and no vertex with two neighbours across."""
+    """u on side A, v on side B, and no two cut edges share a vertex."""
     if not amask >> u & 1 or amask >> v & 1:
         return False
-    for x, nb in enumerate(g.adj):
-        across = [y for y in range(g.n) if nb >> y & 1 and (amask >> y & 1) != (amask >> x & 1)]
-        if len(across) > 1:
-            return False
-    return True
+    ends = [x for e in g.edges() if (amask >> e[0] & 1) != (amask >> e[1] & 1) for x in e]
+    return len(ends) == len(set(ends))
 
 
-def _pick_order_walk(g: Graph, u: int, v: int) -> int | None:
-    """Side A of the first split, walking pick = 0, 1, ... with bit i of pick
-    putting the i-th other vertex on u's side, that is a matching cut."""
+def _has_matching_cut(g: Graph, u: int, v: int) -> bool:
+    """Brute force: does any split with u on side A and v on side B leave no
+    vertex with two neighbours across?"""
     picks = [1 << u]
     for w in range(g.n):
         if w != u and w != v:
-            picks += [m | 1 << w for m in picks]  # index = pick
-    for amask in picks:
-        if all((nb & (~amask if amask >> x & 1 else amask)).bit_count() <= 1 for x, nb in enumerate(g.adj)):
-            return amask
-    return None
+            picks += [m | 1 << w for m in picks]
+    return any(
+        all((nb & (~amask if amask >> x & 1 else amask)).bit_count() <= 1 for x, nb in enumerate(g.adj))
+        for amask in picks
+    )
+
+
+def _check_search(g: Graph, u: int, v: int) -> None:
+    """The search finds a cut iff one exists, and each cut it returns is a
+    matching cut separating the edge."""
+    amask = optimality._matching_cut(g, u, v)
+    assert (amask is not None) == _has_matching_cut(g, u, v), (g.adj, u, v)
+    assert amask is None or _is_matching_cut_of(g, amask, u, v), (g.adj, u, v, amask)
+
+
+def _seeded_sparse_graphs(seed: int, count: int = 10, n: int = 128) -> list[Graph]:
+    """Random graphs on n vertices with 128 to 256 edges, drawn edge by edge."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        m = rng.randrange(128, 257)
+        edges: set[tuple[int, int]] = set()
+        while len(edges) < m:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        graphs.append(Graph.from_edges(n, sorted(edges)))
+    return graphs
 
 
 @st.composite
@@ -415,23 +422,34 @@ def _graphs(draw, max_n):
 
 
 class TestMatchingCutSearch:
-    """``_first_matching_cut`` must return the split a walk over every pick
-    in order would find first."""
+    """``_matching_cut`` must find a matching cut separating the edge exactly
+    when a brute-force walk over every split finds one, and each cut it
+    returns must be one."""
 
-    def test_equals_the_pick_order_walk_on_every_labelled_graph(self):
+    def test_equals_brute_force_existence_on_every_labelled_graph(self):
         edges = 0
         for g in _labelled_graphs(6):
             for u, v in g.edges():
-                assert optimality._first_matching_cut(g, u, v) == _pick_order_walk(g, u, v), (g.adj, u, v)
+                _check_search(g, u, v)
                 edges += 1
         # each of the C(n, 2) slots is an edge of half the 2^C(n, 2) graphs
         assert edges == sum(math.comb(n, 2) << math.comb(n, 2) - 1 for n in range(2, 7)) == 251_085
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(_graphs(9))
-    def test_equals_the_pick_order_walk_on_random_graphs(self, g):
+    def test_equals_brute_force_existence_on_random_graphs(self, g):
         for u, v in g.edges():
-            assert optimality._first_matching_cut(g, u, v) == _pick_order_walk(g, u, v), (u, v)
+            _check_search(g, u, v)
+
+    def test_decides_the_seeded_sparse_graphs(self):
+        # a search that branched on the highest free vertex ran past its
+        # budget on edge (18, 50) of graph 2 and (15, 108) of graph 3
+        graphs = _seeded_sparse_graphs(1)
+        assert (18, 50) in graphs[2].edges() and (15, 108) in graphs[3].edges()
+        for g in graphs:
+            for u, v in g.edges():
+                amask = optimality._matching_cut(g, u, v)
+                assert amask is None or _is_matching_cut_of(g, amask, u, v), (u, v)
 
     @pytest.mark.parametrize(
         "name, covered, edges",
@@ -443,7 +461,7 @@ class TestMatchingCutSearch:
         verdicts = proof_applies(g)
         assert (sum(verdicts.values()), len(verdicts)) == (covered, edges)
         for u, v in g.edges():
-            amask = optimality._first_matching_cut(g, u, v)
+            amask = optimality._matching_cut(g, u, v)
             assert verdicts[(u, v)] == (amask is not None)
             if amask is not None:
                 assert _is_matching_cut_of(g, amask, u, v), (u, v)
@@ -455,7 +473,7 @@ class TestMatchingCutSearch:
     def test_a_search_past_its_budget_is_a_capacity_error(self, monkeypatch):
         # path:4's edge (0, 1) leaves vertex 3 free after propagation, so
         # the search needs a second node
-        assert optimality._first_matching_cut(path_graph(4), 0, 1) == 0b0001
+        assert _is_matching_cut_of(path_graph(4), optimality._matching_cut(path_graph(4), 0, 1), 0, 1)
         monkeypatch.setattr(optimality, "_SEARCH_BUDGET", 1)
         with pytest.raises(CapacityError, match="budget of 1 nodes"):
             proof_applies(path_graph(4))
@@ -520,13 +538,13 @@ class TestWitnessBound:
 
 def test_auto_passes_an_exact_analytic_zero_at_tol_zero():
     # the width-1 probability is exactly p, so the analytic distance is 0.0
-    # while the dense eigenvalues can give about 1e-16; the two agree, so
-    # the verdict must pass
-    res = verify_reconstruction(path_graph(3), [0], 0.3, tol=0.0)
+    # while the dense eigenvalues can give about 1e-16; the two agree, and
+    # the verdict, which passes only an analytic 0.0, must pass
+    res = verify_reconstruction(path_graph(3), [0], 0.3)
     assert res.method == "dense" and res.trace_distance < 1e-12
     assert res.ok
     probs = candidate_flip_probs(path_graph(3), [0], 0.3)
-    assert _analytic_trace_distance(probs, _product_flip_vector((0.3,) * 3)) == 0.0
+    assert _analytic_trace_distance(probs, 0.3) == 0.0
 
 
 _CORRUPT_TRACE_DISTANCE = """

@@ -207,7 +207,7 @@ def test_plan_covers_each_edge_once_and_compiles(g):
     assert all(sum(e in {pe.edge for pe in ms} for ms in plan.rounds) == 1 for e in g.edges())
     # the error-free rebuild and one with every class: each residual is the
     # XOR of its compiled syndromes
-    syndromes = _compile(g).syndromes
+    syndromes = _compile(g)
     assert len(syndromes) == len(g.edges())
     mixed = {e: k % 4 for k, e in enumerate(g.edges())}
     want = 0

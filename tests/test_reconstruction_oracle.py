@@ -5,20 +5,19 @@ arithmetic, and ``thermal_state_from_p`` is a closed form.  Here both meet
 slow routes written out in the test: a build that applies every gate, each
 CZ included, as its own unitary through ``apply_unitary_rho``, and an
 explicit sum over Z-error patterns.  A build that loses one internal CZ must
-trip the dense cross-check.  The analytic distance, now fed a target flip
-vector built once per search, must equal the per-split form it replaced.
+trip the dense cross-check.  The analytic distance must equal a per-split
+form written out in the test.
 """
 
 import dataclasses
 import itertools
-import math
 from functools import reduce
 
 import numpy as np
 import pytest
 
 from graphpurify import dense, optimality
-from graphpurify.errors import InvariantError, ParameterError
+from graphpurify.errors import InvariantError
 from graphpurify.graphs import Graph, _bits, path_graph, star_graph
 from graphpurify.optimality import (
     build_reconstruction,
@@ -180,9 +179,9 @@ def test_a_build_missing_one_internal_cz_trips_the_cross_check(monkeypatch):
     def lossy(plan, p):
         return real(dataclasses.replace(plan, internal_edges=plan.internal_edges[:-1]), p)
 
-    # the first matching cut for edge (0, 1) of the 3-path is {0} | {1, 2},
+    # the only matching cut for edge (0, 1) of the 3-path is {0} | {1, 2},
     # whose one internal CZ is (1, 2)
-    assert optimality._first_matching_cut(path_graph(3), 0, 1) == 0b001
+    assert optimality._matching_cut(path_graph(3), 0, 1) == 0b001
     assert reconstruction_plan(path_graph(3), [0]).internal_edges == ((1, 2),)
     assert verify_reconstruction(path_graph(3), [0], 0.1).ok
     monkeypatch.setattr(optimality, "_assemble", lossy)
@@ -191,10 +190,10 @@ def test_a_build_missing_one_internal_cz_trips_the_cross_check(monkeypatch):
 
 
 def _per_split_analytic_distance(g: Graph, side_a, p: float) -> float:
-    """The analytic distance as computed split by split before the search
-    screened splits: candidate probabilities and both flip vectors rebuilt
-    on every call.  A vertex of cross degree <= 1 flips with exactly p (the
-    closed form rounds off p at width 1)."""
+    """The analytic distance written out split by split: candidate
+    probabilities and both flip vectors built here.  A vertex of cross
+    degree <= 1 flips with exactly p (the closed form rounds off p at
+    width 1)."""
     amask = 0
     for v in side_a:
         amask |= 1 << v
@@ -219,15 +218,7 @@ def test_analytic_distance_equals_the_per_split_form_on_five_vertices():
                 if reconstruction_plan(g, side) is None:
                     assert verify_reconstruction(g, side, p).method == "no-canonical-wiring"
                     continue
-                got = optimality._analytic_trace_distance(
-                    candidate_flip_probs(g, side, p), optimality._product_flip_vector((p,) * g.n)
-                )
+                got = optimality._analytic_trace_distance(candidate_flip_probs(g, side, p), p)
                 assert got == _per_split_analytic_distance(g, side, p), (g, side, p)
             splits += 1
     assert splits == 1 * 2 + 2 * 4 + 4 * 8 + 11 * 16 + 34 * 32
-
-
-@pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
-def test_tolerance_must_be_finite_and_non_negative(tol):
-    with pytest.raises(ParameterError, match="--tol"):
-        verify_reconstruction(path_graph(3), [0], 0.1, tol=tol)
